@@ -6,15 +6,19 @@
 // hard errors (a typo'd flag silently falling back to its default would
 // corrupt a sweep).
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "p2pse/harness/figures.hpp"
 #include "p2pse/obs/rusage.hpp"
@@ -31,20 +35,42 @@ inline constexpr std::string_view kFigureFlags[] = {
     "trace-json", "progress", "flight-record",
 };
 
+/// A 32-bit unsigned flag. Values past UINT32_MAX are a hard error rather
+/// than a silent wrap (--l 4294967297 must not run as l=1).
+inline std::uint32_t uint32_from_args(const support::Args& args,
+                                      std::string_view flag,
+                                      std::uint32_t fallback) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t value = args.get_uint(flag, fallback);
+  if (value > kMax) {
+    throw std::invalid_argument("--" + std::string(flag) + " must be <= " +
+                                std::to_string(kMax) + ", got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 /// Maps the shared CLI flags onto `params`. Shared by figure_main and the
-/// p2pse_matrix driver so every binary speaks the same dialect.
+/// p2pse_matrix driver so every binary speaks the same dialect. An overlay
+/// needs at least two nodes and a report at least one replica; smaller
+/// values are hard errors.
 inline FigureParams figure_params_from_args(const support::Args& args,
                                             FigureParams defaults) {
   FigureParams params = defaults;
   params.nodes = args.get_uint("nodes", params.nodes);
+  if (params.nodes < 2) {
+    throw std::invalid_argument("--nodes must be >= 2, got " +
+                                std::to_string(params.nodes));
+  }
   params.seed = args.get_uint("seed", params.seed);
   params.estimations = args.get_uint("estimations", params.estimations);
   params.replicas = args.get_uint("replicas", params.replicas);
-  params.sc_collisions = static_cast<std::uint32_t>(
-      args.get_uint("l", params.sc_collisions));
+  if (params.replicas == 0) {
+    throw std::invalid_argument("--replicas must be >= 1, got 0");
+  }
+  params.sc_collisions = uint32_from_args(args, "l", params.sc_collisions);
   params.sc_timer = args.get_double("T", params.sc_timer);
-  params.agg_rounds = static_cast<std::uint32_t>(
-      args.get_uint("agg-rounds", params.agg_rounds));
+  params.agg_rounds = uint32_from_args(args, "agg-rounds", params.agg_rounds);
   params.last_k = args.get_uint("last-k", params.last_k);
   params.threads = args.get_uint("threads", params.threads);
   params.sim_threads = args.get_uint("sim-threads", params.sim_threads);

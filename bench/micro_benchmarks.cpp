@@ -257,26 +257,6 @@ void BM_AggregationRoundLossy(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregationRoundLossy)->Arg(10000);
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  // One schedule + one fire per iteration against a standing population of
-  // pending events — the steady state of a busy simulator. Exercises the
-  // 4-ary heap sift paths and the Event inline-storage fast path (the
-  // capture below must never allocate).
-  sim::EventQueue q;
-  support::RngStream rng(42);
-  std::uint64_t sink = 0;
-  for (int i = 0; i < 1024; ++i) {
-    q.schedule(rng.uniform_real(0.0, 100.0), [&sink] { ++sink; });
-  }
-  for (auto _ : state) {
-    const sim::Time fired = q.run_next();
-    q.schedule(fired + rng.uniform_real(0.0, 100.0), [&sink] { ++sink; });
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueScheduleRun);
-
 void BM_GraphAddRemoveEdge(benchmark::State& state) {
   // Random edge toggle on a paper-sized overlay: dedup scan + append +
   // swap-with-back removal, all in the shared arena (no allocation at

@@ -18,7 +18,6 @@
 #include "figure_main.hpp"
 #include "p2pse/est/registry.hpp"
 #include "p2pse/scenario/scenarios.hpp"
-#include "p2pse/support/check.hpp"
 #include "p2pse/support/csv.hpp"
 #include "p2pse/topo/topology.hpp"
 #include "p2pse/trace/workloads.hpp"
@@ -113,11 +112,7 @@ int main(int argc, char** argv) {
           "pricing)\n"
           "  --flight-record N    ring of the last N simulator events, "
           "dumped to\n"
-          "                       p2pse-flight.json on abnormal exit\n"
-          "  --force-failure      raise a deliberate contract failure after "
-          "the run\n"
-          "                       (exercises the flight-recorder dump path; "
-          "exits 1)\n",
+          "                       p2pse-flight.json on abnormal exit\n",
           argv[0]);
       return 0;
     }
@@ -127,7 +122,7 @@ int main(int argc, char** argv) {
         "l",         "T",        "agg-rounds",      "last-k",
         "threads",   "sim-threads", "sharded-build", "csv",
         "net",       "topo",     "sizes",           "stats-json",
-        "trace-json", "progress", "flight-record",  "force-failure",
+        "trace-json", "progress", "flight-record",
     };
     args.require_known(std::span<const std::string_view>(kFlags));
     const auto csv_path = harness::csv_path_from_args(args);
@@ -166,12 +161,6 @@ int main(int argc, char** argv) {
     if (csv_path) harness::write_csv_to_path(report, *csv_path);
     telemetry.write(report, options.params);
     harness::print_report(std::cout, report);
-    if (args.get_bool("force-failure", false)) {
-      // CI smoke for the crash path: a deliberate contract failure after
-      // the run proper, so the flight dump captures real traffic.
-      throw support::CheckFailure(__FILE__, __LINE__, "force-failure",
-                                  "--force-failure requested");
-    }
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s: error: %s\n", argv[0], error.what());

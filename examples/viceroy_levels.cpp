@@ -11,6 +11,7 @@
 // enough to parameterize structured overlays.
 //
 //   ./viceroy_levels [--nodes 20000] [--joins 500] [--l 50] [--seed 11]
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>

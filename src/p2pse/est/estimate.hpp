@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "p2pse/sim/event_queue.hpp"
+#include "p2pse/sim/time.hpp"
 
 namespace p2pse::est {
 

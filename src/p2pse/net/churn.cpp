@@ -1,11 +1,6 @@
 #include "p2pse/net/churn.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
-
-#include "p2pse/support/check.hpp"
-#include "p2pse/support/sharding.hpp"
 
 namespace p2pse::net {
 
@@ -61,119 +56,6 @@ std::size_t remove_fraction(Graph& graph, double fraction,
       static_cast<std::size_t>(fraction * static_cast<double>(graph.size()));
   remove_random_nodes(graph, count, rng);
   return count;
-}
-
-std::size_t remove_fraction_sharded(Graph& graph, double fraction,
-                                    const support::RngStream& rng,
-                                    const support::ShardExecutor* executor) {
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  const std::size_t n = graph.size();
-  const auto count = static_cast<std::size_t>(fraction * static_cast<double>(n));
-  if (count == 0) return 0;
-
-  const support::ShardExecutor inline_executor(1);
-  const support::ShardExecutor& exec = executor ? *executor : inline_executor;
-  const std::vector<support::ShardRange> ranges =
-      support::shard_ranges(n, kChurnShards);
-
-  // Apportion the victim count across shards by cumulative fair share
-  // (floor(count * cum_slots / n) differences): sums exactly to `count`,
-  // never exceeds a shard's range, deterministic by shard index.
-  std::vector<std::size_t> quota(kChurnShards);
-  std::size_t cum_slots = 0;
-  std::size_t allocated = 0;
-  for (std::size_t s = 0; s < kChurnShards; ++s) {
-    cum_slots += ranges[s].size();
-    const std::size_t target_cum = count * cum_slots / n;
-    quota[s] = target_cum - allocated;
-    allocated = target_cum;
-  }
-  P2PSE_CHECK_MSG(allocated == count,
-                  "remove_fraction_sharded: quota apportionment mismatch");
-
-  // Parallel sample: shard s picks quota[s] distinct positions inside its
-  // alive-list range from its own substream. The alive snapshot is only
-  // read here; removal happens after the barrier.
-  const std::span<const NodeId> alive = graph.alive_nodes();
-  std::vector<std::vector<NodeId>> victims(kChurnShards);
-  exec.run(kChurnShards, [&](std::size_t s) {
-    if (quota[s] == 0) return;
-    support::RngStream shard_rng = rng.split("shard", s);
-    std::vector<std::size_t> positions =
-        shard_rng.sample_without_replacement(ranges[s].size(), quota[s]);
-    std::sort(positions.begin(), positions.end());
-    victims[s].reserve(positions.size());
-    for (const std::size_t pos : positions) {
-      victims[s].push_back(alive[ranges[s].begin + pos]);
-    }
-  });
-
-  // Index-ordered merge: removals execute in (shard, position) order, so
-  // the surviving alive-list layout is a pure function of the seed.
-  std::size_t removed = 0;
-  for (std::size_t s = 0; s < kChurnShards; ++s) {
-    for (const NodeId id : victims[s]) {
-      graph.remove_node(id);
-      ++removed;
-    }
-  }
-  P2PSE_CHECK_MSG(removed == count,
-                  "remove_fraction_sharded: merge bookkeeping mismatch");
-  return removed;
-}
-
-void add_nodes_sharded(Graph& graph, std::size_t count,
-                       const JoinPolicy& policy, const support::RngStream& rng,
-                       const support::ShardExecutor* executor) {
-  if (count == 0) return;
-  const support::ShardExecutor inline_executor(1);
-  const support::ShardExecutor& exec = executor ? *executor : inline_executor;
-
-  // Snapshot the pre-batch alive list: candidate draws index into it, so
-  // every shard sees the same peer universe regardless of merge progress.
-  const std::span<const NodeId> alive_span = graph.alive_nodes();
-  const std::vector<NodeId> peers(alive_span.begin(), alive_span.end());
-
-  struct Proposal {
-    std::size_t target = 0;
-    std::vector<NodeId> candidates;
-  };
-  const auto lo =
-      static_cast<std::int64_t>(std::max<std::size_t>(1, policy.min_degree));
-  const auto hi = static_cast<std::int64_t>(
-      std::max<std::size_t>(policy.min_degree, policy.max_degree));
-  // Fixed candidate budget (independent of acceptance) keeps the draw
-  // sequence a pure function of the seed.
-  const std::size_t budget = 8 * policy.max_degree + 8;
-
-  const std::vector<support::ShardRange> ranges =
-      support::shard_ranges(count, kChurnShards);
-  std::vector<Proposal> proposals(count);
-  exec.run(kChurnShards, [&](std::size_t s) {
-    if (ranges[s].empty()) return;
-    support::RngStream shard_rng = rng.split("shard", s);
-    for (std::size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      Proposal& p = proposals[i];
-      p.target = static_cast<std::size_t>(shard_rng.uniform_int(lo, hi));
-      if (peers.empty()) continue;
-      p.candidates.reserve(budget);
-      for (std::size_t c = 0; c < budget; ++c) {
-        p.candidates.push_back(peers[static_cast<std::size_t>(
-            shard_rng.uniform_u64(peers.size()))]);
-      }
-    }
-  });
-
-  // Index-ordered merge: add and wire node i before node i+1.
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = graph.add_node();
-    const Proposal& p = proposals[i];
-    for (const NodeId peer : p.candidates) {
-      if (graph.degree(id) >= p.target) break;
-      if (graph.degree(peer) >= policy.max_degree) continue;
-      graph.add_edge(id, peer);  // rejects duplicates internally
-    }
-  }
 }
 
 void ConstantChurn::step(Graph& graph, double dt, support::RngStream& rng) {

@@ -10,16 +10,7 @@
 #include "p2pse/net/graph.hpp"
 #include "p2pse/support/rng.hpp"
 
-namespace p2pse::support {
-class ShardExecutor;
-}  // namespace p2pse::support
-
 namespace p2pse::net {
-
-/// Fixed shard count for the sharded churn primitives below. A spec'd
-/// constant like net::kBuildShards: output depends on it, never on the
-/// worker count.
-inline constexpr std::size_t kChurnShards = 64;
 
 /// Wiring policy for joining nodes, mirroring the builder's degree model.
 struct JoinPolicy {
@@ -46,28 +37,6 @@ void remove_random_nodes(Graph& graph, std::size_t count,
 /// Returns the number removed.
 std::size_t remove_fraction(Graph& graph, double fraction,
                             support::RngStream& rng);
-
-/// Sharded bulk departure, thread-count-invariant: the alive list is split
-/// into kChurnShards fixed ranges, shard s samples its quota of victims
-/// (largest-remainder apportionment of the total) from split("shard", s),
-/// and victims are removed in (shard, draw) order. Draws nothing from
-/// `rng` itself. NOT byte-compatible with remove_fraction — a different
-/// (equally uniform) victim distribution. `executor` nullptr = inline.
-/// Returns the number removed.
-std::size_t remove_fraction_sharded(
-    Graph& graph, double fraction, const support::RngStream& rng,
-    const support::ShardExecutor* executor = nullptr);
-
-/// Sharded bulk arrival, thread-count-invariant: each of the `count` new
-/// nodes draws its degree target and candidate peers (positions into the
-/// PRE-BATCH alive list) from the owning shard's split("shard", s)
-/// substream in parallel; nodes are then added and wired in index order.
-/// Unlike add_nodes, new nodes never wire to each other within the batch,
-/// and there is no redraw loop — a node may undershoot its target when its
-/// candidates are saturated. NOT byte-compatible with add_nodes.
-void add_nodes_sharded(Graph& graph, std::size_t count,
-                       const JoinPolicy& policy, const support::RngStream& rng,
-                       const support::ShardExecutor* executor = nullptr);
 
 /// Constant-rate churn with fractional accumulation: step(dt) performs the
 /// integer part of accumulated arrivals/departures. Rates are per time unit.

@@ -11,7 +11,6 @@ namespace {
 std::string_view kind_name(sim::FlightSink::Kind kind) noexcept {
   switch (kind) {
     case sim::FlightSink::Kind::kSend: return "send";
-    case sim::FlightSink::Kind::kEventFired: return "event_fired";
     case sim::FlightSink::Kind::kNote: return "note";
   }
   return "unknown";

@@ -29,63 +29,8 @@ Distributions& Distributions::operator+=(const Distributions& other) {
   return *this;
 }
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds(std::move(upper_bounds)), buckets(bounds.size() + 1, 0) {}
-
-void Histogram::observe(double value) {
-  std::size_t bucket = 0;
-  while (bucket < bounds.size() && value > bounds[bucket]) ++bucket;
-  ++buckets[bucket];
-  ++count;
-  sum += value;
-}
-
-void Metrics::add(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) {
-    it->second += delta;
-  } else {
-    counters_.emplace(std::string(name), delta);
-  }
-}
-
-void Metrics::set_gauge(std::string_view name, double value) {
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) {
-    it->second = value;
-  } else {
-    gauges_.emplace(std::string(name), value);
-  }
-}
-
-Histogram& Metrics::histogram(std::string_view name,
-                              std::vector<double> bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(std::string(name), Histogram(std::move(bounds)))
-      .first->second;
-}
-
-std::uint64_t Metrics::counter(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second : 0;
-}
-
-bool Metrics::has_gauge(std::string_view name) const {
-  return gauges_.find(name) != gauges_.end();
-}
-
-double Metrics::gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() ? it->second : 0.0;
-}
-
 SimCounters& SimCounters::operator+=(const SimCounters& other) {
   replicas += other.replicas;
-  events_scheduled += other.events_scheduled;
-  events_fired += other.events_fired;
-  events_spilled_pool += other.events_spilled_pool;
-  events_spilled_heap += other.events_spilled_heap;
   channel_sends_iid += other.channel_sends_iid;
   channel_sends_link += other.channel_sends_link;
   channel_drops += other.channel_drops;
@@ -109,12 +54,6 @@ SimCounters& SimCounters::operator+=(const SimCounters& other) {
 SimCounters collect(const sim::Simulator& sim) {
   SimCounters out;
   out.replicas = 1;
-
-  const sim::EventQueue::Counters& events = sim.events().counters();
-  out.events_scheduled = events.scheduled;
-  out.events_fired = events.fired;
-  out.events_spilled_pool = events.spilled_pool;
-  out.events_spilled_heap = events.spilled_heap;
 
   const sim::Channel::Counters& channel = sim.channel().counters();
   out.channel_sends_iid = channel.sends_iid;
@@ -168,36 +107,6 @@ SimCounters collect(const net::Graph& graph) {
     out.distributions.degree.observe(static_cast<double>(graph.degree(id)));
   }
   return out;
-}
-
-void to_metrics(const SimCounters& counters, Metrics& metrics) {
-  metrics.add("replicas", counters.replicas);
-  metrics.add("events.scheduled", counters.events_scheduled);
-  metrics.add("events.fired", counters.events_fired);
-  metrics.add("events.spilled_pool", counters.events_spilled_pool);
-  metrics.add("events.spilled_heap", counters.events_spilled_heap);
-  metrics.add("channel.sends_iid", counters.channel_sends_iid);
-  metrics.add("channel.sends_link", counters.channel_sends_link);
-  metrics.add("channel.drops", counters.channel_drops);
-  metrics.add("channel.retransmits", counters.channel_retransmits);
-  metrics.add("channel.arq_timeouts", counters.channel_arq_timeouts);
-  metrics.add("graph.joins", counters.graph_joins);
-  metrics.add("graph.leaves", counters.graph_leaves);
-  metrics.add("graph.chunk_recycles", counters.graph_chunk_recycles);
-  for (std::size_t i = 0; i < kNumMessageClasses; ++i) {
-    std::string name = "messages.";
-    name += sim::to_string(static_cast<sim::MessageClass>(i));
-    metrics.add(name, counters.messages[i]);
-  }
-  metrics.add("messages.total", counters.messages_total);
-  for (std::size_t i = 0; i < kNumMessageClasses; ++i) {
-    std::string name = "bytes.";
-    name += sim::to_string(static_cast<sim::MessageClass>(i));
-    metrics.add(name, counters.bytes[i]);
-  }
-  metrics.add("bytes.total", counters.bytes_total);
-  metrics.add("load.max_node_messages", counters.max_node_messages);
-  metrics.add("load.max_node_bytes", counters.max_node_bytes);
 }
 
 }  // namespace p2pse::obs

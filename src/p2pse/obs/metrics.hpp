@@ -1,26 +1,22 @@
 #pragma once
-// The metrics registry and the deterministic per-run counter block.
+// The deterministic per-run counter block.
 //
 // Two layers, deliberately separate:
 //
-//  * The HOT layer is not in this file at all: EventQueue, Channel and
-//    Graph each embed a plain-u64 `Counters` POD and bump it inline — no
-//    locks, no branches, no registry lookups on the sim thread. Those
-//    PODs are per-instance, so concurrent replicas never share a cache
-//    line (and TSan stays quiet).
+//  * The HOT layer is not in this file at all: Channel and Graph each
+//    embed a plain-u64 `Counters` POD and bump it inline — no locks, no
+//    branches, no lookups on the sim thread. Those PODs are per-instance,
+//    so concurrent replicas never share a cache line (and TSan stays
+//    quiet).
 //  * The COLD layer here aggregates: `collect()` snapshots one finished
-//    Simulator into a SimCounters block, `operator+=` merges replica
+//    Simulator into a SimCounters block, and `operator+=` merges replica
 //    blocks (u64 addition is commutative, so the merged totals are
-//    invariant under --threads), and `Metrics` is a string-keyed registry
-//    for anything that wants named counters/gauges/histograms off the hot
-//    path (estimator monitors, tests, future passive-estimation probes).
+//    invariant under --threads).
 //
 // Layering: obs may include sim/net/support, never est or harness.
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "p2pse/sim/message_meter.hpp"
@@ -35,52 +31,6 @@ class Simulator;
 }  // namespace p2pse::sim
 
 namespace p2pse::obs {
-
-/// Fixed-bucket histogram: `bounds` are ascending upper edges; observations
-/// land in the first bucket whose bound is >= the value, or the overflow
-/// bucket past the last edge.
-struct Histogram {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (last = overflow)
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  explicit Histogram(std::vector<double> upper_bounds);
-  void observe(double value);
-};
-
-/// String-keyed registry of counters, gauges and fixed-bucket histograms.
-/// Ordered maps so every iteration (and thus every serialization) is
-/// deterministic. NOT thread-safe: one registry per thread of control, or
-/// external synchronization — the sim hot paths never touch this class.
-class Metrics {
- public:
-  void add(std::string_view name, std::uint64_t delta = 1);
-  void set_gauge(std::string_view name, double value);
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
-
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
-  [[nodiscard]] bool has_gauge(std::string_view name) const;
-  [[nodiscard]] double gauge(std::string_view name) const;  // 0.0 if absent
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>&
-  counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, double, std::less<>>& gauges()
-      const noexcept {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
-  histograms() const noexcept {
-    return histograms_;
-  }
-
- private:
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
-  std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
-};
 
 inline constexpr std::size_t kNumMessageClasses =
     static_cast<std::size_t>(sim::MessageClass::kCount_);
@@ -105,12 +55,6 @@ struct Distributions {
 /// never of wall-clock or thread count. Merged across replicas with +=.
 struct SimCounters {
   std::uint64_t replicas = 0;
-
-  // EventQueue
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_fired = 0;
-  std::uint64_t events_spilled_pool = 0;
-  std::uint64_t events_spilled_heap = 0;
 
   // Channel
   std::uint64_t channel_sends_iid = 0;
@@ -154,10 +98,5 @@ struct SimCounters {
 /// Graph-only variant for figures that never construct a Simulator (e.g.
 /// degree-distribution analyses): only the graph counters are populated.
 [[nodiscard]] SimCounters collect(const net::Graph& graph);
-
-/// Mirrors a SimCounters block into a registry under canonical names
-/// ("events.scheduled", "channel.drops", "messages.walk_step", ...). The
-/// names are part of the versioned stats schema — see obs::StatsWriter.
-void to_metrics(const SimCounters& counters, Metrics& metrics);
 
 }  // namespace p2pse::obs

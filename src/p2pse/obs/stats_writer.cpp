@@ -82,12 +82,7 @@ std::string sim_section(std::string_view figure, std::string_view params,
   out += json_escape(params);
   out += '"';
   append_kv(out, "replicas", counters.replicas);
-  out += ",\"events\":{";
-  append_kv(out, "scheduled", counters.events_scheduled, /*first=*/true);
-  append_kv(out, "fired", counters.events_fired);
-  append_kv(out, "spilled_pool", counters.events_spilled_pool);
-  append_kv(out, "spilled_heap", counters.events_spilled_heap);
-  out += "},\"channel\":{";
+  out += ",\"channel\":{";
   append_kv(out, "sends_iid", counters.channel_sends_iid, /*first=*/true);
   append_kv(out, "sends_link", counters.channel_sends_link);
   append_kv(out, "drops", counters.channel_drops);

@@ -9,7 +9,7 @@
 //            thread count, peak RSS, wall-clock seconds per phase. Expected
 //            to differ between runs.
 //
-// Schema: {"schema":"p2pse-run-stats","version":2,"sim":{...},"host":{...}}.
+// Schema: {"schema":"p2pse-run-stats","version":3,"sim":{...},"host":{...}}.
 // Bump kStatsVersion on any key change; consumers select on both fields.
 // tests/obs/schema_keys_test.cpp snapshots the sim section's key set per
 // version — adding or renaming a key without a bump fails there.
@@ -21,6 +21,8 @@
 //       delay, walk hops, per-node load in messages and bytes, degree).
 //       Histograms serialize bounds/buckets/count only — no floating-point
 //       sum, so replica merges stay byte-identical at any thread count.
+//   3 — drops the "events" block (no protocol schedules events: every
+//       estimator is walk- or round-driven).
 
 #include <cstdint>
 #include <map>
@@ -32,7 +34,7 @@
 namespace p2pse::obs {
 
 inline constexpr std::string_view kStatsSchema = "p2pse-run-stats";
-inline constexpr int kStatsVersion = 2;
+inline constexpr int kStatsVersion = 3;
 
 /// JSON string-body escaping: quotes, backslashes, and control characters
 /// (the latter as \uXXXX, with \n \r \t shorthands).

@@ -1,9 +1,9 @@
 #pragma once
 // The simulator-side half of the flight recorder: a minimal sink interface
-// the Simulator notifies on every send and event fire when one is
-// installed. The concrete ring buffer (obs::FlightRecorder) lives in the
-// observability layer — sim stays obs-free, obs implements this interface.
-// A null sink costs one branch per send / event fire.
+// the Simulator notifies on every send when one is installed. The concrete
+// ring buffer (obs::FlightRecorder) lives in the observability layer — sim
+// stays obs-free, obs implements this interface. A null sink costs one
+// branch per send.
 
 #include <cstdint>
 
@@ -15,9 +15,8 @@ namespace p2pse::sim {
 class FlightSink {
  public:
   enum class Kind : std::uint8_t {
-    kSend = 0,     ///< a logical protocol send left `node`
-    kEventFired,   ///< the event loop dispatched an event at `time`
-    kNote,         ///< free-form marker (harness phase boundaries)
+    kSend = 0,  ///< a logical protocol send left `node`
+    kNote,      ///< free-form marker (harness phase boundaries)
   };
 
   virtual ~FlightSink() = default;

@@ -1,21 +1,22 @@
 #pragma once
 // The simulation context shared by every protocol: the overlay graph, the
-// event queue, the simulated clock, the message meter, the delivery
-// channel and the root RNG. The default matches the paper's simulator
-// contract (§IV-A): messages are counted, delivery is perfect. Installing
-// a non-ideal sim::NetworkConfig (set_network) adds the physical-network
-// behaviour the paper names as future work: per-message latency, jitter
-// and loss, routed through sim::Channel.
+// simulated clock, the message meter, the delivery channel and the root
+// RNG. The default matches the paper's simulator contract (§IV-A):
+// messages are counted, delivery is perfect. Installing a non-ideal
+// sim::NetworkConfig (set_network) adds the physical-network behaviour the
+// paper names as future work: per-message latency, jitter and loss, routed
+// through sim::Channel.
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/channel.hpp"
-#include "p2pse/sim/event_queue.hpp"
 #include "p2pse/sim/flight_sink.hpp"
 #include "p2pse/sim/message_meter.hpp"
 #include "p2pse/sim/run_recorder.hpp"
+#include "p2pse/sim/time.hpp"
 #include "p2pse/support/rng.hpp"
 #include "p2pse/topo/topology.hpp"
 
@@ -37,8 +38,8 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   Simulator(Simulator&& other) noexcept
-      : graph_(std::move(other.graph_)), events_(std::move(other.events_)),
-        meter_(other.meter_), channel_(std::move(other.channel_)),
+      : graph_(std::move(other.graph_)), meter_(other.meter_),
+        channel_(std::move(other.channel_)),
         topology_(std::move(other.topology_)),
         recorder_(std::move(other.recorder_)), flight_(other.flight_),
         rng_(other.rng_), now_(other.now_) {
@@ -47,7 +48,6 @@ class Simulator {
   Simulator& operator=(Simulator&& other) noexcept {
     if (this != &other) {
       graph_ = std::move(other.graph_);
-      events_ = std::move(other.events_);
       meter_ = other.meter_;
       channel_ = std::move(other.channel_);
       topology_ = std::move(other.topology_);
@@ -63,8 +63,6 @@ class Simulator {
   [[nodiscard]] net::Graph& graph() noexcept { return graph_; }
   [[nodiscard]] const net::Graph& graph() const noexcept { return graph_; }
 
-  [[nodiscard]] EventQueue& events() noexcept { return events_; }
-  [[nodiscard]] const EventQueue& events() const noexcept { return events_; }
   [[nodiscard]] MessageMeter& meter() noexcept { return meter_; }
   [[nodiscard]] const MessageMeter& meter() const noexcept { return meter_; }
   [[nodiscard]] support::RngStream& rng() noexcept { return rng_; }
@@ -176,26 +174,7 @@ class Simulator {
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `callback` `delay` time units from now. This is the hot-path
-  /// entry point, so the capture must fit Event's inline buffer — scheduling
-  /// here never allocates. A genuinely oversized (cold) callback can go
-  /// through events().schedule directly, which spills it to the event pool.
-  template <typename F>
-  void schedule_in(Time delay, F&& callback) {
-    static_assert(Event::fits_inline<std::decay_t<F>>(),
-                  "schedule_in is allocation-free: this capture exceeds "
-                  "Event's inline buffer — shrink it (capture pointers, not "
-                  "values) or use events().schedule for cold paths");
-    events_.schedule(now_ + delay, std::forward<F>(callback));
-  }
-
-  /// Runs events until the queue is empty or the clock passes `until`.
-  void run_until(Time until);
-
-  /// Runs every pending event.
-  void run_all();
-
-  /// Advances the clock without running events (used by round drivers).
+  /// Advances the clock (used by the scenario drivers between estimates).
   void advance_to(Time t) noexcept {
     if (t > now_) now_ = t;
   }
@@ -208,7 +187,6 @@ class Simulator {
   }
 
   net::Graph graph_;
-  EventQueue events_;
   MessageMeter meter_;
   Channel channel_;
   /// Heap-allocated so the channel's and graph's raw observer pointers stay

@@ -3,10 +3,10 @@
 //
 // P2PSE_CHECK / P2PSE_CHECK_MSG assert the hot internal invariants the
 // golden-file tests can only witness indirectly: RNG stream thread
-// affinity, event-queue time monotonicity, per-link endpoint validity,
-// membership bookkeeping, trace replay order. Configured via the
-// P2PSE_CHECKED CMake option (ON by default outside Release; always ON in
-// the sanitizer/tidy CI presets, OFF in the release preset).
+// affinity, per-link endpoint validity, membership bookkeeping, trace
+// replay order. Configured via the P2PSE_CHECKED CMake option (ON by
+// default outside Release; always ON in the sanitizer/tidy CI presets, OFF
+// in the release preset).
 //
 // Semantics:
 //  * Checked builds: a failed condition throws support::CheckFailure (a

@@ -1,9 +1,9 @@
 // Opt-in scale smoke: drives the real p2pse_matrix binary at N = 10M nodes
 // and asserts the run completes with a sane peak RSS. This is the "figures
 // are tractable at ten million nodes" claim as an executable check — the
-// SoA graph arena plus the pooled event queue keep a 10M static run near
-// 1.2 GB (≈ 128 bytes/node all-in), where per-node heap vectors used to
-// blow past that on the overlay alone.
+// SoA graph arena keeps a 10M static run near 1.2 GB (≈ 128 bytes/node
+// all-in), where per-node heap vectors used to blow past that on the
+// overlay alone.
 //
 // Child spawning + peak-RSS capture live in obs::run_and_measure (shared
 // with the --stats-json host section), so this test measures with the same

@@ -1,4 +1,4 @@
-// Sharded graph construction and churn: thread-count-invariant by design
+// Sharded graph construction: thread-count-invariant by design
 // (fixed shard counts, per-shard substreams, index-ordered merges). The
 // suites verify the invariance directly — byte-equal overlays at every
 // executor budget — plus the structural contracts (degree caps, handshake
@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "p2pse/net/churn.hpp"
 #include "p2pse/support/check.hpp"
 #include "p2pse/support/rng.hpp"
 #include "p2pse/support/sharding.hpp"
@@ -129,65 +128,6 @@ TEST(ParallelBuild, RejectsInvalidConfigs) {
                std::invalid_argument);
   EXPECT_THROW((void)build_heterogeneous_sharded({10, 1, 10}, rng),
                std::invalid_argument);
-}
-
-TEST(ParallelChurn, RemoveFractionShardedIsExecutorInvariant) {
-  const support::RngStream build_rng(21);
-  const Graph base =
-      build_heterogeneous_sharded({2000, 1, 10}, build_rng);
-  const support::RngStream churn_rng(22);
-
-  Graph inline_graph = base;
-  const std::size_t removed_inline =
-      remove_fraction_sharded(inline_graph, 0.25, churn_rng, nullptr);
-  EXPECT_EQ(removed_inline, 500u);
-  EXPECT_EQ(inline_graph.size(), 1500u);
-
-  for (const std::size_t workers : {2u, 8u}) {
-    const support::ShardExecutor exec(workers);
-    Graph parallel_graph = base;
-    const std::size_t removed =
-        remove_fraction_sharded(parallel_graph, 0.25, churn_rng, &exec);
-    EXPECT_EQ(removed, removed_inline);
-    EXPECT_TRUE(graphs_identical(inline_graph, parallel_graph))
-        << "at " << workers << " workers";
-  }
-}
-
-TEST(ParallelChurn, RemoveFractionShardedHandlesTheEndpoints) {
-  const support::RngStream build_rng(23);
-  const support::RngStream churn_rng(24);
-  Graph graph = build_heterogeneous_sharded({500, 1, 10}, build_rng);
-  EXPECT_EQ(remove_fraction_sharded(graph, 0.0, churn_rng), 0u);
-  EXPECT_EQ(graph.size(), 500u);
-  EXPECT_EQ(remove_fraction_sharded(graph, 1.0, churn_rng), 500u);
-  EXPECT_EQ(graph.size(), 0u);
-  // Removing from an empty overlay is a no-op, not an error.
-  EXPECT_EQ(remove_fraction_sharded(graph, 0.5, churn_rng), 0u);
-}
-
-TEST(ParallelChurn, AddNodesShardedIsExecutorInvariant) {
-  const support::RngStream build_rng(25);
-  const Graph base = build_heterogeneous_sharded({1000, 1, 10}, build_rng);
-  const support::RngStream churn_rng(26);
-  const JoinPolicy policy{1, 10};
-
-  Graph inline_graph = base;
-  add_nodes_sharded(inline_graph, 400, policy, churn_rng, nullptr);
-  EXPECT_EQ(inline_graph.size(), 1400u);
-
-  for (const std::size_t workers : {2u, 8u}) {
-    const support::ShardExecutor exec(workers);
-    Graph parallel_graph = base;
-    add_nodes_sharded(parallel_graph, 400, policy, churn_rng, &exec);
-    EXPECT_TRUE(graphs_identical(inline_graph, parallel_graph))
-        << "at " << workers << " workers";
-  }
-  // New nodes respect the policy's degree cap.
-  for (NodeId id = 1000; id < 1400; ++id) {
-    EXPECT_TRUE(inline_graph.is_alive(id));
-    EXPECT_LE(inline_graph.degree(id), policy.max_degree);
-  }
 }
 
 #if P2PSE_CHECK_ENABLED

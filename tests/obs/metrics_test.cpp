@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/simulator.hpp"
@@ -13,56 +10,9 @@
 namespace p2pse::obs {
 namespace {
 
-TEST(Metrics, CountersAccumulateAndDefaultToZero) {
-  Metrics metrics;
-  EXPECT_EQ(metrics.counter("absent"), 0u);
-  metrics.add("walks");
-  metrics.add("walks", 4);
-  EXPECT_EQ(metrics.counter("walks"), 5u);
-}
-
-TEST(Metrics, GaugesOverwriteAndReportPresence) {
-  Metrics metrics;
-  EXPECT_FALSE(metrics.has_gauge("estimate"));
-  EXPECT_DOUBLE_EQ(metrics.gauge("estimate"), 0.0);
-  metrics.set_gauge("estimate", 120.5);
-  metrics.set_gauge("estimate", 98.25);
-  EXPECT_TRUE(metrics.has_gauge("estimate"));
-  EXPECT_DOUBLE_EQ(metrics.gauge("estimate"), 98.25);
-}
-
-TEST(Metrics, HistogramBucketsByUpperEdgeWithOverflow) {
-  Metrics metrics;
-  Histogram& h = metrics.histogram("latency", {1.0, 10.0, 100.0});
-  h.observe(0.5);    // bucket 0 (<= 1)
-  h.observe(1.0);    // bucket 0 (edge is inclusive)
-  h.observe(7.0);    // bucket 1
-  h.observe(1000.0); // overflow
-  EXPECT_EQ(h.count, 4u);
-  EXPECT_DOUBLE_EQ(h.sum, 1008.5);
-  ASSERT_EQ(h.buckets.size(), 4u);
-  EXPECT_EQ(h.buckets[0], 2u);
-  EXPECT_EQ(h.buckets[1], 1u);
-  EXPECT_EQ(h.buckets[2], 0u);
-  EXPECT_EQ(h.buckets[3], 1u);
-  // Re-fetching returns the same histogram, new bounds ignored.
-  EXPECT_EQ(&metrics.histogram("latency", {5.0}), &h);
-}
-
-TEST(Metrics, IterationOrderIsLexicographic) {
-  Metrics metrics;
-  metrics.add("zeta");
-  metrics.add("alpha");
-  metrics.add("mid");
-  std::vector<std::string> names;
-  for (const auto& [name, value] : metrics.counters()) names.push_back(name);
-  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
-}
-
 TEST(SimCounters, MergeIsFieldwiseSum) {
   SimCounters a;
   a.replicas = 1;
-  a.events_scheduled = 10;
   a.channel_drops = 2;
   a.graph_joins = 3;
   a.messages[0] = 7;
@@ -70,11 +20,10 @@ TEST(SimCounters, MergeIsFieldwiseSum) {
   a.bytes[0] = 700;
   a.bytes_total = 700;
   SimCounters b = a;
-  b.events_fired = 4;
+  b.channel_sends_iid = 4;
   a += b;
   EXPECT_EQ(a.replicas, 2u);
-  EXPECT_EQ(a.events_scheduled, 20u);
-  EXPECT_EQ(a.events_fired, 4u);
+  EXPECT_EQ(a.channel_sends_iid, 4u);
   EXPECT_EQ(a.channel_drops, 4u);
   EXPECT_EQ(a.graph_joins, 6u);
   EXPECT_EQ(a.messages[0], 14u);
@@ -119,7 +68,7 @@ TEST(SimCounters, DistributionsMergeIsCommutative) {
   EXPECT_EQ(ab.distributions.delay[0].count(), 2u);
 }
 
-// The registry mirror and the per-protocol MessageMeter must agree class by
+// The counter block and the per-protocol MessageMeter must agree class by
 // class after a run that generates real traffic — the stats schema's
 // "messages" object is the paper's overhead metric, so a drift here would
 // corrupt every --stats-json consumer.
@@ -147,19 +96,6 @@ TEST(SimCounters, CollectMatchesMessageMeterPerProtocol) {
     EXPECT_EQ(counters.bytes[i],
               counters.messages[i] * sim.meter().wire_size(cls));
   }
-
-  Metrics metrics;
-  to_metrics(counters, metrics);
-  EXPECT_EQ(metrics.counter("messages.total"), sim.meter().total());
-  EXPECT_EQ(metrics.counter("messages.walk_step"),
-            sim.meter().of(sim::MessageClass::kWalkStep));
-  EXPECT_EQ(metrics.counter("messages.sample_reply"),
-            sim.meter().of(sim::MessageClass::kSampleReply));
-  EXPECT_EQ(metrics.counter("bytes.total"), sim.meter().total_bytes());
-  EXPECT_EQ(metrics.counter("bytes.walk_step"),
-            sim.meter().bytes_of(sim::MessageClass::kWalkStep));
-  EXPECT_EQ(metrics.counter("events.scheduled"), counters.events_scheduled);
-  EXPECT_EQ(metrics.counter("replicas"), 1u);
 }
 
 // With the recorder enabled, collect() must populate the distributions
@@ -206,7 +142,6 @@ TEST(SimCounters, GraphOnlyCollectPopulatesGraphCounters) {
   EXPECT_EQ(counters.replicas, 1u);
   EXPECT_EQ(counters.graph_joins, graph.counters().joins);
   EXPECT_GT(counters.graph_joins, 0u);
-  EXPECT_EQ(counters.events_scheduled, 0u);
   EXPECT_EQ(counters.messages_total, 0u);
 }
 

@@ -36,11 +36,11 @@ std::string sim_json(const FigureParams& base, std::size_t threads) {
 
 // ./fig01_sc_static_100k --nodes 1200 --estimations 6 --replicas 2 --seed 42
 //                        --threads 2 --stats-json ...   (the `sim` object,
-//                        schema version 2: bytes/load/distributions blocks)
+//                        schema version 3)
 const char kGoldenFig01Sim[] =
     "{\"figure\":\"fig_sc_static\",\"params\":\"nodes=1200 l=200 T=10 estimations=6 replicas=2 seed=42\","
-    "\"replicas\":2,\"events\":{\"scheduled\":0,\"fired\":0,\"spilled_pool\":0,"
-    "\"spilled_heap\":0},\"channel\":{\"sends_iid\":683320,\"sends_link\":0,\"drops\":0,"
+    "\"replicas\":2,"
+    "\"channel\":{\"sends_iid\":683320,\"sends_link\":0,\"drops\":0,"
     "\"retransmits\":0,\"arq_timeouts\":0},\"graph\":{\"joins\":2400,\"leaves\":0,"
     "\"chunk_recycles\":463},\"messages\":{\"walk_step\":674129,\"sample_reply\":9191,"
     "\"gossip_spread\":0,\"poll_reply\":0,\"aggregation_push\":0,\"aggregation_pull\":0,"

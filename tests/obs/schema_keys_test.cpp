@@ -4,7 +4,7 @@
 // on (schema, version), so a silent shape change would corrupt every
 // --stats-json pipeline. To evolve the schema: bump kStatsVersion in
 // obs/stats_writer.hpp, document the change in its version history, and
-// update kVersion2KeyPaths below (renaming it to match).
+// update kVersion3KeyPaths below (renaming it to match).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,8 +56,8 @@ std::vector<std::string> key_paths(const std::string& json) {
   return out;
 }
 
-// The frozen key set of schema version 2.
-const std::vector<std::string> kVersion2KeyPaths = {
+// The frozen key set of schema version 3.
+const std::vector<std::string> kVersion3KeyPaths = {
       "bytes",
       "bytes.aggregation_pull",
       "bytes.aggregation_push",
@@ -119,11 +119,6 @@ const std::vector<std::string> kVersion2KeyPaths = {
       "distributions.walk_hops.bounds",
       "distributions.walk_hops.buckets",
       "distributions.walk_hops.count",
-      "events",
-      "events.fired",
-      "events.scheduled",
-      "events.spilled_heap",
-      "events.spilled_pool",
       "figure",
       "graph",
       "graph.chunk_recycles",
@@ -146,7 +141,7 @@ const std::vector<std::string> kVersion2KeyPaths = {
 };
 
 TEST(StatsSchema, VersionMatchesTheSnapshottedKeySet) {
-  EXPECT_EQ(kStatsVersion, 2);
+  EXPECT_EQ(kStatsVersion, 3);
 }
 
 TEST(StatsSchema, SimSectionKeySetIsFrozenPerVersion) {
@@ -155,9 +150,9 @@ TEST(StatsSchema, SimSectionKeySetIsFrozenPerVersion) {
   // the key set never depends on what a run recorded.
   const SimCounters counters;
   const std::string json = sim_section("schema_probe", "params", counters);
-  EXPECT_EQ(key_paths(json), kVersion2KeyPaths)
+  EXPECT_EQ(key_paths(json), kVersion3KeyPaths)
       << "the sim section's key set changed — bump kStatsVersion "
-         "(obs/stats_writer.hpp) and refresh kVersion2KeyPaths";
+         "(obs/stats_writer.hpp) and refresh kVersion3KeyPaths";
 }
 
 }  // namespace

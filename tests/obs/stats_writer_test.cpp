@@ -45,8 +45,6 @@ TEST(JsonNumber, NonFiniteValuesBecomeNull) {
 TEST(StatsWriter, SimSectionRendersAllCounterGroups) {
   SimCounters counters;
   counters.replicas = 2;
-  counters.events_scheduled = 100;
-  counters.events_fired = 90;
   counters.channel_sends_iid = 40;
   counters.channel_drops = 3;
   counters.graph_joins = 10;
@@ -62,8 +60,6 @@ TEST(StatsWriter, SimSectionRendersAllCounterGroups) {
   // key-set snapshot (schema_keys_test.cpp).
   const std::string scalar_prefix =
       "{\"figure\":\"fig_x\",\"params\":\"nodes=10 seed=1\",\"replicas\":2,"
-      "\"events\":{\"scheduled\":100,\"fired\":90,\"spilled_pool\":0,"
-      "\"spilled_heap\":0},"
       "\"channel\":{\"sends_iid\":40,\"sends_link\":0,\"drops\":3,"
       "\"retransmits\":0,\"arq_timeouts\":0},"
       "\"graph\":{\"joins\":10,\"leaves\":0,\"chunk_recycles\":0},"
@@ -106,7 +102,7 @@ TEST(StatsWriter, HostSectionCarriesPhasesSortedByName) {
 TEST(StatsWriter, DocumentWrapsSectionsWithSchemaAndVersion) {
   const std::string doc = run_stats_document("{\"sim\":1}", "{\"host\":2}");
   EXPECT_EQ(doc,
-            "{\"schema\":\"p2pse-run-stats\",\"version\":2,"
+            "{\"schema\":\"p2pse-run-stats\",\"version\":3,"
             "\"sim\":{\"sim\":1},\"host\":{\"host\":2}}\n");
   EXPECT_EQ(doc.back(), '\n');
 }

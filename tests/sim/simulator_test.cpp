@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace p2pse::sim {
 namespace {
 
@@ -21,43 +19,6 @@ TEST(Simulator, OwnsTheGraph) {
 TEST(Simulator, ClockStartsAtZero) {
   const Simulator sim = make_sim();
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-}
-
-TEST(Simulator, RunUntilAdvancesClockToBound) {
-  Simulator sim = make_sim();
-  sim.run_until(7.5);
-  EXPECT_DOUBLE_EQ(sim.now(), 7.5);
-}
-
-TEST(Simulator, EventsSeeCurrentTime) {
-  Simulator sim = make_sim();
-  std::vector<double> times;
-  sim.schedule_in(2.0, [&] { times.push_back(sim.now()); });
-  sim.schedule_in(5.0, [&] { times.push_back(sim.now()); });
-  sim.run_all();
-  EXPECT_EQ(times, (std::vector<double>{2.0, 5.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(Simulator, ScheduleInIsRelative) {
-  Simulator sim = make_sim();
-  sim.run_until(10.0);
-  double fired_at = -1.0;
-  sim.schedule_in(3.0, [&] { fired_at = sim.now(); });
-  sim.run_all();
-  EXPECT_DOUBLE_EQ(fired_at, 13.0);
-}
-
-TEST(Simulator, RunUntilLeavesLaterEventsPending) {
-  Simulator sim = make_sim();
-  int fired = 0;
-  sim.schedule_in(1.0, [&] { ++fired; });
-  sim.schedule_in(9.0, [&] { ++fired; });
-  sim.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.events().size(), 1u);
-  sim.run_all();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(Simulator, AdvanceToNeverMovesBackwards) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "figure_main.hpp"
+
 namespace p2pse::support {
 namespace {
 
@@ -105,6 +109,46 @@ TEST(Args, FigureMainFlags) {
   EXPECT_EQ(args.get_uint("replicas", 0), 3u);
   EXPECT_EQ(args.get_uint("agg-rounds", 0), 50u);
   EXPECT_EQ(args.get_uint("last-k", 0), 10u);
+}
+
+/// The message of the std::invalid_argument figure_params_from_args throws
+/// for `argv`, or "" when it accepts them.
+std::string figure_params_error(std::initializer_list<const char*> argv) {
+  try {
+    (void)harness::figure_params_from_args(make_args(argv),
+                                           harness::FigureParams{});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, FigureParamsRejectUint32Overflow) {
+  // --l and --agg-rounds fill uint32 fields: 2^32 + 1 must not wrap to 1.
+  EXPECT_NE(figure_params_error({"fig01", "--l", "4294967297"}).find("--l"),
+            std::string::npos);
+  EXPECT_NE(figure_params_error({"fig01", "--agg-rounds", "4294967296"})
+                .find("--agg-rounds"),
+            std::string::npos);
+  const harness::FigureParams params = harness::figure_params_from_args(
+      make_args({"fig01", "--l", "4294967295", "--agg-rounds", "7"}), {});
+  EXPECT_EQ(params.sc_collisions, 4294967295u);
+  EXPECT_EQ(params.agg_rounds, 7u);
+}
+
+TEST(Args, FigureParamsRejectZeroReplicas) {
+  EXPECT_NE(figure_params_error({"fig01", "--replicas", "0"}).find(
+                "--replicas"),
+            std::string::npos);
+  EXPECT_EQ(figure_params_error({"fig01", "--replicas", "1"}), "");
+}
+
+TEST(Args, FigureParamsRejectDegenerateOverlays) {
+  EXPECT_NE(figure_params_error({"fig01", "--nodes", "0"}).find("--nodes"),
+            std::string::npos);
+  EXPECT_NE(figure_params_error({"fig01", "--nodes", "1"}).find("--nodes"),
+            std::string::npos);
+  EXPECT_EQ(figure_params_error({"fig01", "--nodes", "2"}), "");
 }
 
 TEST(Args, SingleLetterFlagsAreCaseSensitive) {

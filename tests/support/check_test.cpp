@@ -7,14 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 #include "p2pse/net/graph.hpp"
 #include "p2pse/net/session.hpp"
 #include "p2pse/scenario/timeline.hpp"
 #include "p2pse/sim/channel.hpp"
-#include "p2pse/sim/event_queue.hpp"
 #include "p2pse/support/rng.hpp"
 #include "p2pse/topo/topology.hpp"
 #include "p2pse/trace/cursor.hpp"
@@ -44,27 +42,6 @@ TEST(CheckedBuild, MacroThrowsOnFalseAndPassesOnTrue) {
   EXPECT_THROW(P2PSE_CHECK(1 + 1 == 3), support::CheckFailure);
   EXPECT_THROW(P2PSE_CHECK_MSG(false, "reason"), support::CheckFailure);
   EXPECT_NO_THROW(P2PSE_CHECK(true));
-}
-
-TEST(CheckedBuild, EventQueueRejectsSchedulingIntoThePast) {
-  sim::EventQueue q;
-  q.schedule(5.0, [] {});
-  EXPECT_DOUBLE_EQ(q.run_next(), 5.0);
-  // Scheduling at the already-fired time is legal (zero-delay events)...
-  EXPECT_NO_THROW(q.schedule(5.0, [] {}));
-  // ...but a negative delay would rewrite simulated history.
-  EXPECT_THROW(q.schedule(4.0, [] {}), support::CheckFailure);
-  EXPECT_THROW(q.schedule(std::nan(""), [] {}), support::CheckFailure);
-}
-
-TEST(CheckedBuild, EventQueueClearResetsTheMonotonicityClock) {
-  sim::EventQueue q;
-  q.schedule(50.0, [] {});
-  (void)q.run_next();
-  q.clear();
-  // A cleared queue starts a fresh timeline.
-  EXPECT_NO_THROW(q.schedule(1.0, [] {}));
-  EXPECT_DOUBLE_EQ(q.run_next(), 1.0);
 }
 
 TEST(CheckedBuild, RngStreamCountsUniformDraws) {
@@ -264,16 +241,6 @@ TEST(UncheckedBuild, ScenarioCursorToleratesBackwardsDrive) {
   // No monotonicity bookkeeping compiled in: backwards drive is a no-op.
   EXPECT_NO_THROW(cursor.advance_to(25.0));
   EXPECT_DOUBLE_EQ(cursor.now(), 50.0);
-}
-
-TEST(UncheckedBuild, EventQueueToleratesBackwardScheduling) {
-  sim::EventQueue q;
-  q.schedule(5.0, [] {});
-  (void)q.run_next();
-  // No monotonicity bookkeeping is compiled in: this is the documented
-  // unchecked behavior (garbage in, garbage out — but no crash).
-  EXPECT_NO_THROW(q.schedule(4.0, [] {}));
-  EXPECT_DOUBLE_EQ(q.run_next(), 4.0);
 }
 
 #endif  // P2PSE_CHECK_ENABLED
