@@ -81,11 +81,6 @@ int main(int argc, char** argv) {
           "embedding);\n"
           "                       1 = sequential, 0 = auto; byte-identical "
           "at any value\n"
-          "  --sharded-build      wire replicas with the thread-count-"
-          "invariant sharded\n"
-          "                       builder (deterministic, but NOT byte-"
-          "compatible with the\n"
-          "                       default sequential builder)\n"
           "  --l/--T/--agg-rounds/--last-k  paper-parameter shorthands\n"
           "  --csv PATH           write per-replica "
           "(time,truth,estimate,messages,valid) CSV\n"
@@ -120,7 +115,7 @@ int main(int argc, char** argv) {
         "estimator", "scenario", "rounds-per-unit", "list",
         "nodes",     "seed",     "estimations",     "replicas",
         "l",         "T",        "agg-rounds",      "last-k",
-        "threads",   "sim-threads", "sharded-build", "csv",
+        "threads",   "sim-threads", "csv",
         "net",       "topo",     "sizes",           "stats-json",
         "trace-json", "progress", "flight-record",
     };
@@ -136,7 +131,6 @@ int main(int argc, char** argv) {
     options.estimator = args.get_string("estimator", "sample_collide");
     options.scenario = args.get_string("scenario", "static");
     options.rounds_per_unit = args.get_double("rounds-per-unit", 10.0);
-    options.sharded_build = args.get_bool("sharded-build", false);
     harness::FigureParams defaults;
     defaults.nodes = 10000;
     options.params = harness::figure_params_from_args(args, defaults);

@@ -68,31 +68,34 @@ int main(int argc, char** argv) {
     auto sc = std::make_shared<est::SampleCollide>(
         est::SampleCollideConfig{.timer = 10.0, .collisions = 200});
     report("Sample&Collide l=200 oneShot",
-           runner.run_point(runs, [sc](sim::Simulator& s, net::NodeId i,
-                                       support::RngStream& r) {
-             return sc->estimate_once(s, i, r);
-           }));
+           runner.run_point(
+               [sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
+                 return sc->estimate_once(s, i, r);
+               },
+               {.estimations = runs}));
   }
   {
     auto sc = std::make_shared<est::SampleCollide>(
         est::SampleCollideConfig{.timer = 10.0, .collisions = 10});
     report("Sample&Collide l=10 oneShot",
-           runner.run_point(runs, [sc](sim::Simulator& s, net::NodeId i,
-                                       support::RngStream& r) {
-             return sc->estimate_once(s, i, r);
-           }));
+           runner.run_point(
+               [sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
+                 return sc->estimate_once(s, i, r);
+               },
+               {.estimations = runs}));
   }
   {
     auto hs = std::make_shared<est::HopsSampling>(est::HopsSamplingConfig{});
     auto smoother = std::make_shared<est::LastKAverage>(10);
     report("HopsSampling last10runs",
-           runner.run_point(runs, [hs, smoother](sim::Simulator& s,
-                                                 net::NodeId i,
-                                                 support::RngStream& r) {
-             est::Estimate e = hs->run_once(s, i, r).estimate;
-             if (e.valid) e.value = smoother->add(e.value);
-             return e;
-           }));
+           runner.run_point(
+               [hs, smoother](sim::Simulator& s, net::NodeId i,
+                              support::RngStream& r) {
+                 est::Estimate e = hs->run_once(s, i, r).estimate;
+                 if (e.valid) e.value = smoother->add(e.value);
+                 return e;
+               },
+               {.estimations = runs}));
   }
   {
     // Aggregation runs epochs continuously over the same timeline, driven

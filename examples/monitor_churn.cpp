@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
       seed);
   const est::SampleCollide sc({.timer = 10.0, .collisions = l});
   const scenario::Series series = runner.run_point(
-      estimations,
       [&sc](sim::Simulator& sim, net::NodeId init, support::RngStream& rng) {
         return sc.estimate_once(sim, init, rng);
-      });
+      },
+      {.estimations = estimations});
 
   std::printf("monitoring a %s overlay of initially %zu nodes "
               "(Sample&Collide, l=%u)\n\n", kind.c_str(), nodes, l);

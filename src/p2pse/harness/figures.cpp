@@ -22,7 +22,6 @@
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/net/cyclon.hpp"
-#include "p2pse/net/parallel_build.hpp"
 #include "p2pse/net/random_walk.hpp"
 #include "p2pse/obs/size_model.hpp"
 #include "p2pse/obs/telemetry.hpp"
@@ -120,38 +119,19 @@ std::string sizes_suffix(const FigureParams& params) {
   return " " + model.canonical();
 }
 
-/// Arms one replica simulator's observability before its traffic runs: the
-/// wire-size model (--sizes prices the meter whether or not telemetry is
-/// on) and, under a telemetry sink, the distribution recorder plus the
-/// flight-recorder ring (when --flight-record enabled one). Never touches
-/// an RNG stream — reports are byte-identical armed or not.
-void arm_obs(sim::Simulator& sim, const FigureParams& params) {
-  if (!params.sizes.empty()) {
-    sim.meter().set_wire_sizes(
-        obs::MessageSizeModel::parse(params.sizes).wire_sizes());
-  }
-  if (params.telemetry != nullptr) {
-    sim.enable_recorder();
-    sim.set_flight_recorder(params.telemetry->flight());
-  }
-}
-
-/// Snapshots one simulator's embedded counters into the figure's telemetry
-/// sink; no-op (and zero work) without a sink. Call once per Simulator
-/// after all of its traffic ran — see obs::collect for the set_network
-/// caveat. Never touches an RNG stream, so reports stay byte-identical
-/// with or without a sink.
-void obs_snapshot(const FigureParams& params, const sim::Simulator& sim) {
-  if (params.telemetry != nullptr) {
-    params.telemetry->add_replica(obs::collect(sim));
-  }
-}
-
-/// Graph-only figures (no Simulator): snapshot the build counters alone.
-void obs_snapshot(const FigureParams& params, const net::Graph& graph) {
-  if (params.telemetry != nullptr) {
-    params.telemetry->add_replica(obs::collect(graph));
-  }
+/// The replica setup a figure installs from its CLI knobs: --net, --topo,
+/// --sizes, the telemetry sink, and the intra-replica worker budget.
+/// Generators that reject --net/--topo check first, so theirs are ideal
+/// and flat.
+scenario::RunOptions replica_options(const FigureParams& params,
+                                     std::size_t sim_workers = 1) {
+  scenario::RunOptions options;
+  options.network = net_config(params);
+  options.topology = topo_config(params);
+  options.sizes = params.sizes;
+  options.telemetry = params.telemetry;
+  options.sim_workers = sim_workers;
+  return options;
 }
 
 /// Opens a named trace span (inert without a sink). `tid` is the viewer
@@ -170,42 +150,26 @@ std::size_t figure_sim_budget(const FigureParams& params,
   return support::sim_worker_budget(pool.thread_count(), params.sim_threads);
 }
 
-/// Arms the executor's per-shard scope hook: shard bodies run inside
-/// "sim-shard-<s>" trace spans on the replica's viewer lane (inert without
-/// a sink; never touches an RNG stream).
-void arm_shard_spans(support::ShardExecutor& exec, const FigureParams& params,
-                     int lane) {
-  if (params.telemetry == nullptr || exec.workers() <= 1) return;
-  obs::RunTelemetry* const telemetry = params.telemetry;
-  exec.set_scope_hook(
-      [telemetry, lane](std::size_t shard) -> std::shared_ptr<void> {
-        return std::make_shared<obs::Span>(
-            telemetry->span("sim-shard-" + std::to_string(shard), lane));
-      });
-}
-
-/// Generators whose machinery does not route traffic through a
-/// configurable channel call this first: a non-ideal --net must be a hard
-/// error, never a silent ideal-channel run (the same no-silent-fallback
-/// rule as unknown flags).
-void require_ideal_net(const FigureParams& params, std::string_view id) {
-  if (!net_config(params).ideal()) {
+/// The replica setup of a generator whose machinery does not route
+/// traffic through a configurable channel. A non-ideal --net or a non-flat
+/// --topo is a hard error, never a silent ideal-channel or flat-topology
+/// run (the same no-silent-fallback rule as unknown flags).
+scenario::RunOptions unrouted_options(const FigureParams& params,
+                                      std::string_view id) {
+  scenario::RunOptions options = replica_options(params);
+  if (!options.network.ideal()) {
     throw std::invalid_argument(
         std::string(id) +
         ": --net is not supported by this figure; it always runs the ideal "
         "channel (drop the flag)");
   }
-}
-
-/// The per-link counterpart: figures that do not route --topo must reject a
-/// non-flat spec instead of silently running the flat topology.
-void require_flat_topo(const FigureParams& params, std::string_view id) {
-  if (!topo_config(params).flat()) {
+  if (!options.topology.flat()) {
     throw std::invalid_argument(
         std::string(id) +
         ": --topo is not supported by this figure; it always runs the flat "
         "topology (drop the flag)");
   }
+  return options;
 }
 
 /// Parses a spec-table estimator string and layers the CLI-tunable paper
@@ -246,26 +210,6 @@ struct StaticSeriesResult {
   /// filter them instead of charting value 0.
   std::vector<std::array<double, 5>> raw;
 };
-
-/// Fans the static-figure replicas out across the runner. Replica `rep`
-/// builds its own overlay and estimator streams from split(tag, rep), so
-/// replica 0 reproduces the single-replica series exactly and results do
-/// not depend on the thread count. `body(rep, exec)` must be a pure
-/// function of `rep`: the executor only accelerates shardable stages
-/// (topology embedding), which are byte-identical at any budget.
-std::vector<StaticSeriesResult> run_static_replicas(
-    const FigureParams& params,
-    const std::function<StaticSeriesResult(
-        std::size_t, const support::ShardExecutor&)>& body) {
-  const std::size_t replicas = std::max<std::size_t>(1, params.replicas);
-  const ParallelReplicaRunner pool(params.threads);
-  const std::size_t budget = figure_sim_budget(params, pool);
-  return pool.map<StaticSeriesResult>(replicas, [&](std::size_t rep) {
-    support::ShardExecutor exec(budget);
-    arm_shard_spans(exec, params, static_cast<int>(rep) + 1);
-    return body(rep, exec);
-  });
-}
 
 StaticSeriesResult run_static_series(sim::Simulator& sim,
                                      std::size_t estimations,
@@ -386,23 +330,21 @@ FigureReport fig_static_quality(const FigureSpec& spec,
   const std::unique_ptr<est::Estimator> proto =
       est::EstimatorRegistry::global().build(
           spec_with_params(spec.estimator, params, /*smooth_hs=*/false));
-  const sim::NetworkConfig net = net_config(params);
-  const topo::TopologyConfig topology = topo_config(params);
   const RngStream root(params.seed);
-  const auto outcomes = run_static_replicas(
-      params, [&](std::size_t rep, const support::ShardExecutor& exec) {
+  const ParallelReplicaRunner pool(params.threads);
+  const scenario::RunOptions options =
+      replica_options(params, figure_sim_budget(params, pool));
+  const sim::NetworkConfig& net = options.network;
+  const topo::TopologyConfig& topology = options.topology;
+  // Replica `rep` builds its own overlay and streams from split(tag, rep),
+  // so results do not depend on the thread count.
+  const std::size_t replicas = std::max<std::size_t>(1, params.replicas);
+  const auto outcomes =
+      pool.map<StaticSeriesResult>(replicas, [&](std::size_t rep) {
     const int lane = static_cast<int>(rep) + 1;
-    RngStream graph_rng = root.split("graph", rep);
-    obs::Span build_span = obs_span(params, "graph-build", lane);
-    sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                       root.split("sim", rep).seed());
-    arm_obs(sim, params);
-    sim.set_network(net);
-    build_span = obs::Span{};
-    {
-      const obs::Span embed_span = obs_span(params, "topo-embed", lane);
-      sim.set_topology(topology, &exec);
-    }
+    scenario::Replica replica(options, hetero_factory(params.nodes), root,
+                              rep, lane);
+    sim::Simulator& sim = replica.sim();
     RngStream pick = root.split("initiator", rep);
     RngStream est_rng = root.split("estimator", rep);
     const std::unique_ptr<est::Estimator> estimator = proto->clone();
@@ -414,7 +356,6 @@ FigureReport fig_static_quality(const FigureSpec& spec,
     if (sim.topology()) {
       result.class_census = sim.topology()->alive_class_counts();
     }
-    obs_snapshot(params, sim);
     return result;
   });
   const obs::Span merge_span = obs_span(params, "merge");
@@ -526,8 +467,11 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
   FigureReport report;
   report.id = "fig_agg_static";
   report.title = "Aggregation: estimation quality vs gossip round";
-  const sim::NetworkConfig net = net_config(params);
-  const topo::TopologyConfig topology = topo_config(params);
+  const ParallelReplicaRunner pool(params.threads);
+  const scenario::RunOptions options =
+      replica_options(params, figure_sim_budget(params, pool));
+  const sim::NetworkConfig& net = options.network;
+  const topo::TopologyConfig& topology = options.topology;
   report.params = "nodes=" + std::to_string(params.nodes) +
                   " rounds=" + std::to_string(rounds) +
                   " runs=" + std::to_string(params.replicas) +
@@ -543,20 +487,14 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
     std::vector<std::array<double, 5>> raw;  // round,truth,estimate,msgs,valid
   };
   const char glyphs[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  const ParallelReplicaRunner pool(params.threads);
-  const std::size_t sim_budget = figure_sim_budget(params, pool);
   const auto runs = pool.map<AggRun>(params.replicas, [&](std::size_t run) {
     // Per-run sim seed: the sim's root stream only feeds the channel, so
     // this keeps runs' loss/latency draws independent without touching the
     // (ideal-channel) byte-identity contract.
-    const obs::Span sim_span =
-        obs_span(params, "simulate", static_cast<int>(run) + 1);
-    support::ShardExecutor exec(sim_budget);
-    arm_shard_spans(exec, params, static_cast<int>(run) + 1);
-    sim::Simulator sim(graph, root.split("sim", run).seed());
-    arm_obs(sim, params);
-    sim.set_network(net);
-    sim.set_topology(topology, &exec);
+    const int lane = static_cast<int>(run) + 1;
+    const obs::Span sim_span = obs_span(params, "simulate", lane);
+    scenario::Replica replica(options, graph, root, run, lane);
+    sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator", run);
     RngStream est_rng = root.split("estimator", run);
@@ -581,7 +519,6 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
       }
       out.total_delay = e.delay;  // cumulative across the epoch's rounds
     }
-    obs_snapshot(params, sim);
     return out;
   });
   const obs::Span merge_span = obs_span(params, "merge");
@@ -616,15 +553,18 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
 
 FigureReport fig_scale_free_degrees(const FigureSpec&,
                                     const FigureParams& params) {
-  require_ideal_net(params, "fig_scale_free_degrees");
-  require_flat_topo(params, "fig_scale_free_degrees");
+  // No traffic at all: --net/--topo would be silently ignored.
+  (void)unrouted_options(params, "fig_scale_free_degrees");
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   obs::Span build_span = obs_span(params, "graph-build");
   const net::Graph graph =
       net::build_barabasi_albert({params.nodes, 3}, graph_rng);
   build_span = obs::Span{};
-  obs_snapshot(params, graph);
+  // No Simulator here: snapshot the build counters alone.
+  if (params.telemetry != nullptr) {
+    params.telemetry->add_replica(obs::collect(graph));
+  }
   const net::DegreeStats stats = net::degree_stats(graph);
   const auto bins = support::log_binned(stats.histogram);
   const double slope = support::power_law_slope(bins);
@@ -661,13 +601,16 @@ FigureReport fig_scale_free_degrees(const FigureSpec&,
 
 FigureReport fig_scale_free_compare(const FigureSpec&,
                                     const FigureParams& params) {
-  require_ideal_net(params, "fig_scale_free_compare");
-  require_flat_topo(params, "fig_scale_free_compare");
+  const scenario::RunOptions options =
+      unrouted_options(params, "fig_scale_free_compare");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(net::build_barabasi_albert({params.nodes, 3}, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(
+      options,
+      [&params](RngStream& rng) {
+        return net::build_barabasi_albert({params.nodes, 3}, rng);
+      },
+      root);
+  sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
 
   FigureReport report;
@@ -743,7 +686,6 @@ FigureReport fig_scale_free_compare(const FigureSpec&,
                            "% (paper: still accurate on scale-free)");
     report.series.push_back(std::move(s));
   }
-  obs_snapshot(params, sim);
   return report;
 }
 
@@ -760,14 +702,14 @@ FigureReport fig_scale_free_compare(const FigureSpec&,
 FigureReport dynamic_tracking(const est::Estimator& proto,
                               std::string_view scenario,
                               const FigureParams& params,
-                              double rounds_per_unit,
-                              bool sharded_build = false) {
+                              double rounds_per_unit) {
   const std::shared_ptr<const scenario::Dynamics> workload =
       scenario::workload_by_name(scenario, params.nodes);
   const std::size_t nodes = workload->initial_size().value_or(params.nodes);
   const double duration = workload->duration();
-  const sim::NetworkConfig net = net_config(params);
-  const topo::TopologyConfig topology = topo_config(params);
+  scenario::RunOptions options = replica_options(params);
+  const sim::NetworkConfig& net = options.network;
+  const topo::TopologyConfig& topology = options.topology;
   if (!net.ideal() && !proto.uses_channel()) {
     throw std::invalid_argument(
         std::string(proto.name()) +
@@ -781,23 +723,11 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
         "route through the delivery channel); drop the flag");
   }
   const ParallelReplicaRunner pool(params.threads);
-  const std::size_t sim_budget = figure_sim_budget(params, pool);
-  // The sharded builder is a different deterministic wiring (see
-  // net/parallel_build.hpp): opt-in, thread-invariant, recorded in the
-  // params line below. The factory owns its executor — GraphFactory runs
-  // inside the replica, where the runner's executor is out of reach.
-  scenario::GraphFactory factory = hetero_factory(nodes);
-  if (sharded_build) {
-    factory = [nodes, sim_budget](RngStream& rng) {
-      const support::ShardExecutor exec(sim_budget);
-      return net::build_heterogeneous_sharded({nodes, 1, 10}, rng, &exec);
-    };
-  }
-  const scenario::ScenarioRunner runner(workload, std::move(factory),
+  options.estimations = params.estimations;
+  options.rounds_per_unit = rounds_per_unit;
+  options.sim_workers = figure_sim_budget(params, pool);
+  const scenario::ScenarioRunner runner(workload, hetero_factory(nodes),
                                         params.seed);
-  const scenario::ScenarioRunner::RunOptions options{
-      params.estimations, rounds_per_unit,  net,       topology,
-      params.sizes,       params.telemetry, sim_budget};
   const std::size_t replica_count = std::max<std::size_t>(1, params.replicas);
   const auto replicas =
       pool.map<scenario::Series>(replica_count, [&](std::size_t r) {
@@ -890,7 +820,6 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
   }
   report.params +=
       net_suffix(net) + topo_suffix(topology) + sizes_suffix(params);
-  if (sharded_build) report.params += " build=sharded";
   if (!net.ideal() || !topology.flat()) {
     report.notes.push_back(
         "mean measured delay per estimate: " +
@@ -913,13 +842,11 @@ FigureReport fig_dynamic_tracking(const FigureSpec& spec,
 // --- overheads (§IV-E): Table I ---------------------------------------------
 
 FigureReport table1_overhead(const FigureSpec&, const FigureParams& params) {
-  require_ideal_net(params, "table1");
-  require_flat_topo(params, "table1");
+  const scenario::RunOptions options = unrouted_options(params, "table1");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   // The bytes and max-load columns need the distribution recorder whether
   // or not a telemetry sink is attached. Recording never draws, so the
   // legacy columns are byte-identical to the recorder-less table.
@@ -1044,7 +971,6 @@ FigureReport table1_overhead(const FigureSpec&, const FigureParams& params) {
       "accuracy ordering: Aggregation ~exact; S&C last10 few %; S&C oneShot "
       "~10%; HopsSampling under-estimates ~20%",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
@@ -1052,8 +978,8 @@ FigureReport table1_overhead(const FigureSpec&, const FigureParams& params) {
 
 FigureReport ablation_sc_l_sweep(const FigureSpec&,
                                  const FigureParams& params) {
-  require_ideal_net(params, "ablation_sc_l_sweep");
-  require_flat_topo(params, "ablation_sc_l_sweep");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_sc_l_sweep");
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
@@ -1081,8 +1007,8 @@ FigureReport ablation_sc_l_sweep(const FigureSpec&,
   const ParallelReplicaRunner pool(params.threads);
   const auto cells = pool.map<SweepCell>(l_values.size(), [&](std::size_t i) {
     const std::uint32_t l = l_values[i];
-    sim::Simulator sim(graph, root.split("sim").seed());
-    arm_obs(sim, params);
+    scenario::Replica replica(options, graph, root);
+    sim::Simulator& sim = replica.sim();
     const est::SampleCollide sc({.timer = params.sc_timer, .collisions = l});
     RngStream rng = root.split("sc", l);
     SweepCell cell;
@@ -1091,7 +1017,6 @@ FigureReport ablation_sc_l_sweep(const FigureSpec&,
       cell.err.add(std::abs(support::quality_percent(e.value, truth) - 100.0));
       cell.msgs.add(static_cast<double>(e.messages));
     }
-    obs_snapshot(params, sim);
     return cell;
   });
   const double base_cost = cells.front().msgs.mean();
@@ -1111,8 +1036,8 @@ FigureReport ablation_sc_l_sweep(const FigureSpec&,
 
 FigureReport ablation_sc_timer_sweep(const FigureSpec&,
                                      const FigureParams& params) {
-  require_ideal_net(params, "ablation_sc_timer_sweep");
-  require_flat_topo(params, "ablation_sc_timer_sweep");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_sc_timer_sweep");
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
@@ -1137,8 +1062,8 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
   const ParallelReplicaRunner pool(params.threads);
   const auto cells = pool.map<TimerCell>(timers.size(), [&](std::size_t i) {
     const double timer = timers[i];
-    sim::Simulator sim(graph, root.split("sim").seed());
-    arm_obs(sim, params);
+    scenario::Replica replica(options, graph, root);
+    sim::Simulator& sim = replica.sim();
     const est::SampleCollide sc({.timer = timer, .collisions = 1});
     RngStream rng = root.split("walk", static_cast<std::uint64_t>(timer * 100));
     std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
@@ -1150,7 +1075,6 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
     }
     cell.chi2_per_df =
         support::chi_square_uniform(counts) / static_cast<double>(n - 1);
-    obs_snapshot(params, sim);
     return cell;
   });
   for (std::size_t i = 0; i < timers.size(); ++i) {
@@ -1167,13 +1091,12 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
 
 FigureReport ablation_hs_oracle(const FigureSpec&,
                                 const FigureParams& params) {
-  require_ideal_net(params, "ablation_hs_oracle");
-  require_flat_topo(params, "ablation_hs_oracle");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_hs_oracle");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1210,19 +1133,17 @@ FigureReport ablation_hs_oracle(const FigureSpec&,
       "under-estimation comes from the spread phase (partial reach, "
       "inaccurate distances), ~11% of nodes unreached at 1e5",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_estimators(const FigureSpec&,
                                  const FigureParams& params) {
-  require_ideal_net(params, "ablation_estimators");
-  require_flat_topo(params, "ablation_estimators");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_estimators");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1259,14 +1180,13 @@ FigureReport ablation_estimators(const FigureSpec&,
       "identical RNG stream per variant: differences are purely the "
       "estimator formula",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_homogeneous(const FigureSpec&,
                                   const FigureParams& params) {
-  require_ideal_net(params, "ablation_homogeneous");
-  require_flat_topo(params, "ablation_homogeneous");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_homogeneous");
   const RngStream root(params.seed);
 
   FigureReport report;
@@ -1283,8 +1203,9 @@ FigureReport ablation_homogeneous(const FigureSpec&,
         homogeneous
             ? net::build_homogeneous_random({params.nodes, 7}, graph_rng)
             : build_hetero(params.nodes, graph_rng);
-    sim::Simulator sim(std::move(graph), root.split("sim").seed());
-    arm_obs(sim, params);
+    scenario::Replica replica(options, std::move(graph),
+                              root);
+    sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator");
     const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1323,7 +1244,6 @@ FigureReport ablation_homogeneous(const FigureSpec&,
            format_double(
                std::abs(support::quality_percent(e.value, truth) - 100.0), 3)});
     }
-    obs_snapshot(params, sim);
   }
   report.notes = {
       "paper: homogeneous graphs 'consistently improved all algorithms'; the "
@@ -1334,8 +1254,8 @@ FigureReport ablation_homogeneous(const FigureSpec&,
 
 FigureReport ablation_baselines(const FigureSpec&,
                                 const FigureParams& params) {
-  require_ideal_net(params, "ablation_baselines");
-  require_flat_topo(params, "ablation_baselines");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_baselines");
   const RngStream root(params.seed);
 
   FigureReport report;
@@ -1350,8 +1270,9 @@ FigureReport ablation_baselines(const FigureSpec&,
                           "mean |error| %", "mean msgs/run"};
 
   const auto run_graph = [&](const std::string& label, net::Graph graph) {
-    sim::Simulator sim(std::move(graph), root.split("sim").seed());
-    arm_obs(sim, params);
+    scenario::Replica replica(options, std::move(graph),
+                              root);
+    sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator");
     const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1391,7 +1312,6 @@ FigureReport ablation_baselines(const FigureSpec&,
              return ibp.estimate_once(s, i, r);
            },
            root.split("ibp"));
-    obs_snapshot(params, sim);
   };
 
   {
@@ -1413,8 +1333,8 @@ FigureReport ablation_baselines(const FigureSpec&,
 
 FigureReport ablation_cyclon_healing(const FigureSpec&,
                                      const FigureParams& params) {
-  require_ideal_net(params, "ablation_cyclon");
-  require_flat_topo(params, "ablation_cyclon");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_cyclon");
   const RngStream root(params.seed);
 
   FigureReport report;
@@ -1432,8 +1352,9 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
     const net::ComponentInfo info = net::connected_components(graph);
     const double largest =
         100.0 * static_cast<double>(info.largest_size()) / truth;
-    sim::Simulator sim(std::move(graph), root.split("sim").seed());
-    arm_obs(sim, params);
+    scenario::Replica replica(options, std::move(graph),
+                              root);
+    sim::Simulator& sim = replica.sim();
     est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
     RngStream rng = root.split("agg");
     RngStream pick = root.split("pick");
@@ -1445,7 +1366,6 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
     report.table_rows.push_back({label, format_double(largest, 4),
                                  std::to_string(info.count()),
                                  format_double(err, 3)});
-    obs_snapshot(params, sim);
   };
 
   // Static wiring: build, then remove half with no healing (§IV-A rule).
@@ -1482,13 +1402,12 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
 }
 
 FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
-  require_ideal_net(params, "ablation_delay");
-  require_flat_topo(params, "ablation_delay");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_delay");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
   const double truth = static_cast<double>(sim.graph().size());
@@ -1544,19 +1463,17 @@ FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
       "terms of delay' — a parallel spread beats 50 synchronized rounds and, "
       "by orders of magnitude, sequential sampling",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_structured(const FigureSpec&,
                                  const FigureParams& params) {
-  require_ideal_net(params, "ablation_structured");
-  require_flat_topo(params, "ablation_structured");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_structured");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1622,18 +1539,16 @@ FigureReport ablation_structured(const FigureSpec&,
       "nearly free and very accurate — but it simply does not exist on "
       "unstructured overlays, which is the paper's §I scoping argument",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_polling(const FigureSpec&, const FigureParams& params) {
-  require_ideal_net(params, "ablation_polling");
-  require_flat_topo(params, "ablation_polling");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_polling");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1695,19 +1610,17 @@ FigureReport ablation_polling(const FigureSpec&, const FigureParams& params) {
       "paper's §V warns about); the graded schedule caps replies at the "
       "price of extrapolation variance and spread-coverage bias",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_samplers(const FigureSpec&,
                                const FigureParams& params) {
-  require_ideal_net(params, "ablation_samplers");
-  require_flat_topo(params, "ablation_samplers");
+  const scenario::RunOptions options =
+      unrouted_options(params, "ablation_samplers");
   const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  sim::Simulator sim(build_hetero(params.nodes, graph_rng),
-                     root.split("sim").seed());
-  arm_obs(sim, params);
+  scenario::Replica replica(options,
+                            hetero_factory(params.nodes), root);
+  sim::Simulator& sim = replica.sim();
   const std::size_t n = sim.graph().size();
   const std::size_t samples = 30 * n;
   RngStream pick = root.split("initiator");
@@ -1761,14 +1674,14 @@ FigureReport ablation_samplers(const FigureSpec&,
       "plain walk's stationary law is proportional to degree and never "
       "uniformizes (the bias [15] fixes)",
   };
-  obs_snapshot(params, sim);
   return report;
 }
 
 FigureReport ablation_oscillating(const FigureSpec&,
                                   const FigureParams& params) {
-  const sim::NetworkConfig net = net_config(params);
-  const topo::TopologyConfig topology = topo_config(params);
+  scenario::RunOptions options = replica_options(params);
+  const sim::NetworkConfig& net = options.network;
+  const topo::TopologyConfig& topology = options.topology;
   const scenario::ScenarioRunner runner(
       scenario::oscillating_script(params.nodes, 4, 0.25),
       hetero_factory(params.nodes), params.seed);
@@ -1776,19 +1689,12 @@ FigureReport ablation_oscillating(const FigureSpec&,
   // Both candidates through the unified interface: one atomic, one epoched.
   const est::SampleCollideEstimator sc({.timer = params.sc_timer,
                                         .collisions = params.sc_collisions});
-  const scenario::Series sc_series = runner.run(
-      sc,
-      {.estimations = params.estimations, .network = net,
-       .topology = topology, .sizes = params.sizes,
-       .telemetry = params.telemetry},
-      0);
+  options.estimations = params.estimations;
+  const scenario::Series sc_series = runner.run(sc, options, 0);
   const est::AggregationEstimator agg({.rounds_per_epoch = params.agg_rounds});
-  const scenario::Series agg_series = runner.run(
-      agg,
-      {.estimations = 0, .rounds_per_unit = 1.0, .network = net,
-       .topology = topology, .sizes = params.sizes,
-       .telemetry = params.telemetry},
-      0);
+  options.estimations = 0;
+  options.rounds_per_unit = 1.0;
+  const scenario::Series agg_series = runner.run(agg, options, 0);
 
   FigureReport report;
   report.id = "ablation_oscillating";
@@ -1864,11 +1770,17 @@ constexpr LossCandidate kLossCandidates[] = {
 };
 constexpr double kLossRates[] = {0.0, 0.05, 0.2};
 
+/// One column of a channel sweep: the delivery layer and the topology every
+/// candidate runs under in that column.
+struct SweepColumn {
+  std::string label;
+  sim::NetworkConfig network;
+  topo::TopologyConfig topology;
+};
+
 LossCell run_loss_cell(const net::Graph& graph, const FigureParams& params,
-                       std::string_view spec_text,
-                       const sim::NetworkConfig& net, const RngStream& root,
-                       std::uint64_t candidate,
-                       const topo::TopologyConfig& topology = {}) {
+                       std::string_view spec_text, const SweepColumn& column,
+                       const RngStream& root, std::uint64_t candidate) {
   const std::unique_ptr<est::Estimator> estimator =
       est::EstimatorRegistry::global().build(
           spec_with_params(spec_text, params, /*smooth_hs=*/false));
@@ -1876,10 +1788,11 @@ LossCell run_loss_cell(const net::Graph& graph, const FigureParams& params,
   // loss rate sees the same initiator and the same estimator randomness, so
   // column differences isolate the channel's effect (a hop-reliable walk
   // protocol reports the identical estimate at every loss rate).
-  sim::Simulator sim(graph, root.split("sim", candidate).seed());
-  arm_obs(sim, params);
-  sim.set_network(net);
-  sim.set_topology(topology);
+  scenario::RunOptions options = replica_options(params);
+  options.network = column.network;
+  options.topology = column.topology;
+  scenario::Replica replica(options, graph, root, candidate);
+  sim::Simulator& sim = replica.sim();
   RngStream pick = root.split("initiator", candidate);
   RngStream est_rng = root.split("estimator", candidate);
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1916,38 +1829,31 @@ LossCell run_loss_cell(const net::Graph& graph, const FigureParams& params,
       record(e);
     }
   }
-  obs_snapshot(params, sim);
   return out;
 }
 
-/// Shared body of the loss-sweep figures: every ported protocol crossed
-/// with every loss rate under one latency model, each cell on its own copy
-/// of one shared overlay with seed-split streams (byte-identical at any
-/// thread count).
-FigureReport ext_loss_report(const FigureParams& params,
-                             const sim::LatencyModel& latency,
-                             std::string id, std::string title) {
-  if (!params.net.empty()) {
-    throw std::invalid_argument(
-        id + ": --net conflicts with this figure's own loss sweep "
-             "(the sweep fixes the channel per cell); drop the flag");
-  }
-  require_flat_topo(params, id);
+/// Shared body of the loss and topology sweeps: every ported protocol
+/// crossed with every column, each cell on its own copy of one shared
+/// overlay with seed-split streams (byte-identical at any thread count).
+/// `axis` heads the column-label column; `params_extra` joins the params
+/// line ahead of the channel's timeout.
+FigureReport channel_sweep_report(const FigureParams& params,
+                                  const std::vector<SweepColumn>& columns,
+                                  std::string id, std::string title,
+                                  std::string axis,
+                                  const std::string& params_extra) {
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
   const std::size_t n_candidates = std::size(kLossCandidates);
-  const std::size_t n_losses = std::size(kLossRates);
+  const std::size_t n_columns = columns.size();
 
   const ParallelReplicaRunner pool(params.threads);
   const auto cells =
-      pool.map<LossCell>(n_candidates * n_losses, [&](std::size_t i) {
-        const LossCandidate& candidate = kLossCandidates[i / n_losses];
-        sim::NetworkConfig net;
-        net.loss = kLossRates[i % n_losses];
-        net.latency = latency;
-        return run_loss_cell(graph, params, candidate.spec, net, root,
-                             static_cast<std::uint64_t>(i / n_losses));
+      pool.map<LossCell>(n_candidates * n_columns, [&](std::size_t i) {
+        return run_loss_cell(graph, params, kLossCandidates[i / n_columns].spec,
+                             columns[i % n_columns], root,
+                             static_cast<std::uint64_t>(i / n_columns));
       });
 
   FigureReport report;
@@ -1958,19 +1864,18 @@ FigureReport ext_loss_report(const FigureParams& params,
                   " epoch-runs/cell=" +
                   std::to_string(std::max<std::size_t>(
                       1, std::min<std::size_t>(3, params.estimations))) +
-                  " latency=" + latency.describe() +
+                  params_extra +
                   " timeout=" + format_double(sim::NetworkConfig{}.timeout) +
                   " retries=" + std::to_string(sim::NetworkConfig{}.retries) +
                   " seed=" + std::to_string(params.seed);
-  report.table_columns = {"algorithm",      "loss",       "mean error %",
-                          "mean |error| %", "invalid",    "mean msgs",
+  report.table_columns = {"algorithm",      std::move(axis), "mean error %",
+                          "mean |error| %", "invalid",       "mean msgs",
                           "mean delay"};
   for (std::size_t c = 0; c < n_candidates; ++c) {
-    for (std::size_t l = 0; l < n_losses; ++l) {
-      const LossCell& cell = cells[c * n_losses + l];
+    for (std::size_t v = 0; v < n_columns; ++v) {
+      const LossCell& cell = cells[c * n_columns + v];
       report.table_rows.push_back(
-          {std::string(kLossCandidates[c].label),
-           format_double(kLossRates[l], 3),
+          {std::string(kLossCandidates[c].label), columns[v].label,
            format_double(cell.signed_err.mean(), 3),
            format_double(cell.abs_err.mean(), 3),
            std::to_string(cell.invalid), human_count(cell.msgs.mean()),
@@ -1978,6 +1883,27 @@ FigureReport ext_loss_report(const FigureParams& params,
     }
   }
   return report;
+}
+
+/// The loss sweep: kLossRates under one latency model.
+FigureReport ext_loss_report(const FigureParams& params,
+                             const sim::LatencyModel& latency,
+                             std::string id, std::string title) {
+  if (!params.net.empty()) {
+    throw std::invalid_argument(
+        id + ": --net conflicts with this figure's own loss sweep "
+             "(the sweep fixes the channel per cell); drop the flag");
+  }
+  (void)unrouted_options(params, id);  // rejects --topo
+  std::vector<SweepColumn> columns;
+  for (const double loss : kLossRates) {
+    sim::NetworkConfig net;
+    net.loss = loss;
+    net.latency = latency;
+    columns.push_back({format_double(loss, 3), net, {}});
+  }
+  return channel_sweep_report(params, columns, std::move(id), std::move(title),
+                              "loss", " latency=" + latency.describe());
 }
 
 FigureReport ext_loss_accuracy(const FigureSpec&, const FigureParams& params) {
@@ -2017,10 +1943,8 @@ struct TopoVariant {
   std::string_view spec;  ///< topo::TopologyConfig::parse input
 };
 
-/// Shared body of the topology-sweep figures: every ported protocol crossed
-/// with every topology variant over an ideal base channel, so column
-/// differences isolate the per-link model. Cell layout, stream isolation,
-/// and thread-count determinism match ext_loss_report exactly.
+/// The topology sweep: every variant over an ideal base channel, so
+/// column differences isolate the per-link model.
 FigureReport ext_topo_report(const FigureParams& params,
                              std::span<const TopoVariant> variants,
                              std::string id, std::string title) {
@@ -2034,58 +1958,15 @@ FigureReport ext_topo_report(const FigureParams& params,
         id + ": --topo conflicts with this figure's own topology sweep "
              "(the sweep fixes the topology per cell); drop the flag");
   }
-  const RngStream root(params.seed);
-  RngStream graph_rng = root.split("graph");
-  const net::Graph graph = build_hetero(params.nodes, graph_rng);
-  const std::size_t n_candidates = std::size(kLossCandidates);
-  const std::size_t n_variants = variants.size();
-
-  // Parse once up front: a malformed variant must fail before any fan-out.
-  std::vector<topo::TopologyConfig> configs;
-  configs.reserve(n_variants);
+  std::vector<SweepColumn> columns;
   for (const TopoVariant& variant : variants) {
-    configs.push_back(topo::TopologyConfig::parse(variant.spec));
+    columns.push_back({std::string(variant.label), {},
+                       topo::TopologyConfig::parse(variant.spec)});
   }
-
-  const ParallelReplicaRunner pool(params.threads);
-  const auto cells =
-      pool.map<LossCell>(n_candidates * n_variants, [&](std::size_t i) {
-        const LossCandidate& candidate = kLossCandidates[i / n_variants];
-        return run_loss_cell(graph, params, candidate.spec,
-                             sim::NetworkConfig{}, root,
-                             static_cast<std::uint64_t>(i / n_variants),
-                             configs[i % n_variants]);
-      });
-
-  FigureReport report;
-  report.id = std::move(id);
-  report.title = std::move(title);
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs/cell=" + std::to_string(params.estimations) +
-                  " epoch-runs/cell=" +
-                  std::to_string(std::max<std::size_t>(
-                      1, std::min<std::size_t>(3, params.estimations))) +
-                  " timeout=" + format_double(sim::NetworkConfig{}.timeout) +
-                  " retries=" + std::to_string(sim::NetworkConfig{}.retries) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"algorithm",      "topology",  "mean error %",
-                          "mean |error| %", "invalid",   "mean msgs",
-                          "mean delay"};
-  for (std::size_t c = 0; c < n_candidates; ++c) {
-    for (std::size_t v = 0; v < n_variants; ++v) {
-      const LossCell& cell = cells[c * n_variants + v];
-      report.table_rows.push_back(
-          {std::string(kLossCandidates[c].label),
-           std::string(variants[v].label),
-           format_double(cell.signed_err.mean(), 3),
-           format_double(cell.abs_err.mean(), 3),
-           std::to_string(cell.invalid), human_count(cell.msgs.mean()),
-           format_double(cell.delay.mean(), 4)});
-    }
-  }
-  for (std::size_t v = 0; v < n_variants; ++v) {
-    report.notes.push_back(std::string(variants[v].label) + " = " +
-                           configs[v].canonical());
+  FigureReport report = channel_sweep_report(
+      params, columns, std::move(id), std::move(title), "topology", "");
+  for (const SweepColumn& column : columns) {
+    report.notes.push_back(column.label + " = " + column.topology.canonical());
   }
   return report;
 }
@@ -2349,8 +2230,7 @@ FigureReport run_matrix(const MatrixOptions& options) {
   // out replicas, so an unknown name still fails fast.
   FigureReport report = dynamic_tracking(*proto, options.scenario,
                                          options.params,
-                                         options.rounds_per_unit,
-                                         options.sharded_build);
+                                         options.rounds_per_unit);
   const est::EstimatorSpec spec = est::EstimatorSpec::parse(options.estimator);
   report.id = "matrix_" + spec.name + "_" + options.scenario;
   report.params = "estimator=" + spec.canonical() +

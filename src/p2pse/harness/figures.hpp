@@ -39,8 +39,7 @@ struct FigureParams {
   std::size_t threads = 0;  ///< replica fan-out width; 0 = hardware threads.
                             ///< Output is byte-identical at any value.
   /// Intra-replica worker budget (--sim-threads): shards the topology
-  /// embedding (and, via MatrixOptions::sharded_build, graph construction)
-  /// inside each replica. 1 = sequential (default), 0 = auto
+  /// embedding inside each replica. 1 = sequential (default), 0 = auto
   /// (hardware / replica workers), N = explicit. Composes with `threads`
   /// without oversubscribing: see support::sim_worker_budget. Output is
   /// byte-identical at any value.
@@ -106,12 +105,6 @@ struct MatrixOptions {
   std::string estimator = "sample_collide";  ///< registry spec text
   std::string scenario = "static";           ///< scenario name
   double rounds_per_unit = 10.0;  ///< epoch-mode gossip pacing
-  /// Build replicas with net::build_heterogeneous_sharded instead of the
-  /// sequential §IV-A builder. Thread-count-invariant but NOT
-  /// byte-compatible with the default builder (a different deterministic
-  /// wiring of the same topology model), so it is opt-in and the report
-  /// params line records it.
-  bool sharded_build = false;
   FigureParams params{};
 };
 

@@ -204,12 +204,6 @@ class Graph {
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
  private:
-  /// Direct-assembly backdoor for the sharded parallel builder (see
-  /// net/parallel_build.hpp): it sizes the arena once from exact per-node
-  /// lengths and lets worker threads fill disjoint extents concurrently —
-  /// something the incremental append_neighbor path cannot do.
-  friend class GraphAssembler;
-
   /// Adjacency extent: a node's neighbor list is arena_[offset, offset+len),
   /// inside a chunk of `cap` slots. cap is 0 (no chunk) or a power of two
   /// >= kMinCap.

@@ -6,19 +6,22 @@
 #include <stdexcept>
 #include <string>
 
-#include "p2pse/obs/size_model.hpp"
 #include "p2pse/obs/telemetry.hpp"
-#include "p2pse/support/sharding.hpp"
 
 namespace p2pse::scenario {
 namespace {
 
-/// Opens a per-replica trace span (inert when telemetry is off); worker
-/// lane = replica index + 1 (lane 0 is the coordinating thread).
+/// A replica's trace lane: its index + 1 (lane 0 is the coordinating
+/// thread).
+int replica_lane(std::uint64_t replica) {
+  return static_cast<int>(replica) + 1;
+}
+
+/// Opens a per-replica trace span (inert when telemetry is off).
 obs::Span replica_span(obs::RunTelemetry* telemetry, const char* name,
                        std::uint64_t replica) {
   if (telemetry == nullptr) return obs::Span{};
-  return telemetry->span(name, static_cast<int>(replica) + 1);
+  return telemetry->span(name, replica_lane(replica));
 }
 
 void tick_progress(obs::RunTelemetry* telemetry, std::uint64_t replica,
@@ -27,37 +30,6 @@ void tick_progress(obs::RunTelemetry* telemetry, std::uint64_t replica,
   telemetry->progress("replica " + std::to_string(replica) +
                       ": t=" + std::to_string(t) +
                       " alive=" + std::to_string(alive));
-}
-
-/// Arms `exec` with this replica's per-shard scope hook: each shard body
-/// runs inside a "sim-shard-<s>" trace span opened on the shard's executing
-/// thread (inert without telemetry; support/ stays obs-free because the
-/// hook is type-erased).
-void arm_shard_spans(support::ShardExecutor& exec,
-                     obs::RunTelemetry* telemetry, std::uint64_t replica) {
-  if (telemetry == nullptr || exec.workers() <= 1) return;
-  exec.set_scope_hook(
-      [telemetry, replica](std::size_t shard) -> std::shared_ptr<void> {
-        return std::make_shared<obs::Span>(
-            telemetry->span("sim-shard-" + std::to_string(shard),
-                            static_cast<int>(replica) + 1));
-      });
-}
-
-/// Installs the observability hooks on one replica simulator: a wire-size
-/// table when `sizes` is non-empty, and — when a telemetry sink is attached
-/// — the distribution recorder plus the shared flight ring. Never touches an
-/// RNG stream; a run with these hooks is byte-identical to one without.
-void arm_obs(sim::Simulator& sim, const std::string& sizes,
-             obs::RunTelemetry* telemetry) {
-  if (!sizes.empty()) {
-    sim.meter().set_wire_sizes(
-        obs::MessageSizeModel::parse(sizes).wire_sizes());
-  }
-  if (telemetry != nullptr) {
-    sim.enable_recorder();
-    sim.set_flight_recorder(telemetry->flight());
-  }
 }
 
 }  // namespace
@@ -92,47 +64,28 @@ Series ScenarioRunner::run(const est::Estimator& prototype,
   const std::unique_ptr<est::Estimator> instance = prototype.clone();
   if (instance->mode() == est::Estimator::Mode::kPoint) {
     return run_point(
-        options.estimations,
         [&instance](sim::Simulator& sim, net::NodeId initiator,
                     support::RngStream& rng) {
           return instance->estimate_point(sim, initiator, rng);
         },
-        replica, options.network, options.topology, options.telemetry,
-        options.sim_workers, options.sizes);
+        options, replica);
   }
-  return run_epochs(*instance, options.rounds_per_unit, replica,
-                    options.network, options.topology, options.telemetry,
-                    options.sim_workers, options.sizes);
+  return run_epochs(*instance, options, replica);
 }
 
-Series ScenarioRunner::run_point(std::size_t estimations,
-                                 const PointEstimator& estimator,
-                                 std::uint64_t replica,
-                                 const sim::NetworkConfig& network,
-                                 const topo::TopologyConfig& topology,
-                                 obs::RunTelemetry* telemetry,
-                                 std::size_t sim_workers,
-                                 const std::string& sizes) const {
+Series ScenarioRunner::run_point(const PointEstimator& estimator,
+                                 const RunOptions& options,
+                                 std::uint64_t replica) const {
+  const std::size_t estimations = options.estimations;
   if (estimations == 0) return {};
+  obs::RunTelemetry* const telemetry = options.telemetry;
   const obs::Span span = replica_span(telemetry, "simulate", replica);
-  support::ShardExecutor shard_exec(std::max<std::size_t>(1, sim_workers));
-  arm_shard_spans(shard_exec, telemetry, replica);
   const support::RngStream root = support::RngStream(seed_).split("replica", replica);
-  support::RngStream graph_rng = root.split("graph");
   support::RngStream churn_rng = root.split("churn");
   support::RngStream est_rng = root.split("estimator");
   support::RngStream pick_rng = root.split("initiator");
-
-  obs::Span build_span = replica_span(telemetry, "graph-build", replica);
-  sim::Simulator sim(factory_(graph_rng), root.split("sim").seed());
-  sim.set_network(network);
-  arm_obs(sim, sizes, telemetry);
-  build_span = obs::Span{};
-  obs::Span embed_span = replica_span(telemetry, "topo-embed", replica);
-  // No-op (and no draws) for a flat config; sharded across the budget
-  // otherwise — same bytes at every budget.
-  sim.set_topology(topology, &shard_exec);
-  embed_span = obs::Span{};
+  Replica setup(options, factory_, root, 0, replica_lane(replica));
+  sim::Simulator& sim = setup.sim();
   const std::unique_ptr<DynamicsCursor> cursor =
       dynamics_->bind(sim.graph(), churn_rng);
 
@@ -163,50 +116,41 @@ Series ScenarioRunner::run_point(std::size_t estimations,
     series.push_back(point);
     tick_progress(telemetry, replica, t, sim.graph().size());
   }
-  if (telemetry != nullptr) telemetry->add_replica(obs::collect(sim));
   return series;
 }
 
 Series ScenarioRunner::run_epochs(est::Estimator& estimator,
-                                  double rounds_per_unit,
-                                  std::uint64_t replica,
-                                  const sim::NetworkConfig& network,
-                                  const topo::TopologyConfig& topology,
-                                  obs::RunTelemetry* telemetry,
-                                  std::size_t sim_workers,
-                                  const std::string& sizes) const {
-  if (rounds_per_unit <= 0.0) {
-    throw std::invalid_argument("ScenarioRunner: rounds_per_unit must be > 0");
+                                  const RunOptions& options,
+                                  std::uint64_t replica) const {
+  const double rounds_per_unit = options.rounds_per_unit;
+  if (!(std::isfinite(rounds_per_unit) && rounds_per_unit > 0.0)) {
+    throw std::invalid_argument(
+        "ScenarioRunner: rounds_per_unit must be finite and > 0");
+  }
+  // llround's result must fit a long long; 2^63 is exactly representable.
+  const double rounds = dynamics_->duration() * rounds_per_unit;
+  if (!(rounds < 0x1p63)) {
+    throw std::invalid_argument(
+        "ScenarioRunner: rounds_per_unit " + std::to_string(rounds_per_unit) +
+        " gives a round count past 2^63");
   }
   const std::uint32_t rounds_per_epoch = estimator.rounds_per_epoch();
   if (rounds_per_epoch == 0) {
     throw std::invalid_argument(std::string(estimator.name()) +
                                 ": rounds_per_epoch must be > 0");
   }
+  obs::RunTelemetry* const telemetry = options.telemetry;
   const obs::Span span = replica_span(telemetry, "simulate", replica);
-  support::ShardExecutor shard_exec(std::max<std::size_t>(1, sim_workers));
-  arm_shard_spans(shard_exec, telemetry, replica);
   const support::RngStream root = support::RngStream(seed_).split("replica", replica);
-  support::RngStream graph_rng = root.split("graph");
   support::RngStream churn_rng = root.split("churn");
   support::RngStream est_rng = root.split("estimator");
   support::RngStream pick_rng = root.split("initiator");
-
-  obs::Span build_span = replica_span(telemetry, "graph-build", replica);
-  sim::Simulator sim(factory_(graph_rng), root.split("sim").seed());
-  sim.set_network(network);
-  arm_obs(sim, sizes, telemetry);
-  build_span = obs::Span{};
-  obs::Span embed_span = replica_span(telemetry, "topo-embed", replica);
-  // No-op (and no draws) for a flat config; sharded across the budget
-  // otherwise — same bytes at every budget.
-  sim.set_topology(topology, &shard_exec);
-  embed_span = obs::Span{};
+  Replica setup(options, factory_, root, 0, replica_lane(replica));
+  sim::Simulator& sim = setup.sim();
   const std::unique_ptr<DynamicsCursor> cursor =
       dynamics_->bind(sim.graph(), churn_rng);
 
-  const auto total_rounds = static_cast<std::uint64_t>(
-      std::llround(dynamics_->duration() * rounds_per_unit));
+  const auto total_rounds = static_cast<std::uint64_t>(std::llround(rounds));
   const double unit_per_round = 1.0 / rounds_per_unit;
 
   Series series;
@@ -247,7 +191,6 @@ Series ScenarioRunner::run_epochs(est::Estimator& estimator,
       tick_progress(telemetry, replica, t, sim.graph().size());
     }
   }
-  if (telemetry != nullptr) telemetry->add_replica(obs::collect(sim));
   return series;
 }
 

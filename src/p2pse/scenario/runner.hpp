@@ -30,14 +30,10 @@
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/scenario/dynamics.hpp"
+#include "p2pse/scenario/replica.hpp"
 #include "p2pse/scenario/timeline.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
-#include "p2pse/topo/topology.hpp"
-
-namespace p2pse::obs {
-class RunTelemetry;
-}  // namespace p2pse::obs
 
 namespace p2pse::scenario {
 
@@ -59,47 +55,8 @@ using Series = std::vector<SeriesPoint>;
 using PointEstimator = std::function<est::Estimate(
     sim::Simulator& sim, net::NodeId initiator, support::RngStream& rng)>;
 
-/// Builds a fresh overlay replica. Called once per replica with a
-/// replica-specific RNG stream.
-using GraphFactory = std::function<net::Graph(support::RngStream& rng)>;
-
 class ScenarioRunner {
  public:
-  /// Pacing of one replica run. Point estimators take `estimations` atomic
-  /// samples evenly spaced over the script duration; epoch estimators gossip
-  /// `rounds_per_unit` rounds per time unit, one series point per epoch.
-  struct RunOptions {
-    std::size_t estimations = 100;
-    double rounds_per_unit = 10.0;
-    /// Delivery layer installed on every replica's simulator. The default
-    /// is the ideal channel, which reproduces the reliable simulator
-    /// bit-for-bit (sim::Channel's draw-nothing fast path).
-    sim::NetworkConfig network{};
-    /// Per-link topology installed on every replica's simulator. The
-    /// default (flat) installs nothing: the channel stays on its i.i.d.
-    /// path and the run is byte-identical to a topology-less one. Each
-    /// replica's embedding draws from its own sim's split("topo")
-    /// substream, so churn-joined nodes embed deterministically.
-    topo::TopologyConfig topology{};
-    /// Wire-size spec ("sizes:header=48,..."; obs::MessageSizeModel grammar)
-    /// installed on every replica meter. Pure accounting — prices the bytes
-    /// counters only; every count, draw and delivery is byte-identical
-    /// under any size table. Empty keeps the built-in sizes.
-    std::string sizes{};
-    /// Optional telemetry sink (non-owning, may be null). When set, each
-    /// replica run opens a "simulate" trace span, feeds the progress
-    /// heartbeat, and snapshots its counters (obs::collect) on completion.
-    /// Telemetry NEVER touches an RNG stream: a run with a sink is
-    /// byte-identical to one without.
-    obs::RunTelemetry* telemetry = nullptr;
-    /// Intra-replica worker budget (resolved; see
-    /// support::sim_worker_budget). 1 = fully sequential replica. >1 shards
-    /// the topology embedding across that many workers — BYTE-IDENTICAL
-    /// output at any value (shard counts are spec'd constants, per-shard
-    /// substreams merge in index order).
-    std::size_t sim_workers = 1;
-  };
-
   /// `seed` is the root seed; replica r derives graph/estimator/churn
   /// substreams from split("replica", r).
   ScenarioRunner(ScenarioScript script, GraphFactory factory,
@@ -116,15 +73,12 @@ class ScenarioRunner {
                            const RunOptions& options,
                            std::uint64_t replica = 0) const;
 
-  /// Runs a point-estimator callback `estimations` times, evenly spaced over
-  /// the script duration (first estimation after one interval).
-  [[nodiscard]] Series run_point(
-      std::size_t estimations, const PointEstimator& estimator,
-      std::uint64_t replica = 0,
-      const sim::NetworkConfig& network = sim::NetworkConfig{},
-      const topo::TopologyConfig& topology = topo::TopologyConfig{},
-      obs::RunTelemetry* telemetry = nullptr,
-      std::size_t sim_workers = 1, const std::string& sizes = {}) const;
+  /// Runs a point-estimator callback `options.estimations` times, evenly
+  /// spaced over the script duration (first estimation after one
+  /// interval).
+  [[nodiscard]] Series run_point(const PointEstimator& estimator,
+                                 const RunOptions& options,
+                                 std::uint64_t replica = 0) const;
 
   [[nodiscard]] const Dynamics& dynamics() const noexcept {
     return *dynamics_;
@@ -132,13 +86,8 @@ class ScenarioRunner {
 
  private:
   [[nodiscard]] Series run_epochs(est::Estimator& estimator,
-                                  double rounds_per_unit,
-                                  std::uint64_t replica,
-                                  const sim::NetworkConfig& network,
-                                  const topo::TopologyConfig& topology,
-                                  obs::RunTelemetry* telemetry,
-                                  std::size_t sim_workers,
-                                  const std::string& sizes) const;
+                                  const RunOptions& options,
+                                  std::uint64_t replica) const;
   [[nodiscard]] net::NodeId ensure_initiator(const net::Graph& graph,
                                              net::NodeId current,
                                              support::RngStream& rng) const;

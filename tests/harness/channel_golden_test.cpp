@@ -75,8 +75,8 @@ TEST(ChannelGolden, RunnerPointTrajectoriesEqualWithIdealChannel) {
       },
       21);
   const est::SampleCollideEstimator proto({.timer = 4.0, .collisions = 20});
-  const scenario::ScenarioRunner::RunOptions bare{.estimations = 10};
-  scenario::ScenarioRunner::RunOptions routed = bare;
+  const scenario::RunOptions bare{.estimations = 10};
+  scenario::RunOptions routed = bare;
   routed.network = sim::NetworkConfig::parse("net:loss=0,latency=constant:0");
   const scenario::Series a = runner.run(proto, bare, 0);
   const scenario::Series b = runner.run(proto, routed, 0);
@@ -99,9 +99,8 @@ TEST(ChannelGolden, RunnerEpochTrajectoriesEqualWithIdealChannel) {
       },
       21);
   const est::AggregationEstimator proto({.rounds_per_epoch = 20});
-  const scenario::ScenarioRunner::RunOptions bare{.estimations = 0,
-                                                  .rounds_per_unit = 0.1};
-  scenario::ScenarioRunner::RunOptions routed = bare;
+  const scenario::RunOptions bare{.estimations = 0, .rounds_per_unit = 0.1};
+  scenario::RunOptions routed = bare;
   routed.network = sim::NetworkConfig::parse("net:loss=0,latency=constant:0");
   const scenario::Series a = runner.run(proto, bare, 0);
   const scenario::Series b = runner.run(proto, routed, 0);

@@ -89,26 +89,6 @@ TEST(ParallelSimThreads, TraceReplayByteIdenticalAcrossThreadMatrix) {
   }
 }
 
-TEST(ParallelSimThreads, ShardedBuildMatrixByteIdenticalAcrossSimThreads) {
-  MatrixOptions options;
-  options.estimator = "sample_collide:l=10";
-  options.scenario = "static";
-  options.sharded_build = true;
-  options.params = matrix_params();
-  options.params.estimations = 3;
-  const auto generate = [&] { return render(run_matrix(options)); };
-  options.params.threads = 1;
-  options.params.sim_threads = 1;
-  const std::string baseline = generate();
-  // The opt-in builder is recorded on the params line.
-  EXPECT_NE(baseline.find("build=sharded"), std::string::npos);
-  for (const std::size_t sim_threads : kThreadAxis) {
-    options.params.threads = 2;
-    options.params.sim_threads = sim_threads;
-    EXPECT_EQ(generate(), baseline) << "sim-threads=" << sim_threads;
-  }
-}
-
 TEST(ParallelSimThreads, AutoSimThreadsMatchesSequentialBytes) {
   // --sim-threads 0 (auto) resolves to whatever budget the hardware allows;
   // the bytes must not care.

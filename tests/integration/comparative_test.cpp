@@ -128,22 +128,20 @@ TEST(Comparative, ScReactsFasterThanSmoothedHsAfterCatastrophe) {
 
   const est::SampleCollide sc({.timer = 10.0, .collisions = 100});
   const scenario::Series sc_series = runner.run_point(
-      50,
       [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
         return sc.estimate_once(s, i, r);
       },
-      0);
+      {.estimations = 50}, 0);
 
   const est::HopsSampling hs({});
   auto smoother = std::make_shared<est::LastKAverage>(10);
   const scenario::Series hs_series = runner.run_point(
-      50,
       [&hs, smoother](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
         est::Estimate e = hs.run_once(s, i, r).estimate;
         if (e.valid) e.value = smoother->add(e.value);
         return e;
       },
-      0);
+      {.estimations = 50}, 0);
 
   // The -25% drop happens at t=100: series index 4 is the last pre-drop
   // estimation (t=100 applies the event before that tick's estimate, so use
@@ -169,8 +167,8 @@ TEST(Comparative, AggregationFailsUnderHeavyDeparturesButTracksGrowth) {
     return net::build_heterogeneous_random({5000, 1, 10}, rng);
   };
   const est::AggregationEstimator agg({.rounds_per_epoch = 50});
-  const scenario::ScenarioRunner::RunOptions epochs{.estimations = 0,
-                                                    .rounds_per_unit = 1.0};
+  const scenario::RunOptions epochs{.estimations = 0,
+                                    .rounds_per_unit = 1.0};
 
   const scenario::ScenarioRunner growing(scenario::growing_script(5000),
                                          factory, kSeed);

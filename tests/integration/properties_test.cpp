@@ -99,8 +99,8 @@ TEST(PipelineDeterminism, DynamicRunIsBitStable) {
                                    99);
   const scenario::ScenarioRunner b(scenario::catastrophic_script(2000), factory,
                                    99);
-  const scenario::Series sa = a.run_point(15, estimator, 1);
-  const scenario::Series sb = b.run_point(15, estimator, 1);
+  const scenario::Series sa = a.run_point(estimator, {.estimations = 15}, 1);
+  const scenario::Series sb = b.run_point(estimator, {.estimations = 15}, 1);
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
     EXPECT_DOUBLE_EQ(sa[i].estimate, sb[i].estimate);
@@ -121,8 +121,8 @@ TEST(PipelineDeterminism, SeedsChangeOutcomesSanely) {
       };
   const scenario::ScenarioRunner a(scenario::static_script(), factory, 1);
   const scenario::ScenarioRunner b(scenario::static_script(), factory, 2);
-  const scenario::Series sa = a.run_point(5, estimator, 0);
-  const scenario::Series sb = b.run_point(5, estimator, 0);
+  const scenario::Series sa = a.run_point(estimator, {.estimations = 5}, 0);
+  const scenario::Series sb = b.run_point(estimator, {.estimations = 5}, 0);
   bool any_diff = false;
   for (std::size_t i = 0; i < sa.size(); ++i) {
     any_diff |= sa[i].estimate != sb[i].estimate;

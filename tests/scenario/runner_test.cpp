@@ -33,7 +33,7 @@ TEST(ScenarioRunner, RequiresFactory) {
 
 TEST(ScenarioRunner, ProducesRequestedNumberOfPoints) {
   const ScenarioRunner runner(static_script(), factory(2000), 1);
-  const Series series = runner.run_point(20, sample_collide_estimator(10));
+  const Series series = runner.run_point(sample_collide_estimator(10), {.estimations = 20});
   ASSERT_EQ(series.size(), 20u);
   for (const auto& p : series) {
     EXPECT_DOUBLE_EQ(p.truth, 2000.0);
@@ -44,12 +44,12 @@ TEST(ScenarioRunner, ProducesRequestedNumberOfPoints) {
 
 TEST(ScenarioRunner, ZeroEstimationsGivesEmptySeries) {
   const ScenarioRunner runner(static_script(), factory(100), 2);
-  EXPECT_TRUE(runner.run_point(0, sample_collide_estimator(5)).empty());
+  EXPECT_TRUE(runner.run_point(sample_collide_estimator(5), {.estimations = 0}).empty());
 }
 
 TEST(ScenarioRunner, TimesAreEvenlySpaced) {
   const ScenarioRunner runner(static_script(), factory(500), 3);
-  const Series series = runner.run_point(10, sample_collide_estimator(5));
+  const Series series = runner.run_point(sample_collide_estimator(5), {.estimations = 10});
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_DOUBLE_EQ(series[i].time,
                      100.0 * static_cast<double>(i + 1));
@@ -58,7 +58,7 @@ TEST(ScenarioRunner, TimesAreEvenlySpaced) {
 
 TEST(ScenarioRunner, TruthTracksShrinkingScenario) {
   const ScenarioRunner runner(shrinking_script(2000), factory(2000), 4);
-  const Series series = runner.run_point(10, sample_collide_estimator(10));
+  const Series series = runner.run_point(sample_collide_estimator(10), {.estimations = 10});
   ASSERT_EQ(series.size(), 10u);
   EXPECT_NEAR(series.front().truth, 1900.0, 3.0);
   EXPECT_NEAR(series.back().truth, 1000.0, 3.0);
@@ -69,8 +69,8 @@ TEST(ScenarioRunner, TruthTracksShrinkingScenario) {
 
 TEST(ScenarioRunner, SameReplicaIsDeterministic) {
   const ScenarioRunner runner(growing_script(1000), factory(1000), 5);
-  const Series a = runner.run_point(8, sample_collide_estimator(10), 2);
-  const Series b = runner.run_point(8, sample_collide_estimator(10), 2);
+  const Series a = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 2);
+  const Series b = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 2);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].estimate, b[i].estimate);
@@ -81,8 +81,8 @@ TEST(ScenarioRunner, SameReplicaIsDeterministic) {
 
 TEST(ScenarioRunner, DifferentReplicasDiffer) {
   const ScenarioRunner runner(static_script(), factory(1000), 6);
-  const Series a = runner.run_point(5, sample_collide_estimator(10), 0);
-  const Series b = runner.run_point(5, sample_collide_estimator(10), 1);
+  const Series a = runner.run_point(sample_collide_estimator(10), {.estimations = 5}, 0);
+  const Series b = runner.run_point(sample_collide_estimator(10), {.estimations = 5}, 1);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     any_diff |= (a[i].estimate != b[i].estimate);
@@ -94,12 +94,12 @@ TEST(ScenarioRunner, ParallelReplicasPreserveOrderAndDeterminism) {
   const ScenarioRunner runner(static_script(), factory(500), 7);
   const harness::ParallelReplicaRunner pool(4);
   const auto runs = pool.map<Series>(4, [&](std::size_t r) {
-    return runner.run_point(3, sample_collide_estimator(5),
+    return runner.run_point(sample_collide_estimator(5), {.estimations = 3},
                             static_cast<std::uint64_t>(r));
   });
   ASSERT_EQ(runs.size(), 4u);
   // Replica 2 recomputed sequentially must match the parallel result.
-  const Series replay = runner.run_point(3, sample_collide_estimator(5), 2);
+  const Series replay = runner.run_point(sample_collide_estimator(5), {.estimations = 3}, 2);
   ASSERT_EQ(runs[2].size(), replay.size());
   for (std::size_t i = 0; i < replay.size(); ++i) {
     EXPECT_DOUBLE_EQ(runs[2][i].estimate, replay[i].estimate);
@@ -112,7 +112,7 @@ TEST(ScenarioRunner, UnifiedRunMatchesRunPointForPointEstimators) {
   const ScenarioRunner runner(growing_script(1000), factory(1000), 12);
   const est::SampleCollideEstimator proto({.timer = 10.0, .collisions = 10});
   const Series unified = runner.run(proto, {.estimations = 8}, 1);
-  const Series lambda = runner.run_point(8, sample_collide_estimator(10), 1);
+  const Series lambda = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 1);
   ASSERT_EQ(unified.size(), lambda.size());
   for (std::size_t i = 0; i < unified.size(); ++i) {
     EXPECT_DOUBLE_EQ(unified[i].estimate, lambda[i].estimate);
@@ -184,7 +184,7 @@ TEST(ScenarioRunner, SurvivesExtinctionScenario) {
   ScenarioScript script = static_script();
   script.initial_departure_rate = 10.0;  // kills 1000 nodes well before t=1000
   const ScenarioRunner runner(script, factory(1000), 11);
-  const Series series = runner.run_point(20, sample_collide_estimator(5));
+  const Series series = runner.run_point(sample_collide_estimator(5), {.estimations = 20});
   ASSERT_EQ(series.size(), 20u);
   EXPECT_DOUBLE_EQ(series.back().truth, 0.0);
   EXPECT_FALSE(series.back().valid);
