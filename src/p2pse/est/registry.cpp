@@ -181,15 +181,8 @@ std::unique_ptr<Estimator> EstimatorRegistry::build(
   }
   // Validate override keys against the single registered key list so a
   // typo'd key can never silently yield a default-configured estimator.
-  for (const auto& [key, value] : spec.overrides) {
-    bool known = false;
-    for (const auto& valid : it->second.keys) known |= (key == valid);
-    if (!known) {
-      throw std::invalid_argument(spec.name + ": unknown override key '" +
-                                  key + "' (valid keys: " +
-                                  keys_help(spec.name) + ")");
-    }
-  }
+  support::require_known_keys(spec.overrides, keys_help(spec.name), spec.name,
+                              "override key");
   return it->second.factory(spec.overrides);
 }
 

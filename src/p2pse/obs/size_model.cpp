@@ -19,17 +19,7 @@ MessageSizeModel MessageSizeModel::parse(std::string_view text) {
                                 "' must start with 'sizes' (e.g. "
                                 "sizes:header=48,walk_step=64)");
   }
-  for (const auto& [key, value] : parsed.overrides) {
-    bool known = key == "header";
-    for (std::size_t i = 0; i < kClasses && !known; ++i) {
-      known = key == sim::to_string(static_cast<sim::MessageClass>(i));
-    }
-    if (!known) {
-      throw std::invalid_argument("sizes spec: unknown key '" + key +
-                                  "' (valid keys: " +
-                                  std::string(keys_help()) + ")");
-    }
-  }
+  support::require_known_keys(parsed.overrides, keys_help(), "sizes spec");
   const support::SpecValueReader reader("sizes spec", parsed.overrides);
   MessageSizeModel model;
   model.header = reader.get_uint("header", model.header);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "p2pse/obs/telemetry.hpp"
+#include "p2pse/support/csv.hpp"
 
 namespace p2pse::scenario {
 namespace {
@@ -131,7 +132,8 @@ Series ScenarioRunner::run_epochs(est::Estimator& estimator,
   const double rounds = dynamics_->duration() * rounds_per_unit;
   if (!(rounds < 0x1p63)) {
     throw std::invalid_argument(
-        "ScenarioRunner: rounds_per_unit " + std::to_string(rounds_per_unit) +
+        "ScenarioRunner: rounds_per_unit " +
+        support::format_double(rounds_per_unit) +
         " gives a round count past 2^63");
   }
   const std::uint32_t rounds_per_epoch = estimator.rounds_per_epoch();

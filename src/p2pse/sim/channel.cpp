@@ -103,14 +103,7 @@ NetworkConfig NetworkConfig::parse(std::string_view text) {
                                 "net:loss=0.05,latency=exp:50)");
   }
   const support::SpecOverrides& overrides = parsed.overrides;
-  for (const auto& [key, value] : overrides) {
-    if (key != "loss" && key != "latency" && key != "jitter" &&
-        key != "timeout" && key != "retries") {
-      throw std::invalid_argument("net spec: unknown key '" + key +
-                                  "' (valid keys: " +
-                                  std::string(keys_help()) + ")");
-    }
-  }
+  support::require_known_keys(overrides, keys_help(), "net spec");
 
   const support::SpecValueReader reader("net spec", overrides);
   NetworkConfig config;

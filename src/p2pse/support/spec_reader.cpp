@@ -25,6 +25,29 @@ void push_override(SpecOverrides& overrides, std::string_view key,
 
 }  // namespace
 
+void require_known_keys(const SpecOverrides& overrides,
+                        std::string_view valid_keys, std::string_view context,
+                        std::string_view noun) {
+  for (const auto& [key, value] : overrides) {
+    bool known = false;
+    std::string_view rest = valid_keys;
+    while (!rest.empty() && !known) {
+      const std::size_t comma = rest.find(',');
+      std::string_view token = rest.substr(0, comma);
+      rest = comma == std::string_view::npos ? std::string_view{}
+                                             : rest.substr(comma + 1);
+      while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
+      known = token == key;
+    }
+    if (!known) {
+      throw std::invalid_argument(
+          std::string(context) + ": unknown " + std::string(noun) + " '" +
+          key + "' (valid keys: " +
+          (valid_keys.empty() ? "none" : std::string(valid_keys)) + ")");
+    }
+  }
+}
+
 ParsedSpec parse_spec(std::string_view text, std::string_view context) {
   ParsedSpec spec;
   const std::size_t colon = text.find(':');

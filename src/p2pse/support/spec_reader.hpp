@@ -3,8 +3,8 @@
 // of every spec grammar in the tree (est::EstimatorRegistry's
 // "name:key=value,..." and the trace workload registry's
 // "MODEL,key=value,..."). Malformed values are hard errors naming the
-// context, key, and expected type; *unknown-key* validation stays with each
-// registry, which owns its list of valid keys.
+// context, key, and expected type; unknown keys are rejected against the
+// list of valid keys each registry owns.
 
 #include <cstdint>
 #include <string>
@@ -38,6 +38,15 @@ struct ParsedSpec {
 /// duplicate keys are hard errors prefixed with `context`.
 [[nodiscard]] ParsedSpec parse_model_spec(std::string_view text,
                                           std::string_view context);
+
+/// Rejects the first override whose key is not a token of `valid_keys`, a
+/// comma-separated list ("a, b, c"; blanks after a comma are ignored).
+/// Matching is by exact token, so "ration" cannot pass for "duration".
+/// Throws std::invalid_argument("<context>: unknown <noun> '<key>' (valid
+/// keys: <valid_keys, or none when empty>)").
+void require_known_keys(const SpecOverrides& overrides,
+                        std::string_view valid_keys, std::string_view context,
+                        std::string_view noun = "key");
 
 class SpecValueReader {
  public:

@@ -81,26 +81,6 @@ void apply_class_keys(TopologyConfig& config,
   }
 }
 
-void require_known_keys(const support::ParsedSpec& parsed,
-                        std::string_view valid_keys) {
-  for (const auto& [key, value] : parsed.overrides) {
-    bool known = false;
-    std::string_view rest = valid_keys;
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      std::string_view token = rest.substr(0, comma);
-      rest = comma == std::string_view::npos ? std::string_view{}
-                                             : rest.substr(comma + 1);
-      while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
-      known |= (token == key);
-    }
-    if (!known) {
-      bad_spec(parsed.name + ": unknown key '" + key + "' (valid keys: " +
-               (valid_keys.empty() ? "none" : std::string(valid_keys)) + ")");
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view peer_class_name(PeerClass cls) noexcept {
@@ -200,7 +180,8 @@ TopologyConfig TopologyConfig::parse(std::string_view text) {
     }
     bad_spec("unknown model '" + parsed.name + "' (known: " + known + ")");
   }
-  require_known_keys(parsed, info->keys);
+  support::require_known_keys(parsed.overrides, info->keys,
+                              "topo spec: " + parsed.name);
   const support::SpecValueReader reader("topo spec", parsed.overrides);
   if (parsed.name == "flat") return TopologyConfig{};
 

@@ -16,9 +16,18 @@ constexpr double kPi = 3.14159265358979323846;
 }
 
 void require_positive(double value, const char* what) {
-  if (!(value > 0.0)) {
-    bad_config(std::string(what) + " must be > 0, got " +
+  if (!(value > 0.0 && std::isfinite(value))) {
+    bad_config(std::string(what) + " must be finite and > 0, got " +
                std::to_string(value));
+  }
+}
+
+/// An arrival rate: negative derives the stationary rate, anything else
+/// must be finite (NaN or infinity would never advance the arrival clock).
+void require_finite_rate(double rate, const char* what) {
+  if (!std::isfinite(rate)) {
+    bad_config(std::string(what) + " must be finite, got " +
+               std::to_string(rate));
   }
 }
 
@@ -116,6 +125,7 @@ double Lifetime::mean() const {
       require_positive(scale, "Weibull scale");
       return scale * std::tgamma(1.0 + 1.0 / shape);
     case Law::kPareto:
+      require_positive(shape, "Pareto alpha");
       require_positive(scale, "Pareto x_min");
       if (shape <= 1.0) {
         bad_config("Pareto alpha <= 1 has no finite mean lifetime; pass an "
@@ -173,6 +183,7 @@ double Lifetime::sample(support::RngStream& rng) const {
 ChurnTrace generate_sessions(const SessionWorkloadConfig& config,
                              support::RngStream rng) {
   require_positive(config.duration, "duration");
+  require_finite_rate(config.arrival_rate, "arrival rate");
   const double rate = config.arrival_rate < 0.0
                           ? static_cast<double>(config.initial_sessions) /
                                 config.lifetime.mean()
@@ -204,7 +215,8 @@ ChurnTrace generate_diurnal(const DiurnalConfig& config,
   require_positive(config.duration, "duration");
   require_positive(config.period, "period");
   require_positive(config.mean_lifetime, "mean lifetime");
-  if (config.amplitude < 0.0 || config.amplitude > 1.0) {
+  require_finite_rate(config.base_rate, "diurnal base rate");
+  if (!(config.amplitude >= 0.0 && config.amplitude <= 1.0)) {
     bad_config("diurnal amplitude must be in [0, 1], got " +
                std::to_string(config.amplitude));
   }
@@ -248,15 +260,17 @@ ChurnTrace generate_flash_crowd(const FlashCrowdConfig& config,
   require_positive(config.mean_lifetime, "mean lifetime");
   require_positive(config.crowd_mean_lifetime, "crowd mean lifetime");
   require_positive(config.crowd_ramp, "crowd ramp");
-  if (config.crowd_fraction < 0.0) bad_config("crowd fraction must be >= 0");
-  if (config.exodus_fraction < 0.0 || config.exodus_fraction > 1.0) {
+  if (!(config.crowd_fraction >= 0.0 && std::isfinite(config.crowd_fraction))) {
+    bad_config("crowd fraction must be finite and >= 0");
+  }
+  if (!(config.exodus_fraction >= 0.0 && config.exodus_fraction <= 1.0)) {
     bad_config("exodus fraction must be in [0, 1], got " +
                std::to_string(config.exodus_fraction));
   }
-  if (config.crowd_time < 0.0 || config.crowd_time >= config.duration) {
+  if (!(config.crowd_time >= 0.0 && config.crowd_time < config.duration)) {
     bad_config("crowd time must lie inside [0, duration)");
   }
-  if (config.exodus_time <= 0.0 || config.exodus_time >= config.duration) {
+  if (!(config.exodus_time > 0.0 && config.exodus_time < config.duration)) {
     bad_config("exodus time must lie inside (0, duration)");
   }
 

@@ -10,67 +10,25 @@
 namespace p2pse::trace {
 namespace {
 
-using Overrides = support::SpecOverrides;
-
 [[noreturn]] void bad_spec(const std::string& what) {
   throw std::invalid_argument("trace spec: " + what);
 }
 
-/// Keys shared by every synthetic session model.
-constexpr std::string_view kCommonKeys = "duration, seed";
-
-struct ParsedSpec {
-  std::string model;
-  Overrides overrides;
-};
-
-ParsedSpec parse_spec(std::string_view text) {
-  ParsedSpec spec;
+support::ParsedSpec parse_spec(std::string_view text) {
   // "file=PATH" consumes the whole remainder: paths may legally contain
   // commas, so the key=value grammar must not split them. Everything else
   // is the shared "MODEL[,key=value,...]" grammar (support::parse_model_spec
   // also enforces the duplicate-key rule).
   constexpr std::string_view kFilePrefix = "file=";
   if (text.substr(0, kFilePrefix.size()) == kFilePrefix) {
-    spec.model = "file";
+    support::ParsedSpec spec;
+    spec.name = "file";
     spec.overrides.emplace_back("path",
                                 std::string(text.substr(kFilePrefix.size())));
     return spec;
   }
-  support::ParsedSpec parsed = support::parse_model_spec(text, "trace spec");
-  spec.model = std::move(parsed.name);
-  spec.overrides = std::move(parsed.overrides);
-  return spec;
+  return support::parse_model_spec(text, "trace spec");
 }
-
-/// Value access via the shared support::SpecValueReader, plus the
-/// trace-side key validation: `valid_keys` is the comma-separated list from
-/// TraceModelInfo — the single source of truth the --list output also
-/// renders. Matching is by exact token, not substring (so "ratio" can't
-/// pass for "duration").
-class SpecReader : public support::SpecValueReader {
- public:
-  SpecReader(const std::string& model, const Overrides& overrides,
-             std::string_view valid_keys)
-      : support::SpecValueReader("trace spec: " + model, overrides) {
-    for (const auto& [key, value] : overrides) {
-      bool known = false;
-      std::string_view rest = valid_keys;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        std::string_view token = rest.substr(0, comma);
-        rest = comma == std::string_view::npos ? std::string_view{}
-                                               : rest.substr(comma + 1);
-        while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
-        known |= (token == key);
-      }
-      if (!known) {
-        bad_spec(model + ": unknown key '" + key + "' (valid keys: " +
-                 std::string(valid_keys) + ")");
-      }
-    }
-  }
-};
 
 }  // namespace
 
@@ -94,10 +52,10 @@ const std::vector<TraceModelInfo>& trace_model_infos() {
 }
 
 ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
-  ParsedSpec parsed = parse_spec(spec_text);
+  const support::ParsedSpec parsed = parse_spec(spec_text);
   const TraceModelInfo* info = nullptr;
   for (const TraceModelInfo& candidate : trace_model_infos()) {
-    if (candidate.name == parsed.model) info = &candidate;
+    if (candidate.name == parsed.name) info = &candidate;
   }
   if (!info) {
     std::string known;
@@ -105,12 +63,15 @@ ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
       if (!known.empty()) known += ", ";
       known += candidate.name;
     }
-    bad_spec("unknown model '" + parsed.model + "' (known: " + known + ")");
+    bad_spec("unknown model '" + parsed.name + "' (known: " + known + ")");
   }
+  // `info->keys` is the list --list also renders.
+  const std::string context = "trace spec: " + parsed.name;
+  support::require_known_keys(parsed.overrides, info->keys, context);
   // `parsed` outlives the reader, which borrows the override list.
-  const SpecReader reader(parsed.model, parsed.overrides, info->keys);
+  const support::SpecValueReader reader(context, parsed.overrides);
 
-  if (parsed.model == "file") {
+  if (parsed.name == "file") {
     const std::string path = reader.get_string("path", "");
     if (path.empty()) bad_spec("file: missing path (trace:file=PATH)");
     return ChurnTrace::load_file(path);
@@ -120,7 +81,7 @@ ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
   const support::RngStream rng(reader.get_uint("seed", 1));
   const auto initial = static_cast<std::uint64_t>(initial_nodes);
 
-  if (parsed.model == "diurnal") {
+  if (parsed.name == "diurnal") {
     DiurnalConfig config;
     config.initial_sessions = initial;
     config.duration = duration;
@@ -130,7 +91,7 @@ ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
     config.base_rate = reader.get_double("base", config.base_rate);
     return generate_diurnal(config, rng);
   }
-  if (parsed.model == "flashcrowd") {
+  if (parsed.name == "flashcrowd") {
     FlashCrowdConfig config;
     config.initial_sessions = initial;
     config.duration = duration;
@@ -154,11 +115,11 @@ ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
   config.initial_sessions = initial;
   config.duration = duration;
   config.arrival_rate = reader.get_double("arrival", config.arrival_rate);
-  if (parsed.model == "exponential") {
+  if (parsed.name == "exponential") {
     config.lifetime.law = Lifetime::Law::kExponential;
     config.lifetime.mean_lifetime =
         reader.get_double("mean", config.lifetime.mean_lifetime);
-  } else if (parsed.model == "weibull") {
+  } else if (parsed.name == "weibull") {
     config.lifetime.law = Lifetime::Law::kWeibull;
     config.lifetime.shape = reader.get_double("shape", 0.5);
     config.lifetime.scale = reader.get_double("scale", 50.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
@@ -152,6 +154,20 @@ TEST(ScenarioRunner, EpochModeRejectsNonPositiveRate) {
   EXPECT_THROW(
       (void)runner.run(agg, {.estimations = 0, .rounds_per_unit = 0.0}, 0),
       std::invalid_argument);
+}
+
+TEST(ScenarioRunner, EpochModeRejectsNonFiniteOrOverflowingRate) {
+  // NaN slips past a plain `<= 0` test and 1e300 overflows llround; both
+  // used to hang the round loop instead of failing.
+  const ScenarioRunner runner(static_script(), factory(100), 9);
+  const est::AggregationEstimator agg({.rounds_per_epoch = 10});
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1e300}) {
+    EXPECT_THROW(
+        (void)runner.run(agg, {.estimations = 0, .rounds_per_unit = rate}, 0),
+        std::invalid_argument)
+        << rate;
+  }
 }
 
 TEST(ScenarioRunner, AggregationTracksGrowth) {
