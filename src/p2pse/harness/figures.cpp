@@ -844,8 +844,7 @@ FigureReport fig_dynamic_tracking(const FigureSpec& spec,
 FigureReport table1_overhead(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options = unrouted_options(params, "table1");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   // The bytes and max-load columns need the distribution recorder whether
   // or not a telemetry sink is attached. Recording never draws, so the
@@ -1094,8 +1093,7 @@ FigureReport ablation_hs_oracle(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_hs_oracle");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
@@ -1141,8 +1139,7 @@ FigureReport ablation_estimators(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_estimators");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
@@ -1203,8 +1200,7 @@ FigureReport ablation_homogeneous(const FigureSpec&,
         homogeneous
             ? net::build_homogeneous_random({params.nodes, 7}, graph_rng)
             : build_hetero(params.nodes, graph_rng);
-    scenario::Replica replica(options, std::move(graph),
-                              root);
+    scenario::Replica replica(options, std::move(graph), root);
     sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator");
@@ -1270,8 +1266,7 @@ FigureReport ablation_baselines(const FigureSpec&,
                           "mean |error| %", "mean msgs/run"};
 
   const auto run_graph = [&](const std::string& label, net::Graph graph) {
-    scenario::Replica replica(options, std::move(graph),
-                              root);
+    scenario::Replica replica(options, std::move(graph), root);
     sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator");
@@ -1352,8 +1347,7 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
     const net::ComponentInfo info = net::connected_components(graph);
     const double largest =
         100.0 * static_cast<double>(info.largest_size()) / truth;
-    scenario::Replica replica(options, std::move(graph),
-                              root);
+    scenario::Replica replica(options, std::move(graph), root);
     sim::Simulator& sim = replica.sim();
     est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
     RngStream rng = root.split("agg");
@@ -1405,8 +1399,7 @@ FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_delay");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   RngStream pick = root.split("initiator");
   const net::NodeId initiator = sim.graph().random_alive(pick);
@@ -1471,8 +1464,7 @@ FigureReport ablation_structured(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_structured");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
@@ -1546,8 +1538,7 @@ FigureReport ablation_polling(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_polling");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   const double truth = static_cast<double>(sim.graph().size());
   RngStream pick = root.split("initiator");
@@ -1618,8 +1609,7 @@ FigureReport ablation_samplers(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_samplers");
   const RngStream root(params.seed);
-  scenario::Replica replica(options,
-                            hetero_factory(params.nodes), root);
+  scenario::Replica replica(options, hetero_factory(params.nodes), root);
   sim::Simulator& sim = replica.sim();
   const std::size_t n = sim.graph().size();
   const std::size_t samples = 30 * n;

@@ -1,6 +1,8 @@
 #include "p2pse/scenario/replica.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -78,7 +80,14 @@ Replica::Replica(const RunOptions& options, net::Graph graph,
 }
 
 Replica::~Replica() {
-  if (telemetry_ != nullptr) telemetry_->add_replica(obs::collect(sim_));
+  // A failed run reports nothing, and a destructor must not throw.
+  if (telemetry_ == nullptr || std::uncaught_exceptions() > uncaught_) return;
+  try {
+    telemetry_->add_replica(obs::collect(sim_));
+  } catch (const std::exception& e) {
+    std::cerr << "p2pse: replica counters lost from the run stats: "
+              << e.what() << '\n';
+  }
 }
 
 }  // namespace p2pse::scenario

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 
@@ -58,7 +59,8 @@ struct RunOptions {
   /// Optional telemetry sink (non-owning, may be null). When set, setup
   /// runs inside "graph-build"/"topo-embed" trace spans, the simulator
   /// gets the distribution recorder and the flight ring, and its counters
-  /// are snapshotted (obs::collect) once, when the Replica is destroyed.
+  /// are snapshotted (obs::collect) once, when a Replica whose run
+  /// completed is destroyed.
   obs::RunTelemetry* telemetry = nullptr;
   /// Intra-replica worker budget (resolved; see
   /// support::sim_worker_budget). 1 = fully sequential. >1 shards the
@@ -82,7 +84,8 @@ class Replica {
           const support::RngStream& root, std::uint64_t index = 0,
           int lane = 0);
 
-  /// Snapshots the simulator's counters into the telemetry sink, if any.
+  /// Snapshots the simulator's counters into the telemetry sink, if any,
+  /// unless an exception is unwinding the run.
   ~Replica();
 
   Replica(const Replica&) = delete;
@@ -92,6 +95,9 @@ class Replica {
 
  private:
   obs::RunTelemetry* telemetry_;
+  /// std::uncaught_exceptions() at construction: more at destruction
+  /// means the run is being abandoned.
+  int uncaught_ = std::uncaught_exceptions();
   support::ShardExecutor executor_;
   sim::Simulator sim_;
 };

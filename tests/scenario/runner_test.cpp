@@ -157,8 +157,8 @@ TEST(ScenarioRunner, EpochModeRejectsNonPositiveRate) {
 }
 
 TEST(ScenarioRunner, EpochModeRejectsNonFiniteOrOverflowingRate) {
-  // NaN slips past a plain `<= 0` test and 1e300 overflows llround; both
-  // used to hang the round loop instead of failing.
+  // NaN passes a plain `<= 0` test and 1e300 overflows llround; either
+  // would leave the round loop without a usable bound.
   const ScenarioRunner runner(static_script(), factory(100), 9);
   const est::AggregationEstimator agg({.rounds_per_epoch = 10});
   for (const double rate : {std::numeric_limits<double>::quiet_NaN(),

@@ -43,8 +43,8 @@ TEST(TraceSpec, MalformedValuesAreHardErrors) {
 }
 
 /// One numeric key of one model. NaN and infinity must be typed generator
-/// errors: they used to hang the arrival loop (duration=inf) or reach an
-/// undefined float-to-size cast (arrival=nan).
+/// errors: unchecked, they stall the arrival loop (duration=inf) or reach
+/// an undefined float-to-size cast (arrival=nan).
 struct NumericKey {
   const char* model;
   const char* key;
