@@ -1,6 +1,5 @@
 #include "p2pse/scenario/runner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
