@@ -1,6 +1,8 @@
 #include "p2pse/support/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <stdexcept>
 
 namespace p2pse::support {
 
@@ -86,12 +88,11 @@ void ThreadPool::parallel_for_ranges(
           const std::lock_guard guard(batch.mutex);
           batch.errors[c] = std::current_exception();
         }
-        bool last = false;
-        {
-          const std::lock_guard guard(batch.mutex);
-          last = --batch.remaining == 0;
-        }
-        if (last) batch.done.notify_one();
+        // Notify under the lock: once `remaining` reads zero the caller may
+        // return and destroy `batch`, so the condition variable must not be
+        // touched after the mutex is released.
+        const std::lock_guard guard(batch.mutex);
+        if (--batch.remaining == 0) batch.done.notify_one();
       });
       begin = end;
     }
