@@ -121,7 +121,7 @@ class Graph {
   /// self-loops or duplicate edges. Dead/out-of-range endpoints also return
   /// false in unchecked builds; in checked builds (P2PSE_CHECKED) they are a
   /// contract violation — wiring a dead node is a caller bug, callers that
-  /// accept untrusted ids must test is_alive() first (graph_io does).
+  /// accept untrusted ids must test is_alive() first.
   bool add_edge(NodeId a, NodeId b);
 
   /// Removes the undirected edge {a,b} if present. Returns true if removed.

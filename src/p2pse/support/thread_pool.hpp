@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -25,21 +24,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
-
-  /// Enqueues a task; the returned future propagates its result/exception.
-  template <typename F>
-  [[nodiscard]] auto submit(F&& task) -> std::future<std::invoke_result_t<F&>> {
-    using R = std::invoke_result_t<F&>;
-    auto packaged = std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
-    std::future<R> result = packaged->get_future();
-    {
-      const std::lock_guard lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool: submit after shutdown");
-      queue_.emplace_back([packaged] { (*packaged)(); });
-    }
-    wake_.notify_one();
-    return result;
-  }
 
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   /// Exceptions from any invocation are rethrown (the first one encountered).

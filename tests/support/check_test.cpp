@@ -148,7 +148,7 @@ TEST(CheckedBuild, GraphAddEdgeRejectsDeadOrOutOfRangeEndpoint) {
   net::Graph graph(3);
   graph.remove_node(1);
   // Wiring a dead (or never-created) endpoint is a caller bug: callers that
-  // accept untrusted ids must probe is_alive() first (graph_io does).
+  // accept untrusted ids must probe is_alive() first.
   EXPECT_THROW((void)graph.add_edge(0, 1), support::CheckFailure);
   EXPECT_THROW((void)graph.add_edge(99, 0), support::CheckFailure);
   // Self-loops stay a tolerant false in both modes (probed speculatively by

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -17,29 +18,6 @@ namespace {
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
   ThreadPool pool(0);
   EXPECT_GE(pool.thread_count(), 1u);
-}
-
-TEST(ThreadPool, SubmitReturnsResult) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, RunsManyTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -122,6 +100,22 @@ TEST(ThreadPool, ParallelForDelegatesToRanges) {
   EXPECT_EQ(ranged.load(), 257u * 256u / 2u);
 }
 
+TEST(ThreadPool, ManyTinyBatchesStress) {
+  // Two-element batches finish almost at once, so the caller often sees the
+  // batch complete while the last worker is still signalling it; the batch
+  // lives on the caller's stack and must not be touched after that.
+  ThreadPool pool(4);
+  std::uint64_t total = 0;
+  for (int batch = 0; batch < 5000; ++batch) {
+    std::array<std::uint64_t, 2> hits{};
+    pool.parallel_for_ranges(2, [&hits](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) hits[i] += i + 1;
+    });
+    total += hits[0] + hits[1];
+  }
+  EXPECT_EQ(total, 5000u * 3u);
+}
+
 TEST(ThreadPool, ParallelReplicasAreDeterministic) {
   // The core HPC property: per-replica RNG substreams make parallel
   // execution bit-identical to sequential execution.
@@ -139,17 +133,6 @@ TEST(ThreadPool, ParallelReplicasAreDeterministic) {
   ThreadPool pool(4);
   pool.parallel_for(8, [&](std::size_t r) { parallel[r] = replica_sum(r); });
   EXPECT_EQ(parallel, sequential);
-}
-
-TEST(ThreadPool, DestructorDrainsGracefully) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      (void)pool.submit([&done] { ++done; });
-    }
-  }  // destructor joins
-  EXPECT_EQ(done.load(), 20);
 }
 
 }  // namespace
