@@ -492,8 +492,8 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
     // this keeps runs' loss/latency draws independent without touching the
     // (ideal-channel) byte-identity contract.
     const int lane = static_cast<int>(run) + 1;
-    const obs::Span sim_span = obs_span(params, "simulate", lane);
     scenario::Replica replica(options, graph, root, run, lane);
+    const obs::Span sim_span = obs_span(params, "simulate", lane);
     sim::Simulator& sim = replica.sim();
     const double truth = static_cast<double>(sim.graph().size());
     RngStream pick = root.split("initiator", run);

@@ -79,12 +79,13 @@ Series ScenarioRunner::run_point(const PointEstimator& estimator,
   const std::size_t estimations = options.estimations;
   if (estimations == 0) return {};
   obs::RunTelemetry* const telemetry = options.telemetry;
-  const obs::Span span = replica_span(telemetry, "simulate", replica);
   const support::RngStream root = support::RngStream(seed_).split("replica", replica);
   support::RngStream churn_rng = root.split("churn");
   support::RngStream est_rng = root.split("estimator");
   support::RngStream pick_rng = root.split("initiator");
   Replica setup(options, factory_, root, 0, replica_lane(replica));
+  // Opened after setup: graph-build and topo-embed are their own phases.
+  const obs::Span span = replica_span(telemetry, "simulate", replica);
   sim::Simulator& sim = setup.sim();
   const std::unique_ptr<DynamicsCursor> cursor =
       dynamics_->bind(sim.graph(), churn_rng);
@@ -141,12 +142,13 @@ Series ScenarioRunner::run_epochs(est::Estimator& estimator,
                                 ": rounds_per_epoch must be > 0");
   }
   obs::RunTelemetry* const telemetry = options.telemetry;
-  const obs::Span span = replica_span(telemetry, "simulate", replica);
   const support::RngStream root = support::RngStream(seed_).split("replica", replica);
   support::RngStream churn_rng = root.split("churn");
   support::RngStream est_rng = root.split("estimator");
   support::RngStream pick_rng = root.split("initiator");
   Replica setup(options, factory_, root, 0, replica_lane(replica));
+  // Opened after setup: graph-build and topo-embed are their own phases.
+  const obs::Span span = replica_span(telemetry, "simulate", replica);
   sim::Simulator& sim = setup.sim();
   const std::unique_ptr<DynamicsCursor> cursor =
       dynamics_->bind(sim.graph(), churn_rng);

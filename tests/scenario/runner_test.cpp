@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/harness/parallel_runner.hpp"
 #include "p2pse/net/builders.hpp"
+#include "p2pse/obs/telemetry.hpp"
 #include "p2pse/scenario/scenarios.hpp"
+#include "p2pse/topo/topology.hpp"
 
 namespace p2pse::scenario {
 namespace {
@@ -204,6 +211,66 @@ TEST(ScenarioRunner, SurvivesExtinctionScenario) {
   ASSERT_EQ(series.size(), 20u);
   EXPECT_DOUBLE_EQ(series.back().truth, 0.0);
   EXPECT_FALSE(series.back().valid);
+}
+
+struct TraceRecord {
+  std::string name;
+  int tid = 0;
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;
+};
+
+std::vector<TraceRecord> trace_records(const obs::RunTelemetry& telemetry) {
+  std::ostringstream out;
+  telemetry.trace().write(out);
+  const std::string json = out.str();
+  const std::regex event(
+      R"re(\{"name":"([^"]*)","ph":"X","pid":1,"tid":(\d+),"ts":(\d+),"dur":(\d+)\})re");
+  std::vector<TraceRecord> records;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), event);
+       it != std::sregex_iterator(); ++it) {
+    records.push_back({(*it)[1], std::stoi((*it)[2]), std::stoull((*it)[3]),
+                       std::stoull((*it)[4])});
+  }
+  return records;
+}
+
+TEST(ScenarioRunner, SimulateSpansExcludeReplicaSetup) {
+  // host.phases_s sums spans by name, so a graph-build or topo-embed span
+  // nested in "simulate" would count the setup twice.
+  obs::RunTelemetry telemetry;
+  RunOptions options;
+  options.telemetry = &telemetry;
+  options.topology = topo::TopologyConfig::parse("topo:clustered,regions=4");
+  const ScenarioRunner runner(static_script(), factory(2000), 17);
+  const est::SampleCollideEstimator sc({.timer = 2.0, .collisions = 5});
+  options.estimations = 2;
+  (void)runner.run(sc, options, 0);
+  const est::AggregationEstimator agg({.rounds_per_epoch = 5});
+  options.rounds_per_unit = 0.01;
+  (void)runner.run(agg, options, 1);
+
+  const std::vector<TraceRecord> records = trace_records(telemetry);
+  std::size_t simulate = 0;
+  std::size_t setup = 0;
+  for (const TraceRecord& sim_span : records) {
+    if (sim_span.name != "simulate") continue;
+    ++simulate;
+    for (const TraceRecord& inner : records) {
+      if (inner.tid != sim_span.tid ||
+          (inner.name != "graph-build" && inner.name != "topo-embed")) {
+        continue;
+      }
+      ++setup;
+      EXPECT_TRUE(inner.ts + inner.dur <= sim_span.ts ||
+                  inner.ts >= sim_span.ts + sim_span.dur)
+          << inner.name << " [" << inner.ts << ", +" << inner.dur
+          << "] overlaps simulate [" << sim_span.ts << ", +" << sim_span.dur
+          << "] on lane " << sim_span.tid;
+    }
+  }
+  EXPECT_EQ(simulate, 2u);
+  EXPECT_EQ(setup, 4u);  // one graph-build and one topo-embed per replica
 }
 
 }  // namespace
