@@ -1,11 +1,13 @@
 #include "p2pse/harness/figures.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <memory>
-#include <span>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "p2pse/est/aggregation.hpp"
 #include "p2pse/est/delay.hpp"
@@ -13,8 +15,6 @@
 #include "p2pse/est/flat_polling.hpp"
 #include "p2pse/est/hops_sampling.hpp"
 #include "p2pse/est/interval_density.hpp"
-#include "p2pse/est/inverted_birthday.hpp"
-#include "p2pse/est/random_tour.hpp"
 #include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/est/smoothing.hpp"
@@ -83,51 +83,60 @@ support::PlotOptions quality_plot(std::string title, std::string x_label) {
   return plot;
 }
 
-/// Parses the figure's --net spec (empty = ideal channel).
-sim::NetworkConfig net_config(const FigureParams& params) {
-  return params.net.empty() ? sim::NetworkConfig{}
-                            : sim::NetworkConfig::parse(params.net);
+/// A table's report header: its id, its title, the params line
+/// "nodes=N<extra> seed=S" and its columns.
+FigureReport table_report(std::string id, std::string title,
+                          const FigureParams& params, const std::string& extra,
+                          std::vector<std::string> columns) {
+  FigureReport report;
+  report.id = std::move(id);
+  report.title = std::move(title);
+  report.params = "nodes=" + std::to_string(params.nodes) + extra +
+                  " seed=" + std::to_string(params.seed);
+  report.table_columns = std::move(columns);
+  return report;
 }
 
-/// Parses the figure's --topo spec (empty = flat topology).
-topo::TopologyConfig topo_config(const FigureParams& params) {
-  return params.topo.empty() ? topo::TopologyConfig{}
-                             : topo::TopologyConfig::parse(params.topo);
+/// Params-line suffix describing a non-ideal channel (--net), a non-flat
+/// topology (--topo) and a non-default wire-size model (--sizes). Each part
+/// is empty on its default, and on an explicit all-default spec, so every
+/// figure that predates a layer stays byte-identical.
+std::string delivery_suffix(const scenario::RunOptions& options) {
+  std::string out;
+  if (!options.network.ideal()) out += " " + options.network.canonical();
+  if (!options.topology.flat()) out += " " + options.topology.canonical();
+  if (!options.sizes.empty()) {
+    const obs::MessageSizeModel model =
+        obs::MessageSizeModel::parse(options.sizes);
+    if (!(model == obs::MessageSizeModel{})) out += " " + model.canonical();
+  }
+  return out;
 }
 
-/// Params-line suffix describing the delivery layer. Empty on the ideal
-/// channel, so every pre-channel figure (and an explicit
-/// "net:loss=0,latency=constant:0") stays byte-identical.
-std::string net_suffix(const sim::NetworkConfig& net) {
-  return net.ideal() ? std::string{} : " " + net.canonical();
+/// True when traffic pays a channel: a non-ideal --net or a non-flat --topo.
+bool routed(const scenario::RunOptions& options) {
+  return !options.network.ideal() || !options.topology.flat();
 }
 
-/// Params-line suffix describing the topology layer; empty when flat, so
-/// pre-topology figures (and an explicit "topo:flat") stay byte-identical.
-std::string topo_suffix(const topo::TopologyConfig& topology) {
-  return topology.flat() ? std::string{} : " " + topology.canonical();
+/// The note quoting a delay measured through a routed channel.
+std::string delay_note(const std::string& what, double delay) {
+  return what + format_double(delay, 4) +
+         " (latency units; wall-clock through the delivery channel)";
 }
 
-/// Params-line suffix for a non-default wire-size model (--sizes); empty on
-/// the defaults (and an explicit all-default spec), so every pre-existing
-/// figure stays byte-identical.
-std::string sizes_suffix(const FigureParams& params) {
-  if (params.sizes.empty()) return {};
-  const obs::MessageSizeModel model =
-      obs::MessageSizeModel::parse(params.sizes);
-  if (model == obs::MessageSizeModel{}) return {};
-  return " " + model.canonical();
-}
-
-/// The replica setup a figure installs from its CLI knobs: --net, --topo,
-/// --sizes, the telemetry sink, and the intra-replica worker budget.
-/// Generators that reject --net/--topo check first, so theirs are ideal
-/// and flat.
+/// The replica setup a figure installs from its CLI knobs: --net (empty =
+/// the ideal channel), --topo (empty = flat), --sizes, the telemetry sink,
+/// and the intra-replica worker budget. Generators that reject --net/--topo
+/// check first, so theirs are ideal and flat.
 scenario::RunOptions replica_options(const FigureParams& params,
                                      std::size_t sim_workers = 1) {
   scenario::RunOptions options;
-  options.network = net_config(params);
-  options.topology = topo_config(params);
+  if (!params.net.empty()) {
+    options.network = sim::NetworkConfig::parse(params.net);
+  }
+  if (!params.topo.empty()) {
+    options.topology = topo::TopologyConfig::parse(params.topo);
+  }
   options.sizes = params.sizes;
   options.telemetry = params.telemetry;
   options.sim_workers = sim_workers;
@@ -157,97 +166,200 @@ std::size_t figure_sim_budget(const FigureParams& params,
 scenario::RunOptions unrouted_options(const FigureParams& params,
                                       std::string_view id) {
   scenario::RunOptions options = replica_options(params);
-  if (!options.network.ideal()) {
-    throw std::invalid_argument(
-        std::string(id) +
-        ": --net is not supported by this figure; it always runs the ideal "
-        "channel (drop the flag)");
-  }
-  if (!options.topology.flat()) {
-    throw std::invalid_argument(
-        std::string(id) +
-        ": --topo is not supported by this figure; it always runs the flat "
-        "topology (drop the flag)");
+  for (const auto& [flag, set, fallback] :
+       {std::tuple{"--net", !options.network.ideal(), "ideal channel"},
+        std::tuple{"--topo", !options.topology.flat(), "flat topology"}}) {
+    if (set) {
+      throw std::invalid_argument(
+          std::string(id) + ": " + flag +
+          " is not supported by this figure; it always runs the " + fallback +
+          " (drop the flag)");
+    }
   }
   return options;
 }
 
-/// Parses a spec-table estimator string and layers the CLI-tunable paper
-/// parameters (FigureParams) underneath any overrides the table already
-/// carries. `smooth_hs` injects the lastKruns window for dynamic
-/// HopsSampling figures; static figures smooth in the series loop instead.
-est::EstimatorSpec spec_with_params(std::string_view text,
-                                    const FigureParams& params,
-                                    bool smooth_hs) {
+/// Builds a candidate from its registry spec text, layering the CLI-tunable
+/// paper parameters (FigureParams) underneath any overrides the text
+/// already carries. Every figure names its candidates this way
+/// ("sample_collide:l=10", "hops_sampling:oracle=true", ...). `smooth_hs`
+/// injects the lastKruns window for dynamic HopsSampling figures; static
+/// figures score the lastK view themselves.
+std::unique_ptr<est::Estimator> candidate(std::string_view text,
+                                          const FigureParams& params,
+                                          bool smooth_hs = false) {
   est::EstimatorSpec spec = est::EstimatorSpec::parse(text);
   if (spec.name == "sample_collide") {
     spec.set_default("l", std::to_string(params.sc_collisions));
-    spec.set_default("T", format_double(params.sc_timer));
+    // Round-trip precision: the walk runs the exact --T the user gave.
+    spec.set_default("T", format_double(params.sc_timer, 17));
   } else if (spec.name == "aggregation" || spec.name == "aggregation_suite") {
     spec.set_default("rounds", std::to_string(params.agg_rounds));
   } else if (spec.name == "hops_sampling" && smooth_hs) {
     spec.set_default("last_k", std::to_string(params.last_k));
   }
-  return spec;
+  return est::EstimatorRegistry::global().build(spec);
 }
 
-/// Shared body of Figs 1/2/18 and 3/4: run `estimations` one-shot polls of a
-/// point estimator on a static heterogeneous overlay, reporting oneShot and
-/// lastK quality series.
-struct StaticSeriesResult {
-  support::Series one_shot{"one shot", {}, {}, '*'};
-  support::Series last_k;
-  support::RunningStats err_one_shot;   // |quality-100|
-  support::RunningStats err_last_k;
-  support::RunningStats signed_err_one_shot;  // quality-100
-  support::RunningStats messages;
-  support::RunningStats reach;  // poll coverage fraction (spread phase only)
-  support::RunningStats delay;  // measured per-estimate channel delay
-  /// Alive peers per topology class (all zero on the flat topology).
-  std::array<std::size_t, topo::kPeerClassCount> class_census{};
-  /// (estimation index, truth, estimate, messages, valid) for --csv
-  /// export. Invalid estimates are kept but flagged so external plots can
-  /// filter them instead of charting value 0.
-  std::vector<std::array<double, 5>> raw;
+/// One estimation from `initiator`, whatever the candidate's mode: a point
+/// estimator polls once; an epoch estimator runs one full epoch, is read at
+/// the initiator and is charged every message the epoch sent.
+est::Estimate estimate_once(est::Estimator& estimator, sim::Simulator& sim,
+                            net::NodeId initiator, RngStream& rng) {
+  if (estimator.mode() == est::Estimator::Mode::kPoint) {
+    return estimator.estimate_point(sim, initiator, rng);
+  }
+  const std::uint64_t before = sim.meter().total();
+  estimator.start_epoch(sim, initiator, rng);
+  for (std::uint32_t r = 0; r < estimator.rounds_per_epoch(); ++r) {
+    estimator.run_round(sim, rng);
+  }
+  est::Estimate e = estimator.epoch_estimate(sim, initiator);
+  e.messages = sim.meter().since(before);
+  return e;
+}
+
+/// The paper's score of a run of estimates against a fixed truth (§IV):
+/// signed and absolute quality error in percent, and what one estimate
+/// costs in messages, bytes and delay. Invalid estimates are counted, not
+/// scored. A lastK window adds the smoothed lastKruns view (Table I,
+/// Fig 8), scored once the window is full. Bytes are what the caller
+/// charges (FixedOverlay::score: what each estimate put on the wire), and
+/// so are the coverage of spread-phase estimators and the raw points.
+struct Scores {
+  Scores() = default;
+  /// With a lastK window; LastKAverage rejects an empty one.
+  explicit Scores(std::size_t last_k) : smoother(std::in_place, last_k) {}
+
+  void add(const est::Estimate& e, double truth, std::uint64_t byte_cost = 0) {
+    if (!e.valid) {
+      ++invalid;
+      return;
+    }
+    const double q = support::quality_percent(e.value, truth) - 100.0;
+    signed_err.add(q);
+    abs_err.add(std::abs(q));
+    messages.add(static_cast<double>(e.messages));
+    bytes.add(static_cast<double>(byte_cost));
+    delay.add(e.delay);
+    if (!smoother) return;
+    const double qa =
+        support::quality_percent(smoother->add(e.value), truth) - 100.0;
+    if (!smoother->full()) return;
+    last_k_signed.add(qa);
+    last_k_abs.add(std::abs(qa));
+  }
+
+  /// Cross-replica reduction, in replica order.
+  void merge(const Scores& other) {
+    signed_err.merge(other.signed_err);
+    abs_err.merge(other.abs_err);
+    messages.merge(other.messages);
+    bytes.merge(other.bytes);
+    delay.merge(other.delay);
+    last_k_signed.merge(other.last_k_signed);
+    last_k_abs.merge(other.last_k_abs);
+    coverage.merge(other.coverage);
+    invalid += other.invalid;
+  }
+
+  support::RunningStats signed_err, abs_err, messages, bytes, delay;
+  support::RunningStats last_k_signed, last_k_abs;
+  support::RunningStats coverage;  ///< fraction of the overlay a poll reached
+  std::size_t invalid = 0;
+  std::optional<est::LastKAverage> smoother;
+  /// Every estimate, valid or not, at x = its 1-based index (one run's
+  /// points; merge leaves them alone).
+  scenario::Series points;
 };
 
-StaticSeriesResult run_static_series(sim::Simulator& sim,
-                                     std::size_t estimations,
-                                     std::size_t last_k_window,
-                                     RngStream& est_rng, net::NodeId initiator,
-                                     est::Estimator& estimator) {
-  StaticSeriesResult result;
-  result.last_k.name = "last " + std::to_string(last_k_window) + " runs";
-  result.last_k.glyph = '+';
-  est::LastKAverage smoother(last_k_window);
-  const double truth = static_cast<double>(sim.graph().size());
-  for (std::size_t i = 1; i <= estimations; ++i) {
-    const est::Estimate e = estimator.estimate_point(sim, initiator, est_rng);
-    const double coverage = estimator.last_coverage();
-    if (!std::isnan(coverage)) result.reach.add(coverage);
-    result.raw.push_back({static_cast<double>(i), truth, e.value,
-                          static_cast<double>(e.messages),
-                          e.valid ? 1.0 : 0.0});
-    if (!e.valid) continue;
-    const double q_one = support::quality_percent(e.value, truth);
-    const double q_avg = support::quality_percent(smoother.add(e.value), truth);
-    result.one_shot.x.push_back(static_cast<double>(i));
-    result.one_shot.y.push_back(q_one);
-    result.last_k.x.push_back(static_cast<double>(i));
-    result.last_k.y.push_back(q_avg);
-    result.err_one_shot.add(std::abs(q_one - 100.0));
-    result.signed_err_one_shot.add(q_one - 100.0);
-    if (smoother.full()) result.err_last_k.add(std::abs(q_avg - 100.0));
-    result.messages.add(static_cast<double>(e.messages));
-    result.delay.add(e.delay);
+/// A candidate of a comparison table: its row label, registry spec and
+/// the name of its estimator stream.
+struct Candidate {
+  std::string_view label;
+  std::string_view spec;
+  std::string_view stream;
+};
+
+/// The fixed-overlay prologue: one replica, its true size, and the
+/// initiator every candidate polls from, drawn from root.split(tag, index).
+struct FixedOverlay {
+  template <typename Source>
+  FixedOverlay(const scenario::RunOptions& options, Source&& overlay,
+               const RngStream& root, std::uint64_t index = 0, int lane = 0,
+               std::string_view tag = "initiator")
+      : replica(options, std::forward<Source>(overlay), root, index, lane),
+        sim(replica.sim()),
+        truth(static_cast<double>(sim.graph().size())) {
+    RngStream pick = root.split(tag, index);
+    initiator = sim.graph().random_alive(pick);
   }
-  return result;
+
+  /// Runs `runs` estimations of `estimator` from the initiator into
+  /// `scores`, charging each the bytes it put on the wire.
+  Scores score(est::Estimator& estimator, RngStream rng, std::size_t runs,
+               Scores scores = {}) {
+    for (std::size_t i = 1; i <= runs; ++i) {
+      const std::uint64_t byte_base = sim.meter().total_bytes();
+      const est::Estimate e = estimate_once(estimator, sim, initiator, rng);
+      scores.add(e, truth, sim.meter().total_bytes() - byte_base);
+      const double coverage = estimator.last_coverage();
+      if (!std::isnan(coverage)) scores.coverage.add(coverage);
+      scores.points.push_back({.time = static_cast<double>(i),
+                               .truth = truth,
+                               .estimate = e.value,
+                               .valid = e.valid,
+                               .messages = e.messages,
+                               .delay = e.delay});
+    }
+    return scores;
+  }
+
+  scenario::Replica replica;
+  sim::Simulator& sim;
+  double truth;
+  net::NodeId initiator = net::kInvalidNode;
+};
+
+/// chi^2/df of `samples` draws of `draw()` (a node id) against the uniform
+/// law over the overlay's alive nodes; 1.0 = uniform.
+template <typename Draw>
+double chi2_per_df(const sim::Simulator& sim, std::size_t samples,
+                   Draw&& draw) {
+  std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
+  for (std::size_t i = 0; i < samples; ++i) ++counts[draw()];
+  return support::chi_square_uniform(counts) /
+         static_cast<double>(sim.graph().size() - 1);
+}
+
+/// The quality curve (§IV) of a run's valid estimates: each estimate's
+/// quality, or with a lastK window the running lastKruns mean's.
+support::Series quality_curve(support::Series line,
+                              const scenario::Series& points,
+                              std::size_t last_k = 0) {
+  std::optional<est::LastKAverage> smoother;
+  if (last_k > 0) smoother.emplace(last_k);
+  for (const scenario::SeriesPoint& p : points) {
+    if (!p.valid) continue;
+    line.x.push_back(p.time);
+    line.y.push_back(support::quality_percent(
+        smoother ? smoother->add(p.estimate) : p.estimate, p.truth));
+  }
+  return line;
+}
+
+/// The empty plot line of replica `r`: "Estimation #r+1", glyph '1'..'9'.
+support::Series replica_series(std::size_t r) {
+  return {"Estimation #" + std::to_string(r + 1), {}, {},
+          static_cast<char>('1' + r % 9)};
 }
 
 /// Assembles the dynamic-figure report: truth line + one estimate series per
-/// replica, as in Figs 9-17.
+/// replica, as in Figs 9-17. `lines` names and glyphs the estimate series
+/// (default: "Estimation #r").
 FigureReport dynamic_report(const std::vector<scenario::Series>& replicas,
-                            std::string x_label, double x_scale) {
+                            std::string x_label, double x_scale,
+                            std::vector<support::Series> lines = {}) {
   FigureReport report;
   report.plot.x_label = std::move(x_label);
   report.plot.y_label = "Estimated size";
@@ -260,11 +372,8 @@ FigureReport dynamic_report(const std::vector<scenario::Series>& replicas,
     }
   }
   report.series.push_back(std::move(truth));
-  const char glyphs[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   for (std::size_t r = 0; r < replicas.size(); ++r) {
-    support::Series s;
-    s.name = "Estimation #" + std::to_string(r + 1);
-    s.glyph = glyphs[r % sizeof glyphs];
+    support::Series s = r < lines.size() ? lines[r] : replica_series(r);
     for (const auto& point : replicas[r]) {
       if (!point.valid) continue;
       s.x.push_back(point.time * x_scale);
@@ -275,44 +384,38 @@ FigureReport dynamic_report(const std::vector<scenario::Series>& replicas,
   return report;
 }
 
-double mean_tracking_error(const std::vector<scenario::Series>& replicas) {
-  support::RunningStats err;
-  for (const auto& series : replicas) {
-    for (const auto& point : series) {
-      if (point.valid && point.truth > 0.0) {
-        err.add(std::abs(point.estimate - point.truth) / point.truth);
-      }
-    }
-  }
-  return err.mean();
-}
-
-double mean_messages(const std::vector<scenario::Series>& replicas) {
-  support::RunningStats msgs;
-  for (const auto& series : replicas) {
-    for (const auto& point : series) {
-      if (point.valid) msgs.add(static_cast<double>(point.messages));
-    }
-  }
-  return msgs.mean();
-}
-
-double mean_delay(const std::vector<scenario::Series>& replicas) {
+/// Tracking error, messages and delay over every valid point of every
+/// replica, in one pass.
+struct TrackingStats {
+  support::RunningStats error;  // |estimate - truth| / truth
+  support::RunningStats messages;
   support::RunningStats delay;
+};
+
+TrackingStats tracking_stats(const std::vector<scenario::Series>& replicas) {
+  TrackingStats stats;
   for (const auto& series : replicas) {
     for (const auto& point : series) {
-      if (point.valid) delay.add(point.delay);
+      if (!point.valid) continue;
+      if (point.truth > 0.0) {
+        stats.error.add(std::abs(point.estimate - point.truth) / point.truth);
+      }
+      stats.messages.add(static_cast<double>(point.messages));
+      stats.delay.add(point.delay);
     }
   }
-  return delay.mean();
+  return stats;
 }
 
-/// Records the per-replica (time, truth, estimate, messages) series for
-/// --csv export. Not printed with the report.
+/// Records the per-replica (x, truth, estimate, messages, valid) points
+/// for --csv export. Not printed with the report. Invalid estimates are
+/// kept but flagged, so external plots can filter them instead of charting
+/// value 0.
 void attach_raw_series(FigureReport& report,
-                       const std::vector<scenario::Series>& replicas) {
-  report.raw_columns = {"replica", "time",     "truth",
-                        "estimate", "messages", "valid"};
+                       const std::vector<scenario::Series>& replicas,
+                       std::string x_column = "time") {
+  report.raw_columns = {"replica",  std::move(x_column), "truth",
+                        "estimate", "messages",          "valid"};
   for (std::size_t r = 0; r < replicas.size(); ++r) {
     for (const auto& point : replicas[r]) {
       report.raw_rows.push_back({static_cast<double>(r), point.time,
@@ -328,45 +431,37 @@ void attach_raw_series(FigureReport& report,
 FigureReport fig_static_quality(const FigureSpec& spec,
                                 const FigureParams& params) {
   const std::unique_ptr<est::Estimator> proto =
-      est::EstimatorRegistry::global().build(
-          spec_with_params(spec.estimator, params, /*smooth_hs=*/false));
+      candidate(spec.estimator, params);
   const RngStream root(params.seed);
   const ParallelReplicaRunner pool(params.threads);
   const scenario::RunOptions options =
       replica_options(params, figure_sim_budget(params, pool));
-  const sim::NetworkConfig& net = options.network;
-  const topo::TopologyConfig& topology = options.topology;
   // Replica `rep` builds its own overlay and streams from split(tag, rep),
   // so results do not depend on the thread count.
   const std::size_t replicas = std::max<std::size_t>(1, params.replicas);
-  const auto outcomes =
-      pool.map<StaticSeriesResult>(replicas, [&](std::size_t rep) {
+  struct Outcome {
+    Scores scores;
+    /// Alive peers per topology class (all zero on the flat topology).
+    std::array<std::size_t, topo::kPeerClassCount> class_census{};
+  };
+  const auto outcomes = pool.map<Outcome>(replicas, [&](std::size_t rep) {
     const int lane = static_cast<int>(rep) + 1;
-    scenario::Replica replica(options, hetero_factory(params.nodes), root,
-                              rep, lane);
-    sim::Simulator& sim = replica.sim();
-    RngStream pick = root.split("initiator", rep);
-    RngStream est_rng = root.split("estimator", rep);
+    FixedOverlay at(options, hetero_factory(params.nodes), root, rep, lane);
     const std::unique_ptr<est::Estimator> estimator = proto->clone();
-    const net::NodeId initiator = sim.graph().random_alive(pick);
     const obs::Span sim_span = obs_span(params, "simulate", lane);
-    StaticSeriesResult result = run_static_series(
-        sim, params.estimations, params.last_k, est_rng, initiator,
-        *estimator);
-    if (sim.topology()) {
-      result.class_census = sim.topology()->alive_class_counts();
+    Outcome out{at.score(*estimator, root.split("estimator", rep),
+                         params.estimations, Scores(params.last_k))};
+    if (at.sim.topology()) {
+      out.class_census = at.sim.topology()->alive_class_counts();
     }
-    return result;
+    return out;
   });
   const obs::Span merge_span = obs_span(params, "merge");
-  StaticSeriesResult r;  // cross-replica aggregates, merged in replica order
-  for (const auto& o : outcomes) {
-    r.err_one_shot.merge(o.err_one_shot);
-    r.err_last_k.merge(o.err_last_k);
-    r.signed_err_one_shot.merge(o.signed_err_one_shot);
-    r.messages.merge(o.messages);
-    r.reach.merge(o.reach);
-    r.delay.merge(o.delay);
+  Scores r;  // cross-replica aggregates, merged in replica order
+  std::vector<scenario::Series> raw;
+  for (const Outcome& o : outcomes) {
+    r.merge(o.scores);
+    raw.push_back(o.scores.points);
   }
 
   FigureReport report;
@@ -378,47 +473,51 @@ FigureReport fig_static_quality(const FigureSpec& spec,
                   proto->describe() +
                   " estimations=" + std::to_string(params.estimations) +
                   " replicas=" + std::to_string(outcomes.size()) +
-                  " seed=" + std::to_string(params.seed) + net_suffix(net) +
-                  topo_suffix(topology) + sizes_suffix(params);
+                  " seed=" + std::to_string(params.seed) +
+                  delivery_suffix(options);
   report.plot = quality_plot(
       "Quality of " + std::string(proto->display_name()) + " estimations",
       "Number of estimations");
-  report.series = {outcomes.front().one_shot, outcomes.front().last_k};
+  const scenario::Series& plotted = outcomes.front().scores.points;
+  report.series = {
+      quality_curve({"one shot", {}, {}, '*'}, plotted),
+      quality_curve({"last " + std::to_string(params.last_k) + " runs", {},
+                     {}, '+'},
+                    plotted, params.last_k)};
 
   // Paper-comparison suffixes differ per candidate; the measurements and
   // their order do not.
-  const bool polls = r.reach.count() > 0;  // spread-phase estimators
+  const bool polls = r.coverage.count() > 0;  // spread-phase estimators
   const bool is_sc = proto->name() == "sample_collide";
   const bool is_hs = proto->name() == "hops_sampling";
   report.notes.push_back(
-      "mean |error| oneShot: " + format_double(r.err_one_shot.mean(), 3) +
+      "mean |error| oneShot: " + format_double(r.abs_err.mean(), 3) +
       "%" +
       (is_sc ? " (paper: mostly within 10%, peaks to 20%)"
              : is_hs ? " (paper: peaks over 50%)" : ""));
   report.notes.push_back(
-      "mean |error| lastK:   " + format_double(r.err_last_k.mean(), 3) + "%" +
+      "mean |error| lastK:   " + format_double(r.last_k_abs.mean(), 3) +
+      "%" +
       (is_sc ? " (paper: within 3-4%)"
              : is_hs ? " (paper: within 20%, consistent under-estimation)"
                      : ""));
   if (polls) {
     report.notes.push_back(
         "mean signed error oneShot: " +
-        format_double(r.signed_err_one_shot.mean(), 3) +
+        format_double(r.signed_err.mean(), 3) +
         "% (negative = under-estimates, as the paper observes)");
     report.notes.push_back(
-        "mean poll coverage: " + format_double(100.0 * r.reach.mean(), 4) +
+        "mean poll coverage: " + format_double(100.0 * r.coverage.mean(), 4) +
         "% of nodes reached" + (is_hs ? " (paper: ~89% at 1e5)" : ""));
   }
   report.notes.push_back("mean messages per estimation: " +
                          human_count(r.messages.mean()) +
                          (is_hs ? " (paper: O(2N))" : ""));
-  if (!net.ideal() || !topology.flat()) {
-    report.notes.push_back(
-        "mean measured delay per estimation: " +
-        format_double(r.delay.mean(), 4) +
-        " (latency units; wall-clock through the delivery channel)");
+  if (routed(options)) {
+    report.notes.push_back(delay_note("mean measured delay per estimation: ",
+                                      r.delay.mean()));
   }
-  if (!topology.flat()) {
+  if (!options.topology.flat()) {
     // The realized embedding (replica #1): what the per-link draws priced.
     std::string census = "peer classes (replica #1):";
     for (std::size_t i = 0; i < topo::kPeerClassCount; ++i) {
@@ -433,14 +532,7 @@ FigureReport fig_static_quality(const FigureSpec& spec,
       "stats over " + std::to_string(outcomes.size()) +
       " independent overlay replicas; plotted curves are replica #1");
 
-  report.raw_columns = {"replica", "estimation", "truth",
-                        "estimate", "messages",  "valid"};
-  for (std::size_t rep = 0; rep < outcomes.size(); ++rep) {
-    for (const auto& row : outcomes[rep].raw) {
-      report.raw_rows.push_back({static_cast<double>(rep), row[0], row[1],
-                                 row[2], row[3], row[4]});
-    }
-  }
+  attach_raw_series(report, raw, "estimation");
   return report;
 }
 
@@ -470,82 +562,69 @@ FigureReport fig_agg_convergence(const FigureSpec& spec,
   const ParallelReplicaRunner pool(params.threads);
   const scenario::RunOptions options =
       replica_options(params, figure_sim_budget(params, pool));
-  const sim::NetworkConfig& net = options.network;
-  const topo::TopologyConfig& topology = options.topology;
   report.params = "nodes=" + std::to_string(params.nodes) +
                   " rounds=" + std::to_string(rounds) +
                   " runs=" + std::to_string(params.replicas) +
-                  " seed=" + std::to_string(params.seed) + net_suffix(net) +
-                  topo_suffix(topology) + sizes_suffix(params);
+                  " seed=" + std::to_string(params.seed) +
+                  delivery_suffix(options);
   report.plot = quality_plot("Convergence of Aggregation", "#Round");
   report.plot.y_max = 110.0;
 
-  struct AggRun {
-    support::Series series;
-    std::size_t converged_at = 0;
-    double total_delay = 0.0;  // measured channel delay across all rounds
-    std::vector<std::array<double, 5>> raw;  // round,truth,estimate,msgs,valid
-  };
-  const char glyphs[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  const auto runs = pool.map<AggRun>(params.replicas, [&](std::size_t run) {
+  // Each run reads its epoch at the initiator after every round.
+  const auto runs =
+      pool.map<scenario::Series>(params.replicas, [&](std::size_t run) {
     // Per-run sim seed: the sim's root stream only feeds the channel, so
     // this keeps runs' loss/latency draws independent without touching the
     // (ideal-channel) byte-identity contract.
     const int lane = static_cast<int>(run) + 1;
-    scenario::Replica replica(options, graph, root, run, lane);
+    FixedOverlay at(options, graph, root, run, lane);
     const obs::Span sim_span = obs_span(params, "simulate", lane);
-    sim::Simulator& sim = replica.sim();
-    const double truth = static_cast<double>(sim.graph().size());
-    RngStream pick = root.split("initiator", run);
     RngStream est_rng = root.split("estimator", run);
     const std::unique_ptr<est::Estimator> agg = proto->clone();
-    const net::NodeId initiator = sim.graph().random_alive(pick);
-    agg->start_epoch(sim, initiator, est_rng);
-    AggRun out;
-    out.series.name = "Estimation #" + std::to_string(run + 1);
-    out.series.glyph = glyphs[run % sizeof glyphs];
+    agg->start_epoch(at.sim, at.initiator, est_rng);
+    scenario::Series out;
     for (std::size_t round = 1; round <= rounds; ++round) {
-      const std::uint64_t before = sim.meter().total();
-      agg->run_round(sim, est_rng);
-      const est::Estimate e = agg->epoch_estimate(sim, initiator);
-      const double q = e.valid ? support::quality_percent(e.value, truth) : 0.0;
-      out.series.x.push_back(static_cast<double>(round));
-      out.series.y.push_back(q);
-      out.raw.push_back({static_cast<double>(round), truth, e.value,
-                         static_cast<double>(sim.meter().since(before)),
-                         e.valid ? 1.0 : 0.0});
-      if (out.converged_at == 0 && std::abs(q - 100.0) <= 1.0) {
-        out.converged_at = round;
-      }
-      out.total_delay = e.delay;  // cumulative across the epoch's rounds
+      const std::uint64_t before = at.sim.meter().total();
+      agg->run_round(at.sim, est_rng);
+      const est::Estimate e = agg->epoch_estimate(at.sim, at.initiator);
+      // The epoch's delay is cumulative across its rounds.
+      out.push_back({.time = static_cast<double>(round),
+                     .truth = at.truth,
+                     .estimate = e.value,
+                     .valid = e.valid,
+                     .messages = at.sim.meter().since(before),
+                     .delay = e.delay});
     }
     return out;
   });
   const obs::Span merge_span = obs_span(params, "merge");
 
   for (std::size_t run = 0; run < runs.size(); ++run) {
+    support::Series line = replica_series(run);
+    std::size_t converged_at = 0;
+    for (const scenario::SeriesPoint& p : runs[run]) {
+      const double q =
+          p.valid ? support::quality_percent(p.estimate, p.truth) : 0.0;
+      line.x.push_back(p.time);
+      line.y.push_back(q);
+      if (converged_at == 0 && std::abs(q - 100.0) <= 1.0) {
+        converged_at = static_cast<std::size_t>(p.time);
+      }
+    }
     report.notes.push_back(
         "run #" + std::to_string(run + 1) + " reaches 99% quality at round " +
-        (runs[run].converged_at ? std::to_string(runs[run].converged_at)
-                                : "(not reached)"));
-    report.series.push_back(runs[run].series);
+        (converged_at ? std::to_string(converged_at) : "(not reached)"));
+    report.series.push_back(std::move(line));
   }
   report.notes.push_back(
       "paper: converges around round 40 at 1e5 nodes, around 50 at 1e6");
-  if ((!net.ideal() || !topology.flat()) && !runs.empty()) {
-    report.notes.push_back(
+  if (routed(options) && !runs.empty()) {
+    report.notes.push_back(delay_note(
         "measured delay across " + std::to_string(rounds) +
-        " rounds (run #1): " + format_double(runs.front().total_delay, 4) +
-        " (latency units; wall-clock through the delivery channel)");
+            " rounds (run #1): ",
+        runs.front().empty() ? 0.0 : runs.front().back().delay));
   }
-  report.raw_columns = {"replica", "round",    "truth",
-                        "estimate", "messages", "valid"};
-  for (std::size_t run = 0; run < runs.size(); ++run) {
-    for (const auto& row : runs[run].raw) {
-      report.raw_rows.push_back({static_cast<double>(run), row[0], row[1],
-                                 row[2], row[3], row[4]});
-    }
-  }
+  attach_raw_series(report, runs, "round");
   return report;
 }
 
@@ -599,19 +678,41 @@ FigureReport fig_scale_free_degrees(const FigureSpec&,
 
 // --- Fig 8: the three algorithms on the scale-free graph --------------------
 
+/// One candidate of Fig 8: what it runs, how it is plotted and which of
+/// its scores the caption quotes.
+struct ScaleFreeRow {
+  std::string_view spec;
+  std::string_view stream;
+  std::string_view series;
+  char glyph;
+  bool last_k;  ///< plot and quote the lastKruns view
+  std::string_view name;
+  std::string_view quoted_label;
+  support::RunningStats Scores::*quoted;
+  std::string_view paper;
+};
+
+constexpr ScaleFreeRow kScaleFreeRows[] = {
+    {"sample_collide", "sc", "Sample&collide", 's', false, "Sample&Collide",
+     "mean |error|", &Scores::abs_err, "degree distribution does not bias it"},
+    {"hops_sampling", "hs", "HopsSampling", 'h', true, "HopsSampling",
+     "mean signed error", &Scores::last_k_signed,
+     "under-estimation amplified on scale-free"},
+    {"aggregation", "agg", "Aggregation", 'a', false, "Aggregation",
+     "mean |error|", &Scores::abs_err, "still accurate on scale-free"},
+};
+
 FigureReport fig_scale_free_compare(const FigureSpec&,
                                     const FigureParams& params) {
   const scenario::RunOptions options =
       unrouted_options(params, "fig_scale_free_compare");
   const RngStream root(params.seed);
-  scenario::Replica replica(
+  FixedOverlay at(
       options,
       [&params](RngStream& rng) {
         return net::build_barabasi_albert({params.nodes, 3}, rng);
       },
       root);
-  sim::Simulator& sim = replica.sim();
-  const double truth = static_cast<double>(sim.graph().size());
 
   FigureReport report;
   report.id = "fig_scale_free_compare";
@@ -624,72 +725,91 @@ FigureReport fig_scale_free_compare(const FigureSpec&,
                   " seed=" + std::to_string(params.seed);
   report.plot = quality_plot("Three algorithms, scale-free overlay",
                              "Number of estimations");
-
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
-
-  // Sample&Collide oneShot.
-  {
-    const est::SampleCollide sc({.timer = params.sc_timer,
-                                 .collisions = params.sc_collisions});
-    RngStream rng = root.split("sc");
-    support::Series s{"Sample&collide", {}, {}, 's'};
-    support::RunningStats err;
-    for (std::size_t i = 1; i <= params.estimations; ++i) {
-      const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-      const double q = support::quality_percent(e.value, truth);
-      s.x.push_back(static_cast<double>(i));
-      s.y.push_back(q);
-      err.add(std::abs(q - 100.0));
-    }
-    report.notes.push_back("Sample&Collide mean |error|: " +
-                           format_double(err.mean(), 3) +
-                           "% (paper: degree distribution does not bias it)");
-    report.series.push_back(std::move(s));
-  }
-  // HopsSampling lastK.
-  {
-    const est::HopsSampling hs({});
-    RngStream rng = root.split("hs");
-    est::LastKAverage smoother(params.last_k);
-    support::Series s{"HopsSampling", {}, {}, 'h'};
-    support::RunningStats err;
-    for (std::size_t i = 1; i <= params.estimations; ++i) {
-      const est::HopsSamplingResult res = hs.run_once(sim, initiator, rng);
-      const double q =
-          support::quality_percent(smoother.add(res.estimate.value), truth);
-      s.x.push_back(static_cast<double>(i));
-      s.y.push_back(q);
-      if (smoother.full()) err.add(q - 100.0);
-    }
-    report.notes.push_back(
-        "HopsSampling mean signed error: " + format_double(err.mean(), 3) +
-        "% (paper: under-estimation amplified on scale-free)");
-    report.series.push_back(std::move(s));
-  }
-  // Aggregation: one epoch of agg_rounds per estimation.
-  {
-    est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-    RngStream rng = root.split("agg");
-    support::Series s{"Aggregation", {}, {}, 'a'};
-    support::RunningStats err;
-    for (std::size_t i = 1; i <= params.estimations; ++i) {
-      const est::Estimate e = agg.run_epoch(sim, initiator, rng);
-      const double q =
-          e.valid ? support::quality_percent(e.value, truth) : 0.0;
-      s.x.push_back(static_cast<double>(i));
-      s.y.push_back(q);
-      err.add(std::abs(q - 100.0));
-    }
-    report.notes.push_back("Aggregation mean |error|: " +
-                           format_double(err.mean(), 3) +
-                           "% (paper: still accurate on scale-free)");
-    report.series.push_back(std::move(s));
+  // One estimation per x step: Aggregation runs one epoch of agg_rounds.
+  for (const ScaleFreeRow& row : kScaleFreeRows) {
+    const Scores scores = at.score(
+        *candidate(row.spec, params), root.split(row.stream),
+        params.estimations, row.last_k ? Scores(params.last_k) : Scores());
+    report.notes.push_back(std::string(row.name) + " " +
+                           std::string(row.quoted_label) + ": " +
+                           format_double((scores.*row.quoted).mean(), 3) +
+                           "% (paper: " + std::string(row.paper) + ")");
+    report.series.push_back(quality_curve(
+        {std::string(row.series), {}, {}, row.glyph}, scores.points,
+        row.last_k ? params.last_k : 0));
   }
   return report;
 }
 
 // --- dynamic setting (§IV-D): Figs 9-17 and the matrix core -----------------
+
+/// The value of `key` on an estimator's describe() line ("l=200 T=10"), or
+/// "" when the line has no such field.
+std::string described(const est::Estimator& estimator, std::string_view key) {
+  std::istringstream fields(estimator.describe());
+  const std::string prefix = std::string(key) + "=";
+  for (std::string field; fields >> field;) {
+    if (field.starts_with(prefix)) return field.substr(prefix.size());
+  }
+  return {};
+}
+
+/// Caption of a dynamic-tracking report. The paper's three candidates
+/// (Figs 9-17) keep the paper's wording; the last row, keyed "", is what
+/// every other estimator gets. Captions describe the estimator that
+/// actually ran (its describe() line), not FigureParams: a matrix override
+/// like `sample_collide:l=10` must not be reported as the paper's l=200.
+struct TrackingCaption {
+  std::string_view estimator;  ///< registry name; "" = any other
+  std::string (*title)(const est::Estimator&);
+  bool per_estimation_x;       ///< x = estimation index (Figs 9-11)
+  std::string_view param_key;  ///< describe() field on the params line
+  bool pacing;                 ///< estimations= / rounds_per_unit= too
+  std::string_view error_note;  ///< appended to the tracking-error note
+  std::string_view paper_note;  ///< a note line of its own
+  bool messages_note;           ///< quote the mean messages per estimate
+};
+
+constexpr TrackingCaption kTrackingCaptions[] = {
+    {"sample_collide",
+     [](const est::Estimator&) {
+       return std::string("Sample&Collide oneShot");
+     },
+     true, "l", true, " (paper: reacts well even to brutal changes)", "",
+     false},
+    {"hops_sampling",
+     [](const est::Estimator& e) {
+       const std::string k = described(e, "lastK");
+       return "HopsSampling " +
+              (k.empty() ? std::string("oneShot") : "last" + k + "runs");
+     },
+     false, "", true,
+     " (paper: good behaviour, slight under-estimation, more variance than "
+     "Sample&Collide)",
+     "", false},
+    {"aggregation",
+     [](const est::Estimator& e) {
+       return "Aggregation (" + described(e, "rounds_per_epoch") +
+              "-round epochs)";
+     },
+     false, "rounds_per_epoch", false, "",
+     "paper: adapts to growth; under heavy departures the overlay loses "
+     "connectivity and estimates degrade (threshold ~30% departures)",
+     false},
+    {"",
+     [](const est::Estimator& e) {
+       return std::string(e.display_name()) + " (" + e.describe() + ")";
+     },
+     false, "", true, "", "", true},
+};
+
+const TrackingCaption& tracking_caption(std::string_view estimator) {
+  const TrackingCaption* caption = kTrackingCaptions;
+  while (!caption->estimator.empty() && caption->estimator != estimator) {
+    ++caption;
+  }
+  return *caption;
+}
 
 /// Shared driver for every estimator × workload combination: builds the
 /// prototype, fans `params.replicas` deterministic replicas over the
@@ -708,19 +828,15 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
   const std::size_t nodes = workload->initial_size().value_or(params.nodes);
   const double duration = workload->duration();
   scenario::RunOptions options = replica_options(params);
-  const sim::NetworkConfig& net = options.network;
-  const topo::TopologyConfig& topology = options.topology;
-  if (!net.ideal() && !proto.uses_channel()) {
-    throw std::invalid_argument(
-        std::string(proto.name()) +
-        ": --net has no effect on this estimator (its traffic does not "
-        "route through the delivery channel); drop the flag");
-  }
-  if (!topology.flat() && !proto.uses_channel()) {
-    throw std::invalid_argument(
-        std::string(proto.name()) +
-        ": --topo has no effect on this estimator (its traffic does not "
-        "route through the delivery channel); drop the flag");
+  for (const auto& [flag, set] :
+       {std::pair{"--net", !options.network.ideal()},
+        std::pair{"--topo", !options.topology.flat()}}) {
+    if (set && !proto.uses_channel()) {
+      throw std::invalid_argument(
+          std::string(proto.name()) + ": " + flag +
+          " has no effect on this estimator (its traffic does not route "
+          "through the delivery channel); drop the flag");
+    }
   }
   const ParallelReplicaRunner pool(params.threads);
   options.estimations = params.estimations;
@@ -735,96 +851,45 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
       });
   const obs::Span merge_span = obs_span(params, "merge");
 
-  // Captions/axes always describe the estimator that actually ran — the
-  // prototype's config, not FigureParams (a matrix spec override like
-  // `sample_collide:l=10` must not be reported as the paper's l=200).
-  const std::string_view name = proto.name();
-  FigureReport report;
-  if (name == "sample_collide") {
-    const auto& sc = dynamic_cast<const est::SampleCollideEstimator&>(proto);
-    // Paper's x-axis for Figs 9-11 is the estimation index.
-    const double per_estimation =
-        static_cast<double>(params.estimations) / duration;
-    report = dynamic_report(replicas, "Number of estimations", per_estimation);
-    report.id = "fig_sc_dynamic";
-    report.title = std::string("Sample&Collide oneShot, ") +
-                   std::string(kind_label(scenario));
-    report.params = "nodes=" + std::to_string(nodes) +
-                    " l=" + std::to_string(sc.config().collisions) +
-                    " estimations=" + std::to_string(params.estimations) +
-                    " replicas=" + std::to_string(params.replicas) +
-                    " seed=" + std::to_string(params.seed);
-    report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) +
-            "% (paper: reacts well even to brutal changes)",
-    };
-  } else if (name == "hops_sampling") {
-    const auto& hs = dynamic_cast<const est::HopsSamplingEstimator&>(proto);
-    report = dynamic_report(replicas, "Time", 1.0);
-    report.id = "fig_hs_dynamic";
-    report.title = "HopsSampling " +
-                   (hs.smooth_last_k() > 0
-                        ? "last" + std::to_string(hs.smooth_last_k()) + "runs"
-                        : std::string("oneShot")) +
-                   ", " + std::string(kind_label(scenario));
-    report.params = "nodes=" + std::to_string(nodes) +
-                    " estimations=" + std::to_string(params.estimations) +
-                    " replicas=" + std::to_string(params.replicas) +
-                    " seed=" + std::to_string(params.seed);
-    report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) +
-            "% (paper: good behaviour, slight under-estimation, more variance "
-            "than Sample&Collide)",
-    };
-  } else if (name == "aggregation") {
-    const auto& agg = dynamic_cast<const est::AggregationEstimator&>(proto);
-    report = dynamic_report(replicas, "#Round", rounds_per_unit);
-    report.id = "fig_agg_dynamic";
-    report.title = std::string("Aggregation (") +
-                   std::to_string(agg.config().rounds_per_epoch) +
-                   "-round epochs), " + std::string(kind_label(scenario));
-    report.params = "nodes=" + std::to_string(nodes) +
-                    " rounds_per_epoch=" +
-                    std::to_string(agg.config().rounds_per_epoch) +
-                    " replicas=" + std::to_string(params.replicas) +
-                    " seed=" + std::to_string(params.seed);
-    report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) + "%",
-        "paper: adapts to growth; under heavy departures the overlay loses "
-        "connectivity and estimates degrade (threshold ~30% departures)",
-    };
-  } else {
-    // Off-paper combination: generic labels derived from the estimator.
-    const bool epoch = proto.mode() == est::Estimator::Mode::kEpoch;
-    report = dynamic_report(replicas, epoch ? "#Round" : "Time",
-                            epoch ? rounds_per_unit : 1.0);
-    report.id = "fig_" + std::string(proto.short_name()) + "_dynamic";
-    report.title = std::string(proto.display_name()) + " (" +
-                   proto.describe() + "), " +
-                   std::string(kind_label(scenario));
-    report.params =
-        "nodes=" + std::to_string(nodes) +
-        (epoch ? " rounds_per_unit=" + format_double(rounds_per_unit)
-               : " estimations=" + std::to_string(params.estimations)) +
-        " replicas=" + std::to_string(replica_count) +
-        " seed=" + std::to_string(params.seed);
-    report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) + "%",
-        "mean messages per estimate: " +
-            human_count(mean_messages(replicas)),
-    };
+  const TrackingCaption& caption = tracking_caption(proto.name());
+  const bool epoch = proto.mode() == est::Estimator::Mode::kEpoch;
+  const TrackingStats stats = tracking_stats(replicas);
+  // Paper's x-axis for Figs 9-11 is the estimation index.
+  FigureReport report =
+      caption.per_estimation_x
+          ? dynamic_report(replicas, "Number of estimations",
+                           static_cast<double>(params.estimations) / duration)
+          : dynamic_report(replicas, epoch ? "#Round" : "Time",
+                           epoch ? rounds_per_unit : 1.0);
+  report.id = "fig_" + std::string(proto.short_name()) + "_dynamic";
+  report.title =
+      caption.title(proto) + ", " + std::string(kind_label(scenario));
+  report.params = "nodes=" + std::to_string(nodes);
+  if (!caption.param_key.empty()) {
+    report.params += " " + std::string(caption.param_key) + "=" +
+                     described(proto, caption.param_key);
   }
-  report.params +=
-      net_suffix(net) + topo_suffix(topology) + sizes_suffix(params);
-  if (!net.ideal() || !topology.flat()) {
+  if (caption.pacing) {
+    report.params +=
+        epoch ? " rounds_per_unit=" + format_double(rounds_per_unit)
+              : " estimations=" + std::to_string(params.estimations);
+  }
+  report.params += " replicas=" + std::to_string(replica_count) +
+                   " seed=" + std::to_string(params.seed) +
+                   delivery_suffix(options);
+  report.notes.push_back("mean |estimate-truth|/truth: " +
+                         format_double(100.0 * stats.error.mean(), 3) + "%" +
+                         std::string(caption.error_note));
+  if (!caption.paper_note.empty()) {
+    report.notes.emplace_back(caption.paper_note);
+  }
+  if (caption.messages_note) {
+    report.notes.push_back("mean messages per estimate: " +
+                           human_count(stats.messages.mean()));
+  }
+  if (routed(options)) {
     report.notes.push_back(
-        "mean measured delay per estimate: " +
-        format_double(mean_delay(replicas), 4) +
-        " (latency units; wall-clock through the delivery channel)");
+        delay_note("mean measured delay per estimate: ", stats.delay.mean()));
   }
   attach_raw_series(report, replicas);
   return report;
@@ -833,8 +898,7 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
 FigureReport fig_dynamic_tracking(const FigureSpec& spec,
                                   const FigureParams& params) {
   const std::unique_ptr<est::Estimator> proto =
-      est::EstimatorRegistry::global().build(
-          spec_with_params(spec.estimator, params, /*smooth_hs=*/true));
+      candidate(spec.estimator, params, /*smooth_hs=*/true);
   return dynamic_tracking(*proto, spec.scenario, params,
                           /*rounds_per_unit=*/10.0);
 }
@@ -844,126 +908,64 @@ FigureReport fig_dynamic_tracking(const FigureSpec& spec,
 FigureReport table1_overhead(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options = unrouted_options(params, "table1");
   const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
+  FixedOverlay at(options, hetero_factory(params.nodes), root);
   // The bytes and max-load columns need the distribution recorder whether
   // or not a telemetry sink is attached. Recording never draws, so the
   // legacy columns are byte-identical to the recorder-less table.
-  sim.enable_recorder();
-  const double truth = static_cast<double>(sim.graph().size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+  at.sim.enable_recorder();
   const std::size_t runs = std::max<std::size_t>(params.last_k,
                                                  params.estimations);
 
-  FigureReport report;
-  report.id = "table1";
-  report.title =
-      "Overhead for an estimation on a " + human_count(static_cast<double>(params.nodes)) +
-      " node overlay (paper Table I)";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(runs) +
-                  " seed=" + std::to_string(params.seed) +
-                  sizes_suffix(params);
-  report.table_columns = {"Algorithm",        "Heuristic",
-                          "mean error %",     "mean |error| %",
-                          "overhead (msgs)",  "overhead (bytes)",
-                          "max node load",    "paper overhead"};
+  FigureReport report = table_report(
+      "table1",
+      "Overhead for an estimation on a " +
+          human_count(static_cast<double>(params.nodes)) +
+          " node overlay (paper Table I)",
+      params, " runs=" + std::to_string(runs),
+      {"Algorithm", "Heuristic", "mean error %", "mean |error| %",
+       "overhead (msgs)", "overhead (bytes)", "max node load",
+       "paper overhead"});
+  report.params += delivery_suffix(options);
 
-  const auto add_row = [&](const std::string& name, const std::string& mode,
-                           const support::RunningStats& signed_err,
-                           const support::RunningStats& abs_err, double msgs,
-                           double bytes, std::uint64_t max_load,
-                           const std::string& paper) {
-    report.table_rows.push_back(
-        {name, mode, format_double(signed_err.mean(), 3),
-         format_double(abs_err.mean(), 3), human_count(msgs),
-         human_count(bytes) + "B",
-         human_count(static_cast<double>(max_load)), paper});
+  // Each candidate's max node load counts only its own runs.
+  const auto run = [&](std::string_view spec, std::string_view stream,
+                       std::size_t count, Scores scores) {
+    at.sim.recorder()->reset_node_loads();
+    return at.score(*candidate(spec, params), root.split(stream), count,
+                    std::move(scores));
   };
+  // A lastKruns row costs K estimations.
+  const auto add_row = [&](std::string name, std::string mode,
+                           const Scores& scores, bool last_k,
+                           std::string paper) {
+    const double k = last_k ? static_cast<double>(params.last_k) : 1.0;
+    report.table_rows.push_back(
+        {std::move(name), std::move(mode),
+         format_double((last_k ? scores.last_k_signed : scores.signed_err)
+                           .mean(), 3),
+         format_double((last_k ? scores.last_k_abs : scores.abs_err).mean(),
+                       3),
+         human_count(scores.messages.mean() * k),
+         human_count(scores.bytes.mean() * k) + "B",
+         human_count(
+             static_cast<double>(at.sim.recorder()->max_node_messages())),
+         std::move(paper)});
+  };
+  const std::string last_k = "last" + std::to_string(params.last_k) + "runs";
+  const std::string sc =
+      "Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")";
 
-  // Sample&Collide l=200: oneShot and lastK from the same run sequence.
-  {
-    const est::SampleCollide sc({.timer = params.sc_timer,
-                                 .collisions = params.sc_collisions});
-    RngStream rng = root.split("sc");
-    est::LastKAverage smoother(params.last_k);
-    support::RunningStats one_signed, one_abs, avg_signed, avg_abs, msgs;
-    support::RunningStats bytes;
-    sim.recorder()->reset_node_loads();
-    for (std::size_t i = 0; i < runs; ++i) {
-      const std::uint64_t byte_base = sim.meter().total_bytes();
-      const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-      bytes.add(static_cast<double>(sim.meter().total_bytes() - byte_base));
-      const double q = support::quality_percent(e.value, truth) - 100.0;
-      one_signed.add(q);
-      one_abs.add(std::abs(q));
-      const double qa =
-          support::quality_percent(smoother.add(e.value), truth) - 100.0;
-      if (smoother.full()) {
-        avg_signed.add(qa);
-        avg_abs.add(std::abs(qa));
-      }
-      msgs.add(static_cast<double>(e.messages));
-    }
-    const std::uint64_t max_load = sim.recorder()->max_node_messages();
-    add_row("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
-            "oneShot", one_signed, one_abs, msgs.mean(), bytes.mean(),
-            max_load, "0.5M, +/-10%");
-    add_row("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
-            "last" + std::to_string(params.last_k) + "runs", avg_signed,
-            avg_abs, msgs.mean() * static_cast<double>(params.last_k),
-            bytes.mean() * static_cast<double>(params.last_k), max_load,
-            "5M, +/-4%");
-  }
-  // HopsSampling lastK.
-  {
-    const est::HopsSampling hs({});
-    RngStream rng = root.split("hs");
-    est::LastKAverage smoother(params.last_k);
-    support::RunningStats avg_signed, avg_abs, msgs;
-    support::RunningStats bytes;
-    sim.recorder()->reset_node_loads();
-    for (std::size_t i = 0; i < runs; ++i) {
-      const std::uint64_t byte_base = sim.meter().total_bytes();
-      const est::HopsSamplingResult res = hs.run_once(sim, initiator, rng);
-      bytes.add(static_cast<double>(sim.meter().total_bytes() - byte_base));
-      const double qa =
-          support::quality_percent(smoother.add(res.estimate.value), truth) -
-          100.0;
-      if (smoother.full()) {
-        avg_signed.add(qa);
-        avg_abs.add(std::abs(qa));
-      }
-      msgs.add(static_cast<double>(res.estimate.messages));
-    }
-    add_row("HopsSampling", "last" + std::to_string(params.last_k) + "runs",
-            avg_signed, avg_abs,
-            msgs.mean() * static_cast<double>(params.last_k),
-            bytes.mean() * static_cast<double>(params.last_k),
-            sim.recorder()->max_node_messages(), "2.5M, -20%");
-  }
-  // Aggregation, one epoch of agg_rounds.
-  {
-    est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-    RngStream rng = root.split("agg");
-    support::RunningStats signed_err, abs_err, msgs;
-    support::RunningStats bytes;
-    sim.recorder()->reset_node_loads();
-    const std::size_t agg_runs = std::min<std::size_t>(3, runs);
-    for (std::size_t i = 0; i < agg_runs; ++i) {
-      const std::uint64_t byte_base = sim.meter().total_bytes();
-      const est::Estimate e = agg.run_epoch(sim, initiator, rng);
-      bytes.add(static_cast<double>(sim.meter().total_bytes() - byte_base));
-      const double q = support::quality_percent(e.value, truth) - 100.0;
-      signed_err.add(q);
-      abs_err.add(std::abs(q));
-      msgs.add(static_cast<double>(e.messages));
-    }
-    add_row("Aggregation", std::to_string(params.agg_rounds) + " rounds",
-            signed_err, abs_err, msgs.mean(), bytes.mean(),
-            sim.recorder()->max_node_messages(), "10M, -1%");
-  }
+  // Sample&Collide: oneShot and lastK from the same run sequence.
+  const Scores sc_scores =
+      run("sample_collide", "sc", runs, Scores(params.last_k));
+  add_row(sc, "oneShot", sc_scores, false, "0.5M, +/-10%");
+  add_row(sc, last_k, sc_scores, true, "5M, +/-4%");
+  add_row("HopsSampling", last_k,
+          run("hops_sampling", "hs", runs, Scores(params.last_k)), true,
+          "2.5M, -20%");
+  add_row("Aggregation", std::to_string(params.agg_rounds) + " rounds",
+          run("aggregation", "agg", std::min<std::size_t>(3, runs), {}), false,
+          "10M, -1%");
   report.notes = {
       "paper ordering: Aggregation (10M) > S&C-l200-last10 (5M) > "
       "HopsSampling-last10 (2.5M) > S&C-l200-oneShot (0.5M)",
@@ -982,49 +984,32 @@ FigureReport ablation_sc_l_sweep(const FigureSpec&,
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
-  const double truth = static_cast<double>(graph.size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = graph.random_alive(pick);
 
-  FigureReport report;
-  report.id = "ablation_sc_l_sweep";
-  report.title = "Sample&Collide accuracy/overhead trade-off vs l";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " T=" + format_double(params.sc_timer) +
-                  " runs/l=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"l", "mean |error| %", "mean msgs/estimation",
-                          "cost ratio vs l=10"};
+  FigureReport report = table_report(
+      "ablation_sc_l_sweep", "Sample&Collide accuracy/overhead trade-off vs l",
+      params,
+      " T=" + format_double(params.sc_timer) +
+          " runs/l=" + std::to_string(params.estimations),
+      {"l", "mean |error| %", "mean msgs/estimation", "cost ratio vs l=10"});
   const std::vector<std::uint32_t> l_values = {10, 50, 100, 200};
-
   // Grid fan-out: every l gets its own copy of the overlay (same wiring,
   // same initiator) and its own seed-derived stream, so results match the
   // sequential sweep exactly at any thread count.
-  struct SweepCell {
-    support::RunningStats err, msgs;
-  };
   const ParallelReplicaRunner pool(params.threads);
-  const auto cells = pool.map<SweepCell>(l_values.size(), [&](std::size_t i) {
+  const auto cells = pool.map<Scores>(l_values.size(), [&](std::size_t i) {
     const std::uint32_t l = l_values[i];
-    scenario::Replica replica(options, graph, root);
-    sim::Simulator& sim = replica.sim();
-    const est::SampleCollide sc({.timer = params.sc_timer, .collisions = l});
-    RngStream rng = root.split("sc", l);
-    SweepCell cell;
-    for (std::size_t run = 0; run < params.estimations; ++run) {
-      const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-      cell.err.add(std::abs(support::quality_percent(e.value, truth) - 100.0));
-      cell.msgs.add(static_cast<double>(e.messages));
-    }
-    return cell;
+    FixedOverlay at(options, graph, root);
+    return at.score(
+        *candidate("sample_collide:l=" + std::to_string(l), params),
+        root.split("sc", l), params.estimations);
   });
-  const double base_cost = cells.front().msgs.mean();
+  const double base_cost = cells.front().messages.mean();
   for (std::size_t i = 0; i < l_values.size(); ++i) {
+    const double cost = cells[i].messages.mean();
     report.table_rows.push_back(
-        {std::to_string(l_values[i]), format_double(cells[i].err.mean(), 3),
-         human_count(cells[i].msgs.mean()),
-         format_double(base_cost > 0 ? cells[i].msgs.mean() / base_cost : 0.0,
-                       3)});
+        {std::to_string(l_values[i]),
+         format_double(cells[i].abs_err.mean(), 3), human_count(cost),
+         format_double(base_cost > 0 ? cost / base_cost : 0.0, 3)});
   }
   report.notes = {
       "paper: l=100 costs 3.27x the cost of l=10; l=200 costs 1.40x l=100",
@@ -1040,18 +1025,12 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = graph.random_alive(pick);
-  const std::size_t n = graph.size();
-  const std::size_t samples = 30 * n;
+  const std::size_t samples = 30 * graph.size();
 
-  FigureReport report;
-  report.id = "ablation_sc_timer_sweep";
-  report.title = "T-walk sampler uniformity vs timer budget T";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " samples/T=" + std::to_string(samples) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"T", "chi2/df (1.0 = uniform)", "mean walk steps"};
+  FigureReport report = table_report(
+      "ablation_sc_timer_sweep", "T-walk sampler uniformity vs timer budget T",
+      params, " samples/T=" + std::to_string(samples),
+      {"T", "chi2/df (1.0 = uniform)", "mean walk steps"});
   const std::vector<double> timers = {0.5, 1.0, 2.0, 5.0, 10.0};
 
   struct TimerCell {
@@ -1061,19 +1040,15 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
   const ParallelReplicaRunner pool(params.threads);
   const auto cells = pool.map<TimerCell>(timers.size(), [&](std::size_t i) {
     const double timer = timers[i];
-    scenario::Replica replica(options, graph, root);
-    sim::Simulator& sim = replica.sim();
+    FixedOverlay at(options, graph, root);
     const est::SampleCollide sc({.timer = timer, .collisions = 1});
     RngStream rng = root.split("walk", static_cast<std::uint64_t>(timer * 100));
-    std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
     TimerCell cell;
-    for (std::size_t s = 0; s < samples; ++s) {
-      const est::WalkSample ws = sc.sample(sim, initiator, rng);
-      ++counts[ws.node];
+    cell.chi2_per_df = chi2_per_df(at.sim, samples, [&] {
+      const est::WalkSample ws = sc.sample(at.sim, at.initiator, rng);
       cell.steps.add(static_cast<double>(ws.steps));
-    }
-    cell.chi2_per_df =
-        support::chi_square_uniform(counts) / static_cast<double>(n - 1);
+      return ws.node;
+    });
     return cell;
   });
   for (std::size_t i = 0; i < timers.size(); ++i) {
@@ -1088,241 +1063,141 @@ FigureReport ablation_sc_timer_sweep(const FigureSpec&,
   return report;
 }
 
-FigureReport ablation_hs_oracle(const FigureSpec&,
-                                const FigureParams& params) {
-  const scenario::RunOptions options =
-      unrouted_options(params, "ablation_hs_oracle");
-  const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  const double truth = static_cast<double>(sim.graph().size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+/// What a comparison-table cell quotes from a candidate's scores.
+enum class Quote { kSignedErr, kErrStddev, kAbsErr, kCoverage, kMessages };
 
-  FigureReport report;
-  report.id = "ablation_hs_oracle";
-  report.title = "HopsSampling: gossip distances vs oracle BFS distances";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"variant", "mean error %", "mean |error| %",
-                          "mean coverage %"};
-  for (const bool oracle : {false, true}) {
-    est::HopsSamplingConfig config;
-    config.oracle_distances = oracle;
-    const est::HopsSampling hs(config);
-    RngStream rng = root.split(oracle ? "oracle" : "gossip");
-    support::RunningStats signed_err, abs_err, coverage;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::HopsSamplingResult res = hs.run_once(sim, initiator, rng);
-      const double q =
-          support::quality_percent(res.estimate.value, truth) - 100.0;
-      signed_err.add(q);
-      abs_err.add(std::abs(q));
-      coverage.add(100.0 * static_cast<double>(res.reached) / truth);
-    }
-    report.table_rows.push_back({oracle ? "oracle BFS" : "gossip spread",
-                                 format_double(signed_err.mean(), 3),
-                                 format_double(abs_err.mean(), 3),
-                                 format_double(coverage.mean(), 4)});
+std::string quote(const Scores& scores, Quote what) {
+  switch (what) {
+    case Quote::kSignedErr: return format_double(scores.signed_err.mean(), 3);
+    case Quote::kErrStddev: return format_double(scores.signed_err.stddev(), 3);
+    case Quote::kAbsErr: return format_double(scores.abs_err.mean(), 3);
+    case Quote::kCoverage:
+      return format_double(100.0 * scores.coverage.mean(), 4);
+    case Quote::kMessages: return human_count(scores.messages.mean());
   }
-  report.notes = {
-      "paper §V: with accurate distances the estimate is correct — the "
-      "under-estimation comes from the spread phase (partial reach, "
-      "inaccurate distances), ~11% of nodes unreached at 1e5",
-  };
-  return report;
+  return {};
 }
 
-FigureReport ablation_estimators(const FigureSpec&,
-                                 const FigureParams& params) {
-  const scenario::RunOptions options =
-      unrouted_options(params, "ablation_estimators");
-  const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  const double truth = static_cast<double>(sim.graph().size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+/// An overlay a comparison table scores its candidates on, built from
+/// root.split(stream).
+struct TableOverlay {
+  std::string_view label;  ///< "" = the table has no overlay column
+  std::string_view stream;
+  net::Graph (*build)(std::size_t nodes, RngStream& rng);
+};
 
-  FigureReport report;
-  report.id = "ablation_estimators";
-  report.title = "Collision estimator: quadratic (C^2/2l) vs maximum likelihood";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " l=" + std::to_string(params.sc_collisions) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"estimator", "mean error %", "stddev %",
-                          "mean |error| %"};
-  for (const auto kind : {est::CollisionEstimator::kQuadratic,
-                          est::CollisionEstimator::kMaximumLikelihood}) {
-    const est::SampleCollide sc({.timer = params.sc_timer,
-                                 .collisions = params.sc_collisions,
-                                 .estimator = kind});
-    RngStream rng = root.split("runs");  // same stream: same samples
-    support::RunningStats signed_err, abs_err;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-      const double q = support::quality_percent(e.value, truth) - 100.0;
-      signed_err.add(q);
-      abs_err.add(std::abs(q));
-    }
-    report.table_rows.push_back(
-        {kind == est::CollisionEstimator::kQuadratic ? "quadratic" : "MLE",
-         format_double(signed_err.mean(), 3),
-         format_double(signed_err.stddev(), 3),
-         format_double(abs_err.mean(), 3)});
-  }
-  report.notes = {
-      "identical RNG stream per variant: differences are purely the "
-      "estimator formula",
+/// A comparison table as a row: every candidate scored on every overlay
+/// from one initiator, one table row per (overlay, candidate). An epoch
+/// candidate runs one epoch, a point candidate --estimations polls.
+struct ComparisonTable {
+  std::string_view id;
+  std::string_view title;
+  bool quotes_l;  ///< the params line names --l
+  std::vector<std::string> columns;
+  std::vector<TableOverlay> overlays;
+  std::vector<Candidate> candidates;
+  std::vector<Quote> quotes;
+  std::vector<std::string_view> notes;
+};
+
+const std::vector<ComparisonTable>& comparison_tables() {
+  const auto homogeneous = [](std::size_t nodes, RngStream& rng) {
+    return net::build_homogeneous_random({nodes, 7}, rng);
   };
-  return report;
+  const auto scale_free = [](std::size_t nodes, RngStream& rng) {
+    return net::build_barabasi_albert({nodes, 3}, rng);
+  };
+  static const std::vector<ComparisonTable> tables = {
+      {"ablation_hs_oracle",
+       "HopsSampling: gossip distances vs oracle BFS distances",
+       false,
+       {"variant", "mean error %", "mean |error| %", "mean coverage %"},
+       {{"", "graph", build_hetero}},
+       {{"gossip spread", "hops_sampling", "gossip"},
+        {"oracle BFS", "hops_sampling:oracle=true", "oracle"}},
+       {Quote::kSignedErr, Quote::kAbsErr, Quote::kCoverage},
+       {"paper §V: with accurate distances the estimate is correct — the "
+        "under-estimation comes from the spread phase (partial reach, "
+        "inaccurate distances), ~11% of nodes unreached at 1e5"}},
+      // Same stream per variant: same samples, only the formula differs.
+      {"ablation_estimators",
+       "Collision estimator: quadratic (C^2/2l) vs maximum likelihood",
+       true,
+       {"estimator", "mean error %", "stddev %", "mean |error| %"},
+       {{"", "graph", build_hetero}},
+       {{"quadratic", "sample_collide", "runs"},
+        {"MLE", "sample_collide:estimator=mle", "runs"}},
+       {Quote::kSignedErr, Quote::kErrStddev, Quote::kAbsErr},
+       {"identical RNG stream per variant: differences are purely the "
+        "estimator formula"}},
+      {"ablation_homogeneous",
+       "Heterogeneous vs homogeneous overlays",
+       false,
+       {"overlay", "algorithm", "mean |error| %"},
+       {{"heterogeneous", "hetero", build_hetero},
+        {"homogeneous d=7", "homo", homogeneous}},
+       {{"Sample&Collide", "sample_collide", "sc"},
+        {"HopsSampling", "hops_sampling", "hs"},
+        {"Aggregation", "aggregation", "agg"}},
+       {Quote::kAbsErr},
+       {"paper: homogeneous graphs 'consistently improved all algorithms'; "
+        "the heterogeneous setting is the worst case the paper reports"}},
+      {"ablation_baselines",
+       "Random-walk baselines: Sample&Collide vs Random Tour vs naive "
+       "Inverted Birthday Paradox",
+       false,
+       {"graph", "algorithm", "mean error %", "mean |error| %",
+        "mean msgs/run"},
+       {{"heterogeneous", "hetero_graph", build_hetero},
+        {"scale-free", "ba_graph", scale_free}},
+       {{"Sample&Collide (l=10)", "sample_collide:l=10", "sc"},
+        {"Random Tour", "random_tour", "tour"},
+        {"Inverted Birthday (biased sampler, l=10)",
+         "inverted_birthday:walk_length=30,l=10", "ibp"}},
+       {Quote::kSignedErr, Quote::kAbsErr, Quote::kMessages},
+       {"Random Tour is unbiased but its per-run cost scales with |E|/deg(i) "
+        "(paper §II: 'much lower' overhead for Sample&Collide)",
+        "the naive fixed-length-walk sampler over-samples high-degree nodes, "
+        "deflating estimates on the scale-free graph (motivates the "
+        "T-walk)"}},
+  };
+  return tables;
 }
 
-FigureReport ablation_homogeneous(const FigureSpec&,
-                                  const FigureParams& params) {
-  const scenario::RunOptions options =
-      unrouted_options(params, "ablation_homogeneous");
+FigureReport comparison_table(const FigureSpec& spec,
+                              const FigureParams& params) {
+  const ComparisonTable& table = *std::find_if(
+      comparison_tables().begin(), comparison_tables().end(),
+      [&](const ComparisonTable& row) { return row.id == spec.id; });
+  const scenario::RunOptions options = unrouted_options(params, table.id);
   const RngStream root(params.seed);
-
-  FigureReport report;
-  report.id = "ablation_homogeneous";
-  report.title = "Heterogeneous vs homogeneous overlays";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"overlay", "algorithm", "mean |error| %"};
-
-  for (const bool homogeneous : {false, true}) {
-    RngStream graph_rng = root.split(homogeneous ? "homo" : "hetero");
-    net::Graph graph =
-        homogeneous
-            ? net::build_homogeneous_random({params.nodes, 7}, graph_rng)
-            : build_hetero(params.nodes, graph_rng);
-    scenario::Replica replica(options, std::move(graph), root);
-    sim::Simulator& sim = replica.sim();
-    const double truth = static_cast<double>(sim.graph().size());
-    RngStream pick = root.split("initiator");
-    const net::NodeId initiator = sim.graph().random_alive(pick);
-    const std::string overlay = homogeneous ? "homogeneous d=7" : "heterogeneous";
-
-    {
-      const est::SampleCollide sc({.timer = params.sc_timer,
-                                   .collisions = params.sc_collisions});
-      RngStream rng = root.split("sc");
-      support::RunningStats err;
-      for (std::size_t i = 0; i < params.estimations; ++i) {
-        const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-        err.add(std::abs(support::quality_percent(e.value, truth) - 100.0));
-      }
-      report.table_rows.push_back(
-          {overlay, "Sample&Collide", format_double(err.mean(), 3)});
-    }
-    {
-      const est::HopsSampling hs({});
-      RngStream rng = root.split("hs");
-      support::RunningStats err;
-      for (std::size_t i = 0; i < params.estimations; ++i) {
-        const est::HopsSamplingResult res = hs.run_once(sim, initiator, rng);
-        err.add(std::abs(
-            support::quality_percent(res.estimate.value, truth) - 100.0));
-      }
-      report.table_rows.push_back(
-          {overlay, "HopsSampling", format_double(err.mean(), 3)});
-    }
-    {
-      est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-      RngStream rng = root.split("agg");
-      const est::Estimate e = agg.run_epoch(sim, initiator, rng);
-      report.table_rows.push_back(
-          {overlay, "Aggregation",
-           format_double(
-               std::abs(support::quality_percent(e.value, truth) - 100.0), 3)});
+  FigureReport report = table_report(
+      std::string(table.id), std::string(table.title), params,
+      (table.quotes_l ? " l=" + std::to_string(params.sc_collisions) : "") +
+          " runs=" + std::to_string(params.estimations),
+      table.columns);
+  for (const TableOverlay& overlay : table.overlays) {
+    RngStream graph_rng = root.split(overlay.stream);
+    obs::Span build_span = obs_span(params, "graph-build");
+    net::Graph graph = overlay.build(params.nodes, graph_rng);
+    build_span = obs::Span{};
+    FixedOverlay at(options, std::move(graph), root);
+    for (const Candidate& c : table.candidates) {
+      const std::unique_ptr<est::Estimator> estimator =
+          candidate(c.spec, params);
+      const std::size_t runs =
+          estimator->mode() == est::Estimator::Mode::kEpoch
+              ? 1
+              : params.estimations;
+      const Scores scores = at.score(*estimator, root.split(c.stream), runs);
+      std::vector<std::string> row;
+      if (!overlay.label.empty()) row.emplace_back(overlay.label);
+      row.emplace_back(c.label);
+      for (const Quote what : table.quotes) row.push_back(quote(scores, what));
+      report.table_rows.push_back(std::move(row));
     }
   }
-  report.notes = {
-      "paper: homogeneous graphs 'consistently improved all algorithms'; the "
-      "heterogeneous setting is the worst case the paper reports",
-  };
-  return report;
-}
-
-FigureReport ablation_baselines(const FigureSpec&,
-                                const FigureParams& params) {
-  const scenario::RunOptions options =
-      unrouted_options(params, "ablation_baselines");
-  const RngStream root(params.seed);
-
-  FigureReport report;
-  report.id = "ablation_baselines";
-  report.title =
-      "Random-walk baselines: Sample&Collide vs Random Tour vs naive "
-      "Inverted Birthday Paradox";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"graph",         "algorithm",      "mean error %",
-                          "mean |error| %", "mean msgs/run"};
-
-  const auto run_graph = [&](const std::string& label, net::Graph graph) {
-    scenario::Replica replica(options, std::move(graph), root);
-    sim::Simulator& sim = replica.sim();
-    const double truth = static_cast<double>(sim.graph().size());
-    RngStream pick = root.split("initiator");
-    const net::NodeId initiator = sim.graph().random_alive(pick);
-
-    const auto record = [&](const std::string& algo,
-                            const scenario::PointEstimator& estimator,
-                            RngStream rng) {
-      support::RunningStats signed_err, abs_err, msgs;
-      for (std::size_t i = 0; i < params.estimations; ++i) {
-        const est::Estimate e = estimator(sim, initiator, rng);
-        if (!e.valid) continue;
-        const double q = support::quality_percent(e.value, truth) - 100.0;
-        signed_err.add(q);
-        abs_err.add(std::abs(q));
-        msgs.add(static_cast<double>(e.messages));
-      }
-      report.table_rows.push_back(
-          {label, algo, format_double(signed_err.mean(), 3),
-           format_double(abs_err.mean(), 3), human_count(msgs.mean())});
-    };
-
-    const est::SampleCollide sc({.timer = params.sc_timer, .collisions = 10});
-    record("Sample&Collide (l=10)",
-           [&sc](sim::Simulator& s, net::NodeId i, RngStream& r) {
-             return sc.estimate_once(s, i, r);
-           },
-           root.split("sc"));
-    const est::RandomTour tour;
-    record("Random Tour",
-           [&tour](sim::Simulator& s, net::NodeId i, RngStream& r) {
-             return tour.estimate_once(s, i, r);
-           },
-           root.split("tour"));
-    const est::InvertedBirthday ibp({.walk_length = 30, .collisions = 10});
-    record("Inverted Birthday (biased sampler, l=10)",
-           [&ibp](sim::Simulator& s, net::NodeId i, RngStream& r) {
-             return ibp.estimate_once(s, i, r);
-           },
-           root.split("ibp"));
-  };
-
-  {
-    RngStream rng = root.split("hetero_graph");
-    run_graph("heterogeneous", build_hetero(params.nodes, rng));
-  }
-  {
-    RngStream rng = root.split("ba_graph");
-    run_graph("scale-free", net::build_barabasi_albert({params.nodes, 3}, rng));
-  }
-  report.notes = {
-      "Random Tour is unbiased but its per-run cost scales with |E|/deg(i) "
-      "(paper §II: 'much lower' overhead for Sample&Collide)",
-      "the naive fixed-length-walk sampler over-samples high-degree nodes, "
-      "deflating estimates on the scale-free graph (motivates the T-walk)",
-  };
+  report.notes.assign(table.notes.begin(), table.notes.end());
   return report;
 }
 
@@ -1332,31 +1207,23 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
       unrouted_options(params, "ablation_cyclon");
   const RngStream root(params.seed);
 
-  FigureReport report;
-  report.id = "ablation_cyclon_healing";
-  report.title =
+  FigureReport report = table_report(
+      "ablation_cyclon_healing",
       "No-healing static wiring vs CYCLON-maintained overlay under heavy "
-      "departures";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " departures=50% seed=" + std::to_string(params.seed);
-  report.table_columns = {"overlay", "largest component %", "components",
-                          "Aggregation |error| %"};
+      "departures",
+      params, " departures=50%",
+      {"overlay", "largest component %", "components",
+       "Aggregation |error| %"});
 
   const auto measure = [&](const std::string& label, net::Graph graph) {
-    const double truth = static_cast<double>(graph.size());
     const net::ComponentInfo info = net::connected_components(graph);
+    FixedOverlay at(options, std::move(graph), root, 0, 0, "pick");
     const double largest =
-        100.0 * static_cast<double>(info.largest_size()) / truth;
-    scenario::Replica replica(options, std::move(graph), root);
-    sim::Simulator& sim = replica.sim();
-    est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-    RngStream rng = root.split("agg");
-    RngStream pick = root.split("pick");
-    const est::Estimate e =
-        agg.run_epoch(sim, sim.graph().random_alive(pick), rng);
-    const double err =
-        e.valid ? std::abs(support::quality_percent(e.value, truth) - 100.0)
-                : 100.0;
+        100.0 * static_cast<double>(info.largest_size()) / at.truth;
+    // An invalid epoch (a fragment without mass) counts as 100% off.
+    const Scores scores =
+        at.score(*candidate("aggregation", params), root.split("agg"), 1);
+    const double err = scores.invalid > 0 ? 100.0 : scores.abs_err.mean();
     report.table_rows.push_back({label, format_double(largest, 4),
                                  std::to_string(info.count()),
                                  format_double(err, 3)});
@@ -1399,58 +1266,43 @@ FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_delay");
   const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
-  const double truth = static_cast<double>(sim.graph().size());
+  FixedOverlay at(options, hetero_factory(params.nodes), root);
 
-  FigureReport report;
-  report.id = "ablation_delay";
-  report.title =
-      "Estimation delay under a unit per-hop latency (paper §V conjecture)";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " hop_latency=1 agg_period=2 hops seed=" +
-                  std::to_string(params.seed);
-  report.table_columns = {"algorithm", "delay (hop units)", "messages",
-                          "estimate quality %"};
+  FigureReport report = table_report(
+      "ablation_delay",
+      "Estimation delay under a unit per-hop latency (paper §V conjecture)",
+      params, " hop_latency=1 agg_period=2 hops",
+      {"algorithm", "delay (hop units)", "messages", "estimate quality %"});
   const est::DelayConfig config{
       .hop_latency = sim::LatencyModel::constant(1.0),
       .aggregation_period_hops = 2.0};
 
-  {
-    const est::HopsSampling hs({});
-    RngStream rng = root.split("hs");
-    const est::DelayBreakdown d =
-        est::hops_sampling_delay(sim, hs, initiator, config, rng);
+  // The concrete estimators: the delay breakdowns are not on est::Estimator.
+  const auto add = [&](std::string name, const char* stream, auto&& delay) {
+    RngStream rng = root.split(stream);
+    const est::DelayBreakdown d = delay(rng);
     report.table_rows.push_back(
-        {"HopsSampling", format_double(d.total, 4), human_count(
-             static_cast<double>(d.messages)),
-         format_double(support::quality_percent(d.estimate, truth), 4)});
-  }
-  {
-    est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-    RngStream rng = root.split("agg");
-    const est::DelayBreakdown d =
-        est::aggregation_delay(sim, agg, initiator, config, rng);
-    report.table_rows.push_back(
-        {"Aggregation (" + std::to_string(params.agg_rounds) + " rounds)",
-         format_double(d.total, 4),
+        {std::move(name), format_double(d.total, 4),
          human_count(static_cast<double>(d.messages)),
-         format_double(support::quality_percent(d.estimate, truth), 4)});
-  }
-  {
-    const est::SampleCollide sc({.timer = params.sc_timer,
-                                 .collisions = params.sc_collisions});
-    RngStream rng = root.split("sc");
-    const est::DelayBreakdown d =
-        est::sample_collide_delay(sim, sc, initiator, config, rng);
-    report.table_rows.push_back(
-        {"Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
-         format_double(d.total, 4),
-         human_count(static_cast<double>(d.messages)),
-         format_double(support::quality_percent(d.estimate, truth), 4)});
-  }
+         format_double(support::quality_percent(d.estimate, at.truth), 4)});
+  };
+  add("HopsSampling", "hs", [&](RngStream& rng) {
+    return est::hops_sampling_delay(at.sim, est::HopsSampling({}),
+                                    at.initiator, config, rng);
+  });
+  add("Aggregation (" + std::to_string(params.agg_rounds) + " rounds)", "agg",
+      [&](RngStream& rng) {
+        est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
+        return est::aggregation_delay(at.sim, agg, at.initiator, config, rng);
+      });
+  add("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")", "sc",
+      [&](RngStream& rng) {
+        return est::sample_collide_delay(
+            at.sim,
+            est::SampleCollide({.timer = params.sc_timer,
+                                .collisions = params.sc_collisions}),
+            at.initiator, config, rng);
+      });
   report.notes = {
       "paper §V: 'HopsSampling probably outperforms the other algorithms in "
       "terms of delay' — a parallel spread beats 50 synchronized rounds and, "
@@ -1464,68 +1316,43 @@ FigureReport ablation_structured(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_structured");
   const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  const double truth = static_cast<double>(sim.graph().size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+  FixedOverlay at(options, hetero_factory(params.nodes), root);
 
-  FigureReport report;
-  report.id = "ablation_structured";
-  report.title =
+  FigureReport report = table_report(
+      "ablation_structured",
       "Identifier-based interval density vs the generic schemes (cost of "
-      "generality)";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " leafset=16 seed=" + std::to_string(params.seed);
-  report.table_columns = {"algorithm", "applicability", "mean |error| %",
-                          "mean msgs/run"};
+      "generality)",
+      params, " runs=" + std::to_string(params.estimations) + " leafset=16",
+      {"algorithm", "applicability", "mean |error| %", "mean msgs/run"});
 
   const auto add = [&](const std::string& name, const std::string& scope,
-                       const support::RunningStats& err, double msgs) {
-    report.table_rows.push_back({name, scope, format_double(err.mean(), 3),
-                                 human_count(msgs)});
+                       const Scores& scores) {
+    report.table_rows.push_back({name, scope,
+                                 format_double(scores.abs_err.mean(), 3),
+                                 human_count(scores.messages.mean())});
   };
   {
+    // Interval density polls from a fresh random peer per run, on
+    // identifiers drawn from their own stream.
     RngStream ids_rng = root.split("ids");
-    const est::IdentifierSpace ids(sim.graph(), ids_rng);
+    const est::IdentifierSpace ids(at.sim.graph(), ids_rng);
     const est::IntervalDensity density({.leafset = 16});
     RngStream rng = root.split("density");
-    support::RunningStats err, msgs;
+    Scores scores;
     for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::Estimate e =
-          density.estimate_once(sim, ids, sim.graph().random_alive(rng));
-      err.add(std::abs(support::quality_percent(e.value, truth) - 100.0));
-      msgs.add(static_cast<double>(e.messages));
+      scores.add(density.estimate_once(at.sim, ids,
+                                       at.sim.graph().random_alive(rng)),
+                 at.truth);
     }
-    add("Interval density (k=16)", "structured overlays only", err,
-        msgs.mean());
+    add("Interval density (k=16)", "structured overlays only", scores);
   }
-  {
-    const est::SampleCollide sc({.timer = params.sc_timer,
-                                 .collisions = params.sc_collisions});
-    RngStream rng = root.split("sc");
-    support::RunningStats err, msgs;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::Estimate e = sc.estimate_once(sim, initiator, rng);
-      err.add(std::abs(support::quality_percent(e.value, truth) - 100.0));
-      msgs.add(static_cast<double>(e.messages));
-    }
-    add("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
-        "any overlay", err, msgs.mean());
-  }
-  {
-    const est::HopsSampling hs({});
-    RngStream rng = root.split("hs");
-    support::RunningStats err, msgs;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::HopsSamplingResult r = hs.run_once(sim, initiator, rng);
-      err.add(
-          std::abs(support::quality_percent(r.estimate.value, truth) - 100.0));
-      msgs.add(static_cast<double>(r.estimate.messages));
-    }
-    add("HopsSampling", "any overlay", err, msgs.mean());
-  }
+  add("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
+      "any overlay",
+      at.score(*candidate("sample_collide", params), root.split("sc"),
+               params.estimations));
+  add("HopsSampling", "any overlay",
+      at.score(*candidate("hops_sampling", params), root.split("hs"),
+               params.estimations));
   report.notes = {
       "with uniformly assigned identifiers the leafset density estimate is "
       "nearly free and very accurate — but it simply does not exist on "
@@ -1538,64 +1365,38 @@ FigureReport ablation_polling(const FigureSpec&, const FigureParams& params) {
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_polling");
   const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  const double truth = static_cast<double>(sim.graph().size());
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+  FixedOverlay at(options, hetero_factory(params.nodes), root);
 
-  FigureReport report;
-  report.id = "ablation_polling";
-  report.title =
+  FigureReport report = table_report(
+      "ablation_polling",
       "Polling class: flat reply probability [2],[6] vs HopsSampling's "
-      "distance-graded schedule";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs=" + std::to_string(params.estimations) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"variant", "mean error %", "mean |error| %",
-                          "mean replies", "mean msgs/run"};
+      "distance-graded schedule",
+      params, " runs=" + std::to_string(params.estimations),
+      {"variant", "mean error %", "mean |error| %", "mean replies",
+       "mean msgs/run"});
 
-  const auto add = [&](const std::string& name,
-                       const support::RunningStats& signed_err,
-                       const support::RunningStats& abs_err, double replies,
-                       double msgs) {
+  // The concrete pollers: the reply count is not on est::Estimator.
+  const auto add = [&](const std::string& name, const auto& poller,
+                       RngStream rng) {
+    Scores scores;
+    support::RunningStats replies;
+    for (std::size_t i = 0; i < params.estimations; ++i) {
+      const auto r = poller.run_once(at.sim, at.initiator, rng);
+      scores.add(r.estimate, at.truth);
+      replies.add(static_cast<double>(r.replies));
+    }
     report.table_rows.push_back(
-        {name, format_double(signed_err.mean(), 3),
-         format_double(abs_err.mean(), 3), format_double(replies, 5),
-         human_count(msgs)});
+        {name, format_double(scores.signed_err.mean(), 3),
+         format_double(scores.abs_err.mean(), 3),
+         format_double(replies.mean(), 5),
+         human_count(scores.messages.mean())});
   };
   for (const double p : {0.01, 0.05, 0.25}) {
-    const est::FlatPolling poll({.reply_probability = p});
-    RngStream rng = root.split("flat", static_cast<std::uint64_t>(p * 1000));
-    support::RunningStats signed_err, abs_err, replies, msgs;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::FlatPollingResult r = poll.run_once(sim, initiator, rng);
-      const double q =
-          support::quality_percent(r.estimate.value, truth) - 100.0;
-      signed_err.add(q);
-      abs_err.add(std::abs(q));
-      replies.add(static_cast<double>(r.replies));
-      msgs.add(static_cast<double>(r.estimate.messages));
-    }
-    add("flat polling p=" + format_double(p, 3), signed_err, abs_err,
-        replies.mean(), msgs.mean());
+    add("flat polling p=" + format_double(p, 3),
+        est::FlatPolling({.reply_probability = p}),
+        root.split("flat", static_cast<std::uint64_t>(p * 1000)));
   }
-  {
-    const est::HopsSampling hs({});
-    RngStream rng = root.split("hs");
-    support::RunningStats signed_err, abs_err, replies, msgs;
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      const est::HopsSamplingResult r = hs.run_once(sim, initiator, rng);
-      const double q =
-          support::quality_percent(r.estimate.value, truth) - 100.0;
-      signed_err.add(q);
-      abs_err.add(std::abs(q));
-      replies.add(static_cast<double>(r.replies));
-      msgs.add(static_cast<double>(r.estimate.messages));
-    }
-    add("HopsSampling (graded)", signed_err, abs_err, replies.mean(),
-        msgs.mean());
-  }
+  add("HopsSampling (graded)", est::HopsSampling({}), root.split("hs"));
   report.notes = {
       "flat polling floods replies toward the initiator (the hot-spot the "
       "paper's §V warns about); the graded schedule caps replies at the "
@@ -1609,56 +1410,41 @@ FigureReport ablation_samplers(const FigureSpec&,
   const scenario::RunOptions options =
       unrouted_options(params, "ablation_samplers");
   const RngStream root(params.seed);
-  scenario::Replica replica(options, hetero_factory(params.nodes), root);
-  sim::Simulator& sim = replica.sim();
-  const std::size_t n = sim.graph().size();
-  const std::size_t samples = 30 * n;
-  RngStream pick = root.split("initiator");
-  const net::NodeId initiator = sim.graph().random_alive(pick);
+  FixedOverlay at(options, hetero_factory(params.nodes), root);
+  const std::size_t samples = 30 * at.sim.graph().size();
 
-  FigureReport report;
-  report.id = "ablation_samplers";
-  report.title =
+  FigureReport report = table_report(
+      "ablation_samplers",
       "Uniform-sampling back-ends: T-walk vs Metropolis-Hastings vs naive "
-      "fixed-length walk";
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " samples/variant=" + std::to_string(samples) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"sampler", "chi2/df (1 = uniform)",
-                          "mean msgs/sample"};
-  const double df = static_cast<double>(n - 1);
-
-  const auto add = [&](const std::string& name, auto&& draw) {
-    std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
-    const std::uint64_t before = sim.meter().total();
-    for (std::size_t i = 0; i < samples; ++i) ++counts[draw()];
-    const double msgs = static_cast<double>(sim.meter().since(before)) /
+      "fixed-length walk",
+      params, " samples/variant=" + std::to_string(samples),
+      {"sampler", "chi2/df (1 = uniform)", "mean msgs/sample"});
+  // Each sampler draws `samples` node ids from its own stream.
+  const auto add = [&](const std::string& name, const char* stream,
+                       auto&& draw) {
+    RngStream rng = root.split(stream);
+    const std::uint64_t before = at.sim.meter().total();
+    const double chi2 =
+        chi2_per_df(at.sim, samples, [&] { return draw(rng); });
+    const double msgs = static_cast<double>(at.sim.meter().since(before)) /
                         static_cast<double>(samples);
     report.table_rows.push_back(
-        {name, format_double(support::chi_square_uniform(counts) / df, 4),
-         format_double(msgs, 4)});
+        {name, format_double(chi2, 4), format_double(msgs, 4)});
   };
-
-  {
-    const est::SampleCollide sc({.timer = params.sc_timer, .collisions = 1});
-    RngStream rng = root.split("twalk");
-    add("T-walk (T=" + format_double(params.sc_timer, 3) + ")",
-        [&] { return sc.sample(sim, initiator, rng).node; });
-  }
-  {
-    RngStream rng = root.split("mh");
-    const std::uint64_t hops = 80;
-    add("Metropolis-Hastings (" + std::to_string(hops) + " hops)", [&] {
-      return net::metropolis_hastings_walk(sim, initiator, hops, rng);
-    });
-  }
-  {
-    RngStream rng = root.split("simple");
-    const std::uint64_t hops = 80;
-    add("simple walk (" + std::to_string(hops) + " hops, biased)", [&] {
-      return net::simple_walk(sim, initiator, hops, rng);
-    });
-  }
+  const est::SampleCollide sc({.timer = params.sc_timer, .collisions = 1});
+  const std::uint64_t hops = 80;
+  add("T-walk (T=" + format_double(params.sc_timer, 3) + ")", "twalk",
+      [&](RngStream& rng) {
+        return sc.sample(at.sim, at.initiator, rng).node;
+      });
+  add("Metropolis-Hastings (" + std::to_string(hops) + " hops)", "mh",
+      [&](RngStream& rng) {
+        return net::metropolis_hastings_walk(at.sim, at.initiator, hops, rng);
+      });
+  add("simple walk (" + std::to_string(hops) + " hops, biased)", "simple",
+      [&](RngStream& rng) {
+        return net::simple_walk(at.sim, at.initiator, hops, rng);
+      });
   report.notes = {
       "both the T-walk and Metropolis-Hastings converge to uniform; the "
       "plain walk's stationary law is proportional to degree and never "
@@ -1670,23 +1456,23 @@ FigureReport ablation_samplers(const FigureSpec&,
 FigureReport ablation_oscillating(const FigureSpec&,
                                   const FigureParams& params) {
   scenario::RunOptions options = replica_options(params);
-  const sim::NetworkConfig& net = options.network;
-  const topo::TopologyConfig& topology = options.topology;
   const scenario::ScenarioRunner runner(
       scenario::oscillating_script(params.nodes, 4, 0.25),
       hetero_factory(params.nodes), params.seed);
 
   // Both candidates through the unified interface: one atomic, one epoched.
-  const est::SampleCollideEstimator sc({.timer = params.sc_timer,
-                                        .collisions = params.sc_collisions});
   options.estimations = params.estimations;
-  const scenario::Series sc_series = runner.run(sc, options, 0);
-  const est::AggregationEstimator agg({.rounds_per_epoch = params.agg_rounds});
+  const scenario::Series sc_series =
+      runner.run(*candidate("sample_collide", params), options, 0);
   options.estimations = 0;
   options.rounds_per_unit = 1.0;
-  const scenario::Series agg_series = runner.run(agg, options, 0);
+  const scenario::Series agg_series =
+      runner.run(*candidate("aggregation", params), options, 0);
 
-  FigureReport report;
+  FigureReport report = dynamic_report(
+      {sc_series, agg_series}, "Time", 1.0,
+      {{"Sample&Collide oneShot", {}, {}, 's'},
+       {"Aggregation epochs", {}, {}, 'a'}});
   report.id = "ablation_oscillating";
   report.title =
       "Flash-crowd oscillation (+/-25% x4): Sample&Collide vs Aggregation "
@@ -1694,36 +1480,15 @@ FigureReport ablation_oscillating(const FigureSpec&,
   report.params = "nodes=" + std::to_string(params.nodes) +
                   " l=" + std::to_string(params.sc_collisions) +
                   " agg_rounds=" + std::to_string(params.agg_rounds) +
-                  " seed=" + std::to_string(params.seed) + net_suffix(net) +
-                  topo_suffix(topology) + sizes_suffix(params);
-  report.plot.x_label = "Time";
+                  " seed=" + std::to_string(params.seed) +
+                  delivery_suffix(options);
   report.plot.y_label = "Size";
-  report.plot.height = 18;
-
-  support::Series truth{"Real network size", {}, {}, '.'};
-  support::Series sc_line{"Sample&Collide oneShot", {}, {}, 's'};
-  support::Series agg_line{"Aggregation epochs", {}, {}, 'a'};
-  support::RunningStats sc_err, agg_err;
-  for (const auto& p : sc_series) {
-    truth.x.push_back(p.time);
-    truth.y.push_back(p.truth);
-    if (!p.valid) continue;
-    sc_line.x.push_back(p.time);
-    sc_line.y.push_back(p.estimate);
-    if (p.truth > 0) sc_err.add(std::abs(p.estimate - p.truth) / p.truth);
-  }
-  for (const auto& p : agg_series) {
-    if (!p.valid) continue;
-    agg_line.x.push_back(p.time);
-    agg_line.y.push_back(p.estimate);
-    if (p.truth > 0) agg_err.add(std::abs(p.estimate - p.truth) / p.truth);
-  }
-  report.series = {truth, sc_line, agg_line};
   report.notes = {
       "Sample&Collide mean tracking error: " +
-          format_double(100.0 * sc_err.mean(), 3) + "%",
+          format_double(100.0 * tracking_stats({sc_series}).error.mean(), 3) +
+          "%",
       "Aggregation mean tracking error:    " +
-          format_double(100.0 * agg_err.mean(), 3) +
+          format_double(100.0 * tracking_stats({agg_series}).error.mean(), 3) +
           "% (each epoch reports the size ~" +
           std::to_string(params.agg_rounds) +
           " rounds after its snapshot; reversals double the lag penalty)",
@@ -1736,27 +1501,19 @@ FigureReport ablation_oscillating(const FigureSpec&,
 
 // --- unreliable delivery (extension: the paper's §IV-A "future work") -------
 
-/// One (estimator, loss) cell of a loss sweep.
-struct LossCell {
-  support::RunningStats abs_err;     ///< |quality - 100|
-  support::RunningStats signed_err;  ///< quality - 100
-  support::RunningStats msgs;
-  support::RunningStats delay;
-  std::size_t invalid = 0;
-};
-
-struct LossCandidate {
-  std::string_view label;
-  std::string_view spec;
-};
+/// Epochs per sweep cell: full epochs are expensive; 3 suffice for a table
+/// row.
+std::size_t epoch_runs(const FigureParams& params) {
+  return std::max<std::size_t>(1, std::min<std::size_t>(3, params.estimations));
+}
 
 /// The protocols ported to the delivery channel, in comparison order.
-constexpr LossCandidate kLossCandidates[] = {
-    {"Sample&Collide", "sample_collide"},
-    {"HopsSampling", "hops_sampling"},
-    {"Random Tour", "random_tour"},
-    {"Flat Polling", "flat_polling:p=0.05"},
-    {"Aggregation", "aggregation"},
+constexpr Candidate kLossCandidates[] = {
+    {"Sample&Collide", "sample_collide", "estimator"},
+    {"HopsSampling", "hops_sampling", "estimator"},
+    {"Random Tour", "random_tour", "estimator"},
+    {"Flat Polling", "flat_polling:p=0.05", "estimator"},
+    {"Aggregation", "aggregation", "estimator"},
 };
 constexpr double kLossRates[] = {0.0, 0.05, 0.2};
 
@@ -1768,243 +1525,172 @@ struct SweepColumn {
   topo::TopologyConfig topology;
 };
 
-LossCell run_loss_cell(const net::Graph& graph, const FigureParams& params,
-                       std::string_view spec_text, const SweepColumn& column,
-                       const RngStream& root, std::uint64_t candidate) {
+/// One (candidate, column) cell of a channel sweep. Streams are split per
+/// CANDIDATE, not per cell: every column sees the same initiator and the
+/// same estimator randomness, so column differences isolate the channel's
+/// effect (a hop-reliable walk protocol reports the identical estimate at
+/// every loss rate).
+Scores run_loss_cell(const net::Graph& graph, const FigureParams& params,
+                     const Candidate& row, const SweepColumn& column,
+                     const RngStream& root, std::uint64_t candidate_index) {
   const std::unique_ptr<est::Estimator> estimator =
-      est::EstimatorRegistry::global().build(
-          spec_with_params(spec_text, params, /*smooth_hs=*/false));
-  // Streams are split per CANDIDATE, not per (candidate, loss) cell: every
-  // loss rate sees the same initiator and the same estimator randomness, so
-  // column differences isolate the channel's effect (a hop-reliable walk
-  // protocol reports the identical estimate at every loss rate).
+      candidate(row.spec, params);
   scenario::RunOptions options = replica_options(params);
   options.network = column.network;
   options.topology = column.topology;
-  scenario::Replica replica(options, graph, root, candidate);
-  sim::Simulator& sim = replica.sim();
-  RngStream pick = root.split("initiator", candidate);
-  RngStream est_rng = root.split("estimator", candidate);
-  const net::NodeId initiator = sim.graph().random_alive(pick);
-  const double truth = static_cast<double>(sim.graph().size());
-
-  LossCell out;
-  const auto record = [&](const est::Estimate& e) {
-    if (!e.valid) {
-      ++out.invalid;
-      return;
-    }
-    const double q = support::quality_percent(e.value, truth) - 100.0;
-    out.abs_err.add(std::abs(q));
-    out.signed_err.add(q);
-    out.msgs.add(static_cast<double>(e.messages));
-    out.delay.add(e.delay);
-  };
-  if (estimator->mode() == est::Estimator::Mode::kPoint) {
-    for (std::size_t i = 0; i < params.estimations; ++i) {
-      record(estimator->estimate_point(sim, initiator, est_rng));
-    }
-  } else {
-    // Epoch mode: full epochs are expensive; 3 suffice for a table row.
-    const std::size_t epochs =
-        std::max<std::size_t>(1, std::min<std::size_t>(3, params.estimations));
-    for (std::size_t i = 0; i < epochs; ++i) {
-      const std::uint64_t before = sim.meter().total();
-      estimator->start_epoch(sim, initiator, est_rng);
-      for (std::uint32_t r = 0; r < estimator->rounds_per_epoch(); ++r) {
-        estimator->run_round(sim, est_rng);
-      }
-      est::Estimate e = estimator->epoch_estimate(sim, initiator);
-      e.messages = sim.meter().since(before);
-      record(e);
-    }
-  }
-  return out;
+  FixedOverlay at(options, graph, root, candidate_index);
+  const std::size_t runs = estimator->mode() == est::Estimator::Mode::kPoint
+                               ? params.estimations
+                               : epoch_runs(params);
+  return at.score(*estimator, root.split(row.stream, candidate_index), runs);
 }
 
-/// Shared body of the loss and topology sweeps: every ported protocol
-/// crossed with every column, each cell on its own copy of one shared
-/// overlay with seed-split streams (byte-identical at any thread count).
-/// `axis` heads the column-label column; `params_extra` joins the params
-/// line ahead of the channel's timeout.
-FigureReport channel_sweep_report(const FigureParams& params,
-                                  const std::vector<SweepColumn>& columns,
-                                  std::string id, std::string title,
-                                  std::string axis,
-                                  const std::string& params_extra) {
+/// A channel-sweep figure as a row. A loss sweep (`latency` set) crosses
+/// kLossRates with one per-hop latency model; a topology sweep runs each
+/// (label, topo spec) variant over the ideal base channel, so column
+/// differences isolate the per-link model.
+struct ChannelSweep {
+  std::string_view id;
+  std::string_view title;
+  std::optional<sim::LatencyModel> latency;
+  std::vector<std::pair<std::string_view, std::string_view>> topologies;
+  std::vector<std::string_view> notes;
+};
+
+const std::vector<ChannelSweep>& channel_sweeps() {
+  static const std::vector<ChannelSweep> sweeps = {
+      {"ext_loss_accuracy",
+       "Estimator accuracy under unreliable delivery (loss 0 / 5% / 20%)",
+       sim::LatencyModel::constant(1.0),
+       {},
+       {"polls degrade most: dropped spreads shrink coverage and dropped "
+        "replies deepen the under-estimation the paper already observes",
+        "walk protocols survive via per-hop ARQ (S&C) or hop-reliable "
+        "forwarding (Random Tour): accuracy holds, messages and delay pay",
+        "Aggregation masks exchanges with a dropped push/pull (mass stays "
+        "conserved), so a fixed-length epoch converges less at higher loss"}},
+      {"ext_loss_delay",
+       "Measured estimation delay under exp(50) per-hop latency and loss",
+       sim::LatencyModel::exponential(50.0),
+       {},
+       {"measured counterpart of the paper's §V delay conjecture: "
+        "HopsSampling's parallel spread beats Aggregation's synchronized "
+        "rounds, and both beat Sample&Collide's sequential samples",
+        "loss adds timeout waits: sequential protocols absorb every wait "
+        "into their critical path, parallel spreads only the per-round "
+        "maximum"}},
+      // Region sweep at the default class mix: more regions = more
+      // inter-region links paying the loss penalty, plus longer
+      // propagation paths.
+      {"ext_topo_accuracy",
+       "Estimator accuracy on clustered overlays (region sweep, per-link "
+       "class loss + inter-region penalty)",
+       std::nullopt,
+       {{"flat", "topo:flat"},
+        {"1 region", "topo:clustered,regions=1,penalty=0"},
+        {"4 regions", "topo:clustered,regions=4"},
+        {"16 regions", "topo:clustered,regions=16"}},
+       {"per-link loss is class- and region-dependent: walk protocols "
+        "(per-hop ARQ / hop-reliable) keep their estimates and pay in "
+        "messages; polls lose coverage on lossy mobile edges",
+        "more regions -> a larger inter-region link fraction pays the "
+        "penalty, so effective loss grows with the region count"}},
+      // Mobile-fraction sweep at fixed geometry: access latency and jitter
+      // grow with the mobile share, so measured delay orders the protocols
+      // as the paper's §V conjecture predicts — now under a heterogeneous
+      // network. No datacenter share anywhere: only the mobile fraction
+      // varies, so column differences are the treatment and nothing else.
+      {"ext_topo_delay",
+       "Measured estimation delay vs mobile-peer fraction (per-link "
+       "propagation + access latency)",
+       std::nullopt,
+       {{"all broadband", "topo:clustered,mix=0:1:0"},
+        {"mobile 30%", "topo:clustered,mix=0:0.7:0.3"},
+        {"mobile 80%", "topo:clustered,mix=0:0.2:0.8"}},
+       {"delay = propagation (distance) + both endpoints' access terms; a "
+        "growing mobile share inflates every link touching a mobile peer",
+        "sequential walk protocols absorb every slow link into their "
+        "critical path; parallel spreads pay only per-round maxima"}},
+  };
+  return sweeps;
+}
+
+/// Every ported protocol crossed with every column of the spec's sweep,
+/// each cell on its own copy of one shared overlay with seed-split streams
+/// (byte-identical at any thread count). The sweep fixes the channel per
+/// cell, so --net (and, for a topology sweep, --topo) is a hard error.
+FigureReport channel_sweep(const FigureSpec& spec, const FigureParams& params) {
+  const ChannelSweep& sweep = *std::find_if(
+      channel_sweeps().begin(), channel_sweeps().end(),
+      [&](const ChannelSweep& row) { return row.id == spec.id; });
+  const std::string id(sweep.id);
+  const bool loss = sweep.latency.has_value();
+  const std::string kind = loss ? "loss sweep" : "topology sweep";
+  if (!params.net.empty()) {
+    throw std::invalid_argument(
+        id + ": --net conflicts with this figure's own " + kind +
+        " (the sweep fixes the channel per cell); drop the flag");
+  }
+  if (!loss && !params.topo.empty()) {
+    throw std::invalid_argument(
+        id + ": --topo conflicts with this figure's own " + kind +
+        " (the sweep fixes the topology per cell); drop the flag");
+  }
+  (void)unrouted_options(params, id);  // a loss sweep rejects --topo
+  std::vector<SweepColumn> columns;
+  if (loss) {
+    for (const double rate : kLossRates) {
+      sim::NetworkConfig net;
+      net.loss = rate;
+      net.latency = *sweep.latency;
+      columns.push_back({format_double(rate, 3), net, {}});
+    }
+  }
+  for (const auto& [label, topology] : sweep.topologies) {
+    columns.push_back(
+        {std::string(label), {}, topo::TopologyConfig::parse(topology)});
+  }
+
   const RngStream root(params.seed);
   RngStream graph_rng = root.split("graph");
   const net::Graph graph = build_hetero(params.nodes, graph_rng);
   const std::size_t n_candidates = std::size(kLossCandidates);
   const std::size_t n_columns = columns.size();
-
   const ParallelReplicaRunner pool(params.threads);
   const auto cells =
-      pool.map<LossCell>(n_candidates * n_columns, [&](std::size_t i) {
-        return run_loss_cell(graph, params, kLossCandidates[i / n_columns].spec,
+      pool.map<Scores>(n_candidates * n_columns, [&](std::size_t i) {
+        return run_loss_cell(graph, params, kLossCandidates[i / n_columns],
                              columns[i % n_columns], root,
                              static_cast<std::uint64_t>(i / n_columns));
       });
 
-  FigureReport report;
-  report.id = std::move(id);
-  report.title = std::move(title);
-  report.params = "nodes=" + std::to_string(params.nodes) +
-                  " runs/cell=" + std::to_string(params.estimations) +
-                  " epoch-runs/cell=" +
-                  std::to_string(std::max<std::size_t>(
-                      1, std::min<std::size_t>(3, params.estimations))) +
-                  params_extra +
-                  " timeout=" + format_double(sim::NetworkConfig{}.timeout) +
-                  " retries=" + std::to_string(sim::NetworkConfig{}.retries) +
-                  " seed=" + std::to_string(params.seed);
-  report.table_columns = {"algorithm",      std::move(axis), "mean error %",
-                          "mean |error| %", "invalid",       "mean msgs",
-                          "mean delay"};
+  FigureReport report = table_report(
+      id, std::string(sweep.title), params,
+      " runs/cell=" + std::to_string(params.estimations) +
+          " epoch-runs/cell=" + std::to_string(epoch_runs(params)) +
+          (loss ? " latency=" + sweep.latency->describe() : "") +
+          " timeout=" + format_double(sim::NetworkConfig{}.timeout) +
+          " retries=" + std::to_string(sim::NetworkConfig{}.retries),
+      {"algorithm", loss ? "loss" : "topology", "mean error %",
+       "mean |error| %", "invalid", "mean msgs", "mean delay"});
   for (std::size_t c = 0; c < n_candidates; ++c) {
     for (std::size_t v = 0; v < n_columns; ++v) {
-      const LossCell& cell = cells[c * n_columns + v];
+      const Scores& cell = cells[c * n_columns + v];
       report.table_rows.push_back(
           {std::string(kLossCandidates[c].label), columns[v].label,
            format_double(cell.signed_err.mean(), 3),
            format_double(cell.abs_err.mean(), 3),
-           std::to_string(cell.invalid), human_count(cell.msgs.mean()),
+           std::to_string(cell.invalid), human_count(cell.messages.mean()),
            format_double(cell.delay.mean(), 4)});
     }
   }
-  return report;
-}
-
-/// The loss sweep: kLossRates under one latency model.
-FigureReport ext_loss_report(const FigureParams& params,
-                             const sim::LatencyModel& latency,
-                             std::string id, std::string title) {
-  if (!params.net.empty()) {
-    throw std::invalid_argument(
-        id + ": --net conflicts with this figure's own loss sweep "
-             "(the sweep fixes the channel per cell); drop the flag");
+  report.notes.assign(sweep.notes.begin(), sweep.notes.end());
+  if (!loss) {
+    for (const SweepColumn& column : columns) {
+      report.notes.push_back(column.label + " = " +
+                             column.topology.canonical());
+    }
   }
-  (void)unrouted_options(params, id);  // rejects --topo
-  std::vector<SweepColumn> columns;
-  for (const double loss : kLossRates) {
-    sim::NetworkConfig net;
-    net.loss = loss;
-    net.latency = latency;
-    columns.push_back({format_double(loss, 3), net, {}});
-  }
-  return channel_sweep_report(params, columns, std::move(id), std::move(title),
-                              "loss", " latency=" + latency.describe());
-}
-
-FigureReport ext_loss_accuracy(const FigureSpec&, const FigureParams& params) {
-  FigureReport report = ext_loss_report(
-      params, sim::LatencyModel::constant(1.0), "ext_loss_accuracy",
-      "Estimator accuracy under unreliable delivery (loss 0 / 5% / 20%)");
-  report.notes = {
-      "polls degrade most: dropped spreads shrink coverage and dropped "
-      "replies deepen the under-estimation the paper already observes",
-      "walk protocols survive via per-hop ARQ (S&C) or hop-reliable "
-      "forwarding (Random Tour): accuracy holds, messages and delay pay",
-      "Aggregation masks exchanges with a dropped push/pull (mass stays "
-      "conserved), so a fixed-length epoch converges less at higher loss",
-  };
-  return report;
-}
-
-FigureReport ext_loss_delay(const FigureSpec&, const FigureParams& params) {
-  FigureReport report = ext_loss_report(
-      params, sim::LatencyModel::exponential(50.0), "ext_loss_delay",
-      "Measured estimation delay under exp(50) per-hop latency and loss");
-  report.notes = {
-      "measured counterpart of the paper's §V delay conjecture: "
-      "HopsSampling's parallel spread beats Aggregation's synchronized "
-      "rounds, and both beat Sample&Collide's sequential samples",
-      "loss adds timeout waits: sequential protocols absorb every wait "
-      "into their critical path, parallel spreads only the per-round "
-      "maximum",
-  };
-  return report;
-}
-
-// --- topology-aware delivery (extension: per-link latency/loss) -------------
-
-struct TopoVariant {
-  std::string_view label;
-  std::string_view spec;  ///< topo::TopologyConfig::parse input
-};
-
-/// The topology sweep: every variant over an ideal base channel, so
-/// column differences isolate the per-link model.
-FigureReport ext_topo_report(const FigureParams& params,
-                             std::span<const TopoVariant> variants,
-                             std::string id, std::string title) {
-  if (!params.net.empty()) {
-    throw std::invalid_argument(
-        id + ": --net conflicts with this figure's own topology sweep "
-             "(the sweep fixes the channel per cell); drop the flag");
-  }
-  if (!params.topo.empty()) {
-    throw std::invalid_argument(
-        id + ": --topo conflicts with this figure's own topology sweep "
-             "(the sweep fixes the topology per cell); drop the flag");
-  }
-  std::vector<SweepColumn> columns;
-  for (const TopoVariant& variant : variants) {
-    columns.push_back({std::string(variant.label), {},
-                       topo::TopologyConfig::parse(variant.spec)});
-  }
-  FigureReport report = channel_sweep_report(
-      params, columns, std::move(id), std::move(title), "topology", "");
-  for (const SweepColumn& column : columns) {
-    report.notes.push_back(column.label + " = " + column.topology.canonical());
-  }
-  return report;
-}
-
-FigureReport ext_topo_accuracy(const FigureSpec&, const FigureParams& params) {
-  // Region sweep at the default class mix: more regions = more inter-region
-  // links paying the loss penalty, plus longer propagation paths.
-  static constexpr TopoVariant kVariants[] = {
-      {"flat", "topo:flat"},
-      {"1 region", "topo:clustered,regions=1,penalty=0"},
-      {"4 regions", "topo:clustered,regions=4"},
-      {"16 regions", "topo:clustered,regions=16"},
-  };
-  FigureReport report = ext_topo_report(
-      params, kVariants, "ext_topo_accuracy",
-      "Estimator accuracy on clustered overlays (region sweep, per-link "
-      "class loss + inter-region penalty)");
-  report.notes.insert(
-      report.notes.begin(),
-      {"per-link loss is class- and region-dependent: walk protocols "
-       "(per-hop ARQ / hop-reliable) keep their estimates and pay in "
-       "messages; polls lose coverage on lossy mobile edges",
-       "more regions -> a larger inter-region link fraction pays the "
-       "penalty, so effective loss grows with the region count"});
-  return report;
-}
-
-FigureReport ext_topo_delay(const FigureSpec&, const FigureParams& params) {
-  // Mobile-fraction sweep at fixed geometry: access latency and jitter grow
-  // with the mobile share, so measured delay orders the protocols as the
-  // paper's §V conjecture predicts — now under a heterogeneous network.
-  // No datacenter share anywhere: only the mobile fraction varies, so
-  // column differences are the treatment and nothing else.
-  static constexpr TopoVariant kVariants[] = {
-      {"all broadband", "topo:clustered,mix=0:1:0"},
-      {"mobile 30%", "topo:clustered,mix=0:0.7:0.3"},
-      {"mobile 80%", "topo:clustered,mix=0:0.2:0.8"},
-  };
-  FigureReport report = ext_topo_report(
-      params, kVariants, "ext_topo_delay",
-      "Measured estimation delay vs mobile-peer fraction (per-link "
-      "propagation + access latency)");
-  report.notes.insert(
-      report.notes.begin(),
-      {"delay = propagation (distance) + both endpoints' access terms; a "
-       "growing mobile share inflates every link touching a mobile peer",
-       "sequential walk protocols absorb every slow link into their "
-       "critical path; parallel spreads pay only per-round maxima"});
   return report;
 }
 
@@ -2110,19 +1796,19 @@ const std::vector<FigureSpec>& figure_specs() {
       {"ablation_hs_oracle",
        "Ablation: HopsSampling gossip distances vs oracle BFS distances "
        "(paper SV)",
-       "hops_sampling", "static", ablation_hs_oracle,
+       "hops_sampling", "static", comparison_table,
        {.nodes = 100000, .estimations = 20}},
       {"ablation_estimators",
        "Ablation: quadratic vs maximum-likelihood collision estimators",
-       "sample_collide", "static", ablation_estimators,
+       "sample_collide", "static", comparison_table,
        {.nodes = 100000, .estimations = 20, .sc_collisions = 200}},
       {"ablation_homogeneous",
        "Ablation: heterogeneous vs homogeneous overlays (paper SIV-A remark)",
-       "", "static", ablation_homogeneous,
+       "", "static", comparison_table,
        {.nodes = 50000, .estimations = 20}},
       {"ablation_baselines",
        "Ablation: Random Tour + naive Inverted Birthday vs Sample&Collide",
-       "", "static", ablation_baselines, {.nodes = 20000, .estimations = 20}},
+       "", "static", comparison_table, {.nodes = 20000, .estimations = 20}},
       {"ablation_cyclon",
        "Ablation: no-healing static wiring vs CYCLON-maintained overlay "
        "under 50% departures",
@@ -2171,19 +1857,19 @@ const std::vector<FigureSpec>& figure_specs() {
       {"ext_loss_accuracy",
        "Extension: estimator accuracy as delivery loss grows (0/5/20%, "
        "unit per-hop latency)",
-       "", "static", ext_loss_accuracy, {.nodes = 5000, .estimations = 10}},
+       "", "static", channel_sweep, {.nodes = 5000, .estimations = 10}},
       {"ext_loss_delay",
        "Extension: measured estimation delay under exp(50) latency and "
        "loss (the paper's SV conjecture, measured)",
-       "", "static", ext_loss_delay, {.nodes = 5000, .estimations = 5}},
+       "", "static", channel_sweep, {.nodes = 5000, .estimations = 5}},
       {"ext_topo_accuracy",
        "Extension: estimator accuracy on clustered overlays (region sweep, "
        "per-link class loss + inter-region penalty)",
-       "", "static", ext_topo_accuracy, {.nodes = 2000, .estimations = 10}},
+       "", "static", channel_sweep, {.nodes = 2000, .estimations = 10}},
       {"ext_topo_delay",
        "Extension: measured estimation delay vs mobile-peer fraction "
        "(per-link propagation + access latency)",
-       "", "static", ext_topo_delay, {.nodes = 2000, .estimations = 5}},
+       "", "static", channel_sweep, {.nodes = 2000, .estimations = 5}},
   };
   return specs;
 }
