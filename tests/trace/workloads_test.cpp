@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -49,6 +50,12 @@ struct NumericKey {
   const char* model;
   const char* key;
 };
+
+// Without a printer gtest shows the two pointers' bytes, so the listed test
+// names would change with every link layout and address-space randomization.
+void PrintTo(const NumericKey& k, std::ostream* os) {
+  *os << k.model << ',' << k.key;
+}
 
 class TraceSpecNonFinite : public ::testing::TestWithParam<NumericKey> {};
 
