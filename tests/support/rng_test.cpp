@@ -235,6 +235,105 @@ TEST(RngStream, SampleWithoutReplacementIsUniform) {
   EXPECT_LT(chi_square_uniform(counts), 50.0);
 }
 
+// --- Pinned k-of-n output: figures depend on the exact draws and order ---
+
+/// Draws k of n through the public sampler (the one call this pin makes).
+std::vector<std::size_t> draw_k_of_n(RngStream& rng, std::size_t n,
+                                     std::size_t k) {
+  return rng.sample_without_replacement(n, k);
+}
+
+std::uint64_t fnv_digest(const std::vector<std::size_t>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::size_t v : values) {
+    hash ^= v;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(RngStream, SampleWithoutReplacementPinnedOutput) {
+  // Both regimes (sparse k*4 <= n, dense otherwise) and their boundary
+  // (k*4 == n is sparse, k*4 == n+1 dense). `next` is the stream's
+  // next_u64() after the call, which pins the number of draws consumed.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    std::size_t k;
+    std::vector<std::size_t> expected;
+    std::uint64_t next;
+  };
+  const std::vector<Case> cases = {
+      {7, 1, 1, {0}, 0x475c3d964f482cd2ULL},
+      {7, 2, 1, {1}, 0x475c3d964f482cd2ULL},
+      {7, 3, 2, {2, 1}, 0xd6f1d349952c7996ULL},
+      {7, 7, 2, {4, 2}, 0xd6f1d349952c7996ULL},
+      {7, 8, 2, {4, 2}, 0xd6f1d349952c7996ULL},
+      {7, 9, 2, {5, 2}, 0xd6f1d349952c7996ULL},
+      {7, 12, 3, {7, 3, 10}, 0xfb2938731e807240ULL},
+      {7, 13, 3, {7, 3, 10}, 0xfb2938731e807240ULL},
+      {7, 20, 3, {12, 5, 16}, 0xfb2938731e807240ULL},
+      {7, 100, 25, {53, 21, 65, 77, 79, 70, 4, 8, 33, 12, 46, 63, 82,
+                    78, 40, 51, 23, 43, 14, 94, 16, 96, 97, 27, 74},
+       0x20f6a843f0a2d560ULL},
+      {7, 99, 25, {69, 28, 83, 97, 98, 87, 11, 16, 44, 22, 58, 75, 93,
+                   88, 52, 62, 37, 55, 30, 29, 33, 71, 73, 8, 80},
+       0x20f6a843f0a2d560ULL},
+      {7, 1000, 2, {699, 278}, 0xd6f1d349952c7996ULL},
+      {7, 12, 12, {8, 4, 10, 11, 3, 1, 6, 7, 9, 0, 5, 2},
+       0xf0600caa8d7589d1ULL},
+      {7, 5, 0, {}, 0xb358faf74ef9765aULL},
+      {2026, 3, 2, {1, 0}, 0xd0009e279d9cdedaULL},
+      {2026, 4, 3, {2, 1, 3}, 0xe4c7dca786d56702ULL},
+      {2026, 8, 2, {4, 2}, 0xd0009e279d9cdedaULL},
+      {2026, 7, 2, {4, 2}, 0xd0009e279d9cdedaULL},
+      {2026, 40, 10, {17, 9, 26, 30, 28, 35, 36, 31, 33, 39},
+       0xf749532e75dc495fULL},
+      {2026, 39, 10, {22, 11, 32, 35, 2, 31, 33, 6, 34, 16},
+       0xf749532e75dc495fULL},
+      {2026, 1048576, 5, {601598, 297458, 851976, 937084, 851480},
+       0xc9edb1a3f94f7148ULL},
+      {2026, 16, 16, {9, 5, 13, 14, 2, 4, 3, 6, 7, 10, 15, 12, 0, 11, 8, 1},
+       0x3790ca2124bc96e1ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed=" << c.seed << " n=" << c.n
+                                    << " k=" << c.k);
+    RngStream rng(c.seed);
+    EXPECT_EQ(draw_k_of_n(rng, c.n, c.k), c.expected);
+    EXPECT_EQ(rng.next_u64(), c.next);
+  }
+}
+
+TEST(RngStream, SampleWithoutReplacementPinnedLargeK) {
+  // Larger k, where whole outputs are pinned by an FNV-1a digest; again
+  // both regimes and the k*4 == n / k*4 == n+1 boundary.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    std::size_t k;
+    std::uint64_t digest;
+    std::uint64_t next;
+  };
+  const std::vector<Case> cases = {
+      {7, 320, 80, 0xa028a7916d168f9eULL, 0x09a755b9f5e0461dULL},
+      {7, 319, 80, 0x4fd8a84cac731026ULL, 0x09a755b9f5e0461dULL},
+      {2026, 1000, 100, 0xf8812e82cf522617ULL, 0x92f6a2084193fd58ULL},
+      {2026, 300, 299, 0x39c9c522842fa7e8ULL, 0x2b49e471440c9545ULL},
+      {2026, 100000, 65, 0x1943cb7f20e124f7ULL, 0x006edc8b34fab5c2ULL},
+      {2026, 257, 65, 0xc68927ec5cce5697ULL, 0x006edc8b34fab5c2ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed=" << c.seed << " n=" << c.n
+                                    << " k=" << c.k);
+    RngStream rng(c.seed);
+    const std::vector<std::size_t> out = draw_k_of_n(rng, c.n, c.k);
+    EXPECT_EQ(out.size(), c.k);
+    EXPECT_EQ(fnv_digest(out), c.digest);
+    EXPECT_EQ(rng.next_u64(), c.next);
+  }
+}
+
 // --- Batched draws: must consume the stream exactly like the scalar APIs ---
 // (this equality is what keeps figure outputs byte-identical when a call
 // site switches to the batched form).
