@@ -101,7 +101,7 @@ void BM_AggregationRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_AggregationRound)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_AggregationRound)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_HopsSamplingPoll(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -116,7 +116,7 @@ void BM_HopsSamplingPoll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_HopsSamplingPoll)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_HopsSamplingPoll)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_CyclonRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -28,6 +28,7 @@ double broadcast_coverage(sim::Simulator& sim, net::NodeId source,
   std::vector<net::NodeId> frontier{source};
   informed[source] = true;
   std::size_t reached = 1;
+  std::vector<std::size_t> picks(fanout);
   while (!frontier.empty()) {
     std::vector<net::NodeId> next;
     for (const net::NodeId u : frontier) {
@@ -43,8 +44,8 @@ double broadcast_coverage(sim::Simulator& sim, net::NodeId source,
           }
         }
       } else {
-        for (const std::size_t pick :
-             rng.sample_without_replacement(neighbors.size(), fanout)) {
+        rng.sample_without_replacement(neighbors.size(), picks);
+        for (const std::size_t pick : picks) {
           const net::NodeId v = neighbors[pick];
           sim.meter().count(sim::MessageClass::kGossipSpread);
           if (!informed[v]) {

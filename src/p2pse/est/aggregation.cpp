@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "p2pse/est/exchange_round.hpp"
 #include "p2pse/support/stats.hpp"
 
 namespace p2pse::est {
@@ -31,52 +32,29 @@ void Aggregation::start_epoch(sim::Simulator& sim, net::NodeId initiator) {
 }
 
 void Aggregation::run_round(sim::Simulator& sim, support::RngStream& rng) {
-  net::Graph& graph = sim.graph();
-  ensure_capacity(graph.slot_count());
-  // Synchronous cycle: every alive node initiates one exchange with a
-  // uniformly random alive neighbor (push + pull = 2 messages). A dropped
-  // push means the peer never replies (no pull message at all); a dropped
-  // pull means the initiator cannot confirm, so the peer's tentative update
-  // is rolled back — either way the exchange is masked out of the round and
-  // mass is conserved.
-  double round_max = 0.0;
-  bool masked = false;
-  for (const net::NodeId id : graph.alive_nodes()) {
-    const net::NodeId peer = graph.random_neighbor(id, rng);
-    if (peer == net::kInvalidNode) continue;  // isolated node: nothing to do
-    const sim::Channel::Delivery push =
-        sim.send(sim::MessageClass::kAggregationPush, id, peer);
-    if (!push.delivered) {
-      masked = true;
-      continue;
-    }
-    if (config_.push_pull) {
-      const sim::Channel::Delivery pull =
-          sim.send(sim::MessageClass::kAggregationPull, peer, id);
-      if (!pull.delivered) {
-        masked = true;
-        continue;
-      }
-      round_max = std::max(round_max, push.latency + pull.latency);
-      const double mean = 0.5 * (values_[id] + values_[peer]);
-      values_[id] = mean;
-      values_[peer] = mean;
-    } else {
-      // Push-only variant: the receiver absorbs half the sender's value.
-      // Mass stays conserved but mixing is slower (ablation).
-      round_max = std::max(round_max, push.latency);
-      const double half = 0.5 * values_[id];
-      values_[id] -= half;
-      values_[peer] += half;
-    }
-  }
-  // A synchronized round ends when its slowest exchange settles; detecting
-  // a masked (dropped) exchange costs the ack timeout, as in the poll
-  // protocols' reply windows.
-  if (masked) {
-    round_max = std::max(round_max, sim.channel().config().timeout);
-  }
-  epoch_delay_ += round_max;
+  ensure_capacity(sim.graph().slot_count());
+#if P2PSE_CHECK_ENABLED
+  const double mass_before = total_mass(sim);
+#endif
+  epoch_delay_ += detail::run_exchange_round(
+      sim, rng, config_.push_pull,
+      [&](net::NodeId peer) { __builtin_prefetch(&values_[peer], 1); },
+      [&](net::NodeId id, net::NodeId peer) {
+        if (config_.push_pull) {
+          const double mean = 0.5 * (values_[id] + values_[peer]);
+          values_[id] = mean;
+          values_[peer] = mean;
+        } else {
+          // Push-only variant: the receiver absorbs half the sender's
+          // value. Mass stays conserved but mixing is slower (ablation).
+          const double half = 0.5 * values_[id];
+          values_[id] -= half;
+          values_[peer] += half;
+        }
+      });
+#if P2PSE_CHECK_ENABLED
+  detail::check_mass_conserved(mass_before, total_mass(sim));
+#endif
 }
 
 Estimate Aggregation::run_epoch(sim::Simulator& sim, net::NodeId initiator,

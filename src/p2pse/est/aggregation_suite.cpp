@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "p2pse/est/exchange_round.hpp"
+
 namespace p2pse::est {
 
 MultiAggregation::MultiAggregation(MultiAggregationConfig config)
@@ -40,42 +42,34 @@ void MultiAggregation::start_epoch(sim::Simulator& sim,
 
 void MultiAggregation::run_round(sim::Simulator& sim,
                                  support::RngStream& rng) {
-  net::Graph& graph = sim.graph();
-  ensure_capacity(graph.slot_count());
-  double round_max = 0.0;
-  bool masked = false;
-  for (const net::NodeId id : graph.alive_nodes()) {
-    const net::NodeId peer = graph.random_neighbor(id, rng);
-    if (peer == net::kInvalidNode) continue;
-    // All instances piggyback on one push-pull exchange: 2 messages total.
-    // A dropped push or pull masks the whole exchange for every instance
-    // (ack-gated commit, as in the single-instance Aggregation) — mass is
-    // conserved per instance, loss only slows convergence.
-    const sim::Channel::Delivery push =
-        sim.send(sim::MessageClass::kAggregationPush, id, peer);
-    if (!push.delivered) {
-      masked = true;
-      continue;
-    }
-    const sim::Channel::Delivery pull =
-        sim.send(sim::MessageClass::kAggregationPull, peer, id);
-    if (!pull.delivered) {
-      masked = true;
-      continue;
-    }
-    round_max = std::max(round_max, push.latency + pull.latency);
-    for (auto& v : values_) {
-      const double mean = 0.5 * (v[id] + v[peer]);
-      v[id] = mean;
-      v[peer] = mean;
-    }
+  ensure_capacity(sim.graph().slot_count());
+#if P2PSE_CHECK_ENABLED
+  std::vector<double> mass_before;
+  for (const auto& v : values_) {
+    mass_before.push_back(detail::alive_mass(sim.graph(), v));
   }
-  // Same round accounting as Aggregation::run_round: slowest delivered
-  // exchange, or the ack timeout when a masked exchange had to be detected.
-  if (masked) {
-    round_max = std::max(round_max, sim.channel().config().timeout);
+#endif
+  // All instances piggyback on one push-pull exchange: 2 messages total.
+  // A masked exchange is masked for every instance, so mass is conserved
+  // per instance and loss only slows convergence.
+  epoch_delay_ += detail::run_exchange_round(
+      sim, rng, /*push_pull=*/true,
+      [&](net::NodeId peer) {
+        for (const auto& v : values_) __builtin_prefetch(&v[peer], 1);
+      },
+      [&](net::NodeId id, net::NodeId peer) {
+        for (auto& v : values_) {
+          const double mean = 0.5 * (v[id] + v[peer]);
+          v[id] = mean;
+          v[peer] = mean;
+        }
+      });
+#if P2PSE_CHECK_ENABLED
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    detail::check_mass_conserved(mass_before[i],
+                                 detail::alive_mass(sim.graph(), values_[i]));
   }
-  epoch_delay_ += round_max;
+#endif
 }
 
 double MultiAggregation::value_of(std::uint32_t instance,

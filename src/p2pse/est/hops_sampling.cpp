@@ -1,10 +1,12 @@
 #include "p2pse/est/hops_sampling.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "p2pse/net/analysis.hpp"
+#include "p2pse/support/check.hpp"
 
 namespace p2pse::est {
 namespace {
@@ -16,6 +18,10 @@ struct Forwarder {
   std::uint32_t send_hop;
   std::uint32_t rounds_left;
 };
+
+/// Forwarders whose targets are drawn (and prefetched) before the first of
+/// them is delivered.
+constexpr std::size_t kSpreadBlock = 64;
 
 }  // namespace
 
@@ -51,6 +57,12 @@ void HopsSampling::spread(sim::Simulator& sim, net::NodeId initiator,
   std::vector<Forwarder> next;
   frontier.push_back(Forwarder{initiator, 1, config_.gossip_for});
 
+  // Block scratch: the targets of up to kSpreadBlock forwarders, drawn
+  // before any of them is delivered. Bounded by the block, not the frontier.
+  std::vector<net::NodeId> targets;
+  std::array<std::size_t, kSpreadBlock> targets_end{};
+  std::vector<std::size_t> picks;
+
   std::uint32_t rounds = 0;
   while (!frontier.empty() && rounds < config_.max_spread_rounds) {
     ++rounds;
@@ -69,26 +81,51 @@ void HopsSampling::spread(sim::Simulator& sim, net::NodeId initiator,
       } else if (fw.send_hop < min_hops[target]) {
         min_hops[target] = fw.send_hop;
       }
+      P2PSE_CHECK(min_hops[target] <= fw.send_hop);
       if (times_received[target]++ < config_.gossip_until) {
-        next.push_back(
-            Forwarder{target, min_hops[target] + 1, config_.gossip_for});
+        const std::uint32_t send_hop = min_hops[target] + 1;
+        P2PSE_CHECK(send_hop <= rounds + 1);
+        next.push_back(Forwarder{target, send_hop, config_.gossip_for});
       }
     };
-    for (auto& fw : frontier) {
-      const auto neighbors = graph.neighbors(fw.node);
-      if (!neighbors.empty()) {
+    // A forwarder's targets depend only on its adjacency, which no delivery
+    // changes, so drawing a block's targets first keeps the RNG order of a
+    // plain draw-then-deliver loop while their state is prefetched.
+    for (std::size_t begin = 0; begin < frontier.size();
+         begin += kSpreadBlock) {
+      const std::size_t end = std::min(begin + kSpreadBlock, frontier.size());
+      const std::size_t ahead = std::min(end + kSpreadBlock, frontier.size());
+      for (std::size_t i = end; i < ahead; ++i) {
+        graph.prefetch_neighbors(frontier[i].node);
+      }
+      targets.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t first = targets.size();
+        const auto neighbors = graph.neighbors(frontier[i].node);
         // gossipTo distinct targets when possible, all neighbors otherwise.
         if (neighbors.size() <= config_.gossip_to) {
-          for (const net::NodeId target : neighbors) deliver(fw, target);
+          targets.insert(targets.end(), neighbors.begin(), neighbors.end());
         } else {
-          const auto picks =
-              rng.sample_without_replacement(neighbors.size(), config_.gossip_to);
-          for (const std::size_t pick : picks) deliver(fw, neighbors[pick]);
+          picks.resize(config_.gossip_to);
+          rng.sample_without_replacement(neighbors.size(), picks);
+          for (const std::size_t pick : picks) {
+            targets.push_back(neighbors[pick]);
+          }
         }
+        for (std::size_t t = first; t < targets.size(); ++t) {
+          __builtin_prefetch(&min_hops[targets[t]], 1);
+          __builtin_prefetch(&times_received[targets[t]], 1);
+        }
+        targets_end[i - begin] = targets.size();
       }
-      // A multi-round forwarder re-enters the frontier until exhausted.
-      if (--fw.rounds_left > 0) {
-        next.push_back(fw);
+      std::size_t t = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        Forwarder& fw = frontier[i];
+        for (; t < targets_end[i - begin]; ++t) deliver(fw, targets[t]);
+        // A multi-round forwarder re-enters the frontier until exhausted.
+        if (--fw.rounds_left > 0) {
+          next.push_back(fw);
+        }
       }
     }
     frontier.swap(next);
@@ -129,12 +166,18 @@ HopsSamplingResult HopsSampling::run_once(sim::Simulator& sim,
   // deepening the under-estimation the paper already observes.
   double estimate = 1.0;
   double reply_max = 0.0;
+  // reply_probability by distance, grown to the largest distance seen.
+  std::vector<double> reply_by_hops;
   for (const net::NodeId id : graph.alive_nodes()) {
     if (id == initiator) continue;
     const std::uint32_t h = min_hops[id];
     if (h == net::kUnreached) continue;
     result.max_distance = std::max(result.max_distance, h);
-    const double p = reply_probability(h);
+    while (reply_by_hops.size() <= h) {
+      reply_by_hops.push_back(reply_probability(
+          static_cast<std::uint32_t>(reply_by_hops.size())));
+    }
+    const double p = reply_by_hops[h];
     if (rng.bernoulli(p)) {
       const sim::Channel::Delivery d =
           sim.send(sim::MessageClass::kPollReply, id, initiator);

@@ -68,11 +68,15 @@ class HopsSampling {
   /// Reply probability for a node at distance `hops` (exposed for tests).
   [[nodiscard]] double reply_probability(std::uint32_t hops) const noexcept;
 
- private:
+  /// Phase 1 alone (exposed for tests): gossips the poll from `initiator`,
+  /// writing each reached node's minimal hop count into `min_hops` (sized
+  /// slot_count(), every entry net::kUnreached on entry) and filling
+  /// result.reached, spread_rounds and spread_delay.
   void spread(sim::Simulator& sim, net::NodeId initiator,
               support::RngStream& rng, std::vector<std::uint32_t>& min_hops,
               HopsSamplingResult& result) const;
 
+ private:
   HopsSamplingConfig config_;
 };
 

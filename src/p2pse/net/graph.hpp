@@ -186,6 +186,15 @@ class Graph {
     __builtin_prefetch(&extents_[id], 0);
   }
 
+  /// Hints the prefetcher at the lines neighbors(id) reads before the
+  /// arena: the liveness slot and the extent. Used by the gossip spread to
+  /// overlap the next block's adjacency lookups with the current block.
+  void prefetch_neighbors(NodeId id) const noexcept {
+    if (id >= alive_pos_.size()) return;
+    __builtin_prefetch(&alive_pos_[id], 0);
+    __builtin_prefetch(&extents_[id], 0);
+  }
+
   /// Average degree over alive nodes (0 for an empty graph).
   [[nodiscard]] double average_degree() const noexcept;
 

@@ -15,7 +15,6 @@
 #include <limits>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "p2pse/support/check.hpp"
 
@@ -255,10 +254,10 @@ class RngStream {
   }
 #endif
 
-  /// Samples `k` distinct indices from [0, n). Requires k <= n.
-  /// Order of the returned indices is unspecified.
-  [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n,
-                                                                    std::size_t k);
+  /// Fills `out` with k = out.size() distinct indices drawn from [0, n).
+  /// Requires k <= n. The order is part of the stream contract (figures
+  /// depend on it). Draws of up to 64 indices allocate nothing.
+  void sample_without_replacement(std::size_t n, std::span<std::size_t> out);
 
  private:
   /// One unaccounted Lemire bounded draw (bound > 0). Shared by the scalar

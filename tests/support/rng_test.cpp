@@ -197,7 +197,8 @@ TEST(RngStream, ShufflePreservesMultiset) {
 
 TEST(RngStream, SampleWithoutReplacementBasics) {
   RngStream rng(37);
-  const auto sample = rng.sample_without_replacement(100, 10);
+  std::vector<std::size_t> sample(10);
+  rng.sample_without_replacement(100, sample);
   EXPECT_EQ(sample.size(), 10u);
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
@@ -206,28 +207,34 @@ TEST(RngStream, SampleWithoutReplacementBasics) {
 
 TEST(RngStream, SampleWithoutReplacementFullDraw) {
   RngStream rng(37);
-  auto sample = rng.sample_without_replacement(12, 12);
+  std::vector<std::size_t> sample(12);
+  rng.sample_without_replacement(12, sample);
   std::sort(sample.begin(), sample.end());
   for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(sample[i], i);
 }
 
 TEST(RngStream, SampleWithoutReplacementEmpty) {
   RngStream rng(37);
-  EXPECT_TRUE(rng.sample_without_replacement(5, 0).empty());
-  EXPECT_TRUE(rng.sample_without_replacement(0, 0).empty());
+  RngStream untouched(37);
+  rng.sample_without_replacement(5, {});
+  rng.sample_without_replacement(0, {});
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());  // no draw consumed
 }
 
 TEST(RngStream, SampleWithoutReplacementRejectsOverdraw) {
   RngStream rng(37);
-  EXPECT_THROW((void)rng.sample_without_replacement(3, 4),
+  std::vector<std::size_t> sample(4);
+  EXPECT_THROW(rng.sample_without_replacement(3, sample),
                std::invalid_argument);
 }
 
 TEST(RngStream, SampleWithoutReplacementIsUniform) {
   RngStream rng(41);
   std::vector<std::uint64_t> counts(20, 0);
+  std::vector<std::size_t> sample(3);
   for (int round = 0; round < 20000; ++round) {
-    for (const std::size_t s : rng.sample_without_replacement(20, 3)) {
+    rng.sample_without_replacement(20, sample);
+    for (const std::size_t s : sample) {
       ++counts[s];
     }
   }
@@ -240,7 +247,9 @@ TEST(RngStream, SampleWithoutReplacementIsUniform) {
 /// Draws k of n through the public sampler (the one call this pin makes).
 std::vector<std::size_t> draw_k_of_n(RngStream& rng, std::size_t n,
                                      std::size_t k) {
-  return rng.sample_without_replacement(n, k);
+  std::vector<std::size_t> out(k);
+  rng.sample_without_replacement(n, out);
+  return out;
 }
 
 std::uint64_t fnv_digest(const std::vector<std::size_t>& values) {
