@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/simulator.hpp"
@@ -19,18 +21,52 @@ sim::Simulator small_sim(std::uint64_t seed = 11) {
                         seed);
 }
 
+/// What every registry row reports at its defaults. The short names and
+/// describe lines feed report ids and captions, so they are pinned exactly.
+struct ExpectedRow {
+  std::string_view name;
+  std::string_view short_name;
+  std::string_view display_name;
+  Estimator::Mode mode;
+  bool uses_channel;
+  std::string_view describe;
+};
+
+constexpr ExpectedRow kExpectedRows[] = {
+    {"aggregation", "agg", "Aggregation", Estimator::Mode::kEpoch, true,
+     "rounds_per_epoch=50"},
+    {"aggregation_suite", "suite", "MultiAggregation", Estimator::Mode::kEpoch,
+     true, "rounds_per_epoch=50 instances=8 combine=median"},
+    {"flat_polling", "poll", "Flat Polling", Estimator::Mode::kPoint, true,
+     "p=0.05"},
+    {"hops_sampling", "hs", "HopsSampling", Estimator::Mode::kPoint, true,
+     "gossipTo=2 gossipFor=1 gossipUntil=1 minHopsReporting=5"},
+    {"interval_density", "density", "Interval Density", Estimator::Mode::kPoint,
+     false, "leafset=16"},
+    {"inverted_birthday", "ibp", "Inverted Birthday", Estimator::Mode::kPoint,
+     true, "walk_length=30 l=1"},
+    {"random_tour", "tour", "Random Tour", Estimator::Mode::kPoint, true,
+     "max_steps=67108864"},
+    {"sample_collide", "sc", "Sample&Collide", Estimator::Mode::kPoint, true,
+     "l=200 T=10"},
+};
+
 TEST(EstimatorRegistry, EveryNameBuildsAndProducesOneEstimate) {
   const auto& registry = EstimatorRegistry::global();
   const auto names = registry.names();
-  ASSERT_GE(names.size(), 8u);
-  for (const auto& name : names) {
+  ASSERT_EQ(names.size(), std::size(kExpectedRows));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto& name = names[i];
     SCOPED_TRACE(name);
     const auto estimator = registry.build(name);
     ASSERT_NE(estimator, nullptr);
-    EXPECT_EQ(estimator->name(), name);
-    EXPECT_FALSE(estimator->short_name().empty());
-    EXPECT_FALSE(estimator->display_name().empty());
-    EXPECT_FALSE(estimator->describe().empty());
+    const ExpectedRow& row = kExpectedRows[i];
+    EXPECT_EQ(estimator->name(), row.name);
+    EXPECT_EQ(estimator->short_name(), row.short_name);
+    EXPECT_EQ(estimator->display_name(), row.display_name);
+    EXPECT_EQ(estimator->mode(), row.mode);
+    EXPECT_EQ(estimator->uses_channel(), row.uses_channel);
+    EXPECT_EQ(estimator->describe(), row.describe);
     const auto copy = estimator->clone();
     ASSERT_NE(copy, nullptr);
     EXPECT_EQ(copy->name(), name);
