@@ -2,10 +2,10 @@
 // operations: graph construction, walk steps, gossip rounds, churn, and
 // trace generation/replay.
 //
-// Besides the console table, every run writes a machine-readable
-// BENCH_micro.json ({"benchmark name": ns_per_op, ...}) — the artifact CI
-// uploads so the perf trajectory across PRs is diffable. Override the path
-// with --bench-json PATH; all other flags pass through to Google Benchmark.
+// Besides the console table, `--bench-json PATH` writes a machine-readable
+// {"benchmark name": ns_per_op, ...} map — the BENCH_micro.json artifact CI
+// uploads so the perf trajectory across PRs is diffable. Without the flag no
+// file is written; all other flags pass through to Google Benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -445,7 +445,7 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   // Extract our own --bench-json flag before Google Benchmark sees the
   // command line (it hard-errors on flags it does not know).
-  std::string json_path = "BENCH_micro.json";
+  std::string json_path;
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -465,6 +465,7 @@ int main(int argc, char** argv) {
   JsonCapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  if (json_path.empty()) return 0;
   if (!reporter.write_json(json_path)) {
     std::fprintf(stderr, "micro_benchmarks: cannot write %s\n",
                  json_path.c_str());

@@ -8,14 +8,11 @@
 //                        [--scenario static|growing|shrinking|catastrophic]
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "p2pse/est/aggregation.hpp"
-#include "p2pse/est/estimator.hpp"
 #include "p2pse/est/hops_sampling.hpp"
 #include "p2pse/est/sample_collide.hpp"
-#include "p2pse/est/smoothing.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/scenario/runner.hpp"
 #include "p2pse/scenario/scenarios.hpp"
@@ -64,46 +61,18 @@ int main(int argc, char** argv) {
                 msgs.mean());
   };
 
-  {
-    auto sc = std::make_shared<est::SampleCollide>(
-        est::SampleCollideConfig{.timer = 10.0, .collisions = 200});
-    report("Sample&Collide l=200 oneShot",
-           runner.run_point(
-               [sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-                 return sc->estimate_once(s, i, r);
-               },
-               {.estimations = runs}));
-  }
-  {
-    auto sc = std::make_shared<est::SampleCollide>(
-        est::SampleCollideConfig{.timer = 10.0, .collisions = 10});
-    report("Sample&Collide l=10 oneShot",
-           runner.run_point(
-               [sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-                 return sc->estimate_once(s, i, r);
-               },
-               {.estimations = runs}));
-  }
-  {
-    auto hs = std::make_shared<est::HopsSampling>(est::HopsSamplingConfig{});
-    auto smoother = std::make_shared<est::LastKAverage>(10);
-    report("HopsSampling last10runs",
-           runner.run_point(
-               [hs, smoother](sim::Simulator& s, net::NodeId i,
-                              support::RngStream& r) {
-                 est::Estimate e = hs->run_once(s, i, r).estimate;
-                 if (e.valid) e.value = smoother->add(e.value);
-                 return e;
-               },
-               {.estimations = runs}));
-  }
-  {
-    // Aggregation runs epochs continuously over the same timeline, driven
-    // through the unified estimator interface.
-    const est::AggregationEstimator agg({.rounds_per_epoch = 50});
-    report("Aggregation (50-round epochs)",
-           runner.run(agg, {.estimations = 0, .rounds_per_unit = 1.0}));
-  }
+  report("Sample&Collide l=200 oneShot",
+         runner.run(est::SampleCollide({.timer = 10.0, .collisions = 200}),
+                    {.estimations = runs}));
+  report("Sample&Collide l=10 oneShot",
+         runner.run(est::SampleCollide({.timer = 10.0, .collisions = 10}),
+                    {.estimations = runs}));
+  report("HopsSampling last10runs",
+         runner.run(est::HopsSampling({.last_k = 10}), {.estimations = runs}));
+  // Aggregation runs epochs continuously over the same timeline.
+  report("Aggregation (50-round epochs)",
+         runner.run(est::Aggregation({.rounds_per_epoch = 50}),
+                    {.estimations = 0, .rounds_per_unit = 1.0}));
 
   std::printf(
       "\nInterpretation guide (paper §V): Aggregation for the most stringent\n"

@@ -46,12 +46,9 @@ int main(int argc, char** argv) {
         return net::build_heterogeneous_random({nodes, 1, 10}, rng);
       },
       seed);
-  const est::SampleCollide sc({.timer = 10.0, .collisions = l});
-  const scenario::Series series = runner.run_point(
-      [&sc](sim::Simulator& sim, net::NodeId init, support::RngStream& rng) {
-        return sc.estimate_once(sim, init, rng);
-      },
-      {.estimations = estimations});
+  const scenario::Series series =
+      runner.run(est::SampleCollide({.timer = 10.0, .collisions = l}),
+                 {.estimations = estimations});
 
   std::printf("monitoring a %s overlay of initially %zu nodes "
               "(Sample&Collide, l=%u)\n\n", kind.c_str(), nodes, l);

@@ -9,10 +9,18 @@
 
 namespace p2pse::est {
 
-Aggregation::Aggregation(AggregationConfig config) : config_(config) {
+Aggregation::Aggregation(AggregationConfig config)
+    : Estimator(kInfo), config_(config) {
   if (config_.rounds_per_epoch == 0) {
     throw std::invalid_argument("Aggregation: rounds_per_epoch must be >= 1");
   }
+}
+
+std::string Aggregation::describe() const {
+  std::string out =
+      "rounds_per_epoch=" + std::to_string(config_.rounds_per_epoch);
+  if (!config_.push_pull) out += " push_pull=false";
+  return out;
 }
 
 void Aggregation::ensure_capacity(std::size_t slots) {

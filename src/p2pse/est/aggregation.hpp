@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -29,9 +29,28 @@ struct AggregationConfig {
   bool push_pull = true;  ///< false = push-only averaging (ablation)
 };
 
-class Aggregation {
+class Aggregation final : public Estimator {
  public:
+  static constexpr Info kInfo{"aggregation", "agg", "Aggregation",
+                             Mode::kEpoch};
+
   explicit Aggregation(AggregationConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<Aggregation>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  void start_epoch(sim::Simulator& sim, net::NodeId initiator,
+                   support::RngStream&) override {
+    start_epoch(sim, initiator);
+  }
+  [[nodiscard]] Estimate epoch_estimate(const sim::Simulator& sim,
+                                        net::NodeId reader) const override {
+    return estimate_at(sim, reader);
+  }
+  [[nodiscard]] std::uint32_t rounds_per_epoch() const noexcept override {
+    return config_.rounds_per_epoch;
+  }
 
   /// Starts a new epoch: every currently-alive node resets to 0, the
   /// initiator to 1 (realizes the paper's tag-based reinitialization).
@@ -43,7 +62,7 @@ class Aggregation {
   /// masked — neither side commits (ack-gated, so mass stays conserved and
   /// loss only slows convergence); the round's wall-clock is the slowest
   /// delivered exchange, accumulated into the epoch's measured delay.
-  void run_round(sim::Simulator& sim, support::RngStream& rng);
+  void run_round(sim::Simulator& sim, support::RngStream& rng) override;
 
   /// Convenience: start_epoch + rounds_per_epoch rounds; returns the
   /// estimate read at the initiator (or at `reader` if supplied and alive).

@@ -9,7 +9,7 @@
 namespace p2pse::est {
 
 MultiAggregation::MultiAggregation(MultiAggregationConfig config)
-    : config_(config) {
+    : Estimator(kInfo), config_(config) {
   if (config_.rounds_per_epoch == 0) {
     throw std::invalid_argument("MultiAggregation: rounds_per_epoch >= 1");
   }
@@ -17,6 +17,14 @@ MultiAggregation::MultiAggregation(MultiAggregationConfig config)
     throw std::invalid_argument("MultiAggregation: instances >= 1");
   }
   values_.resize(config_.instances);
+}
+
+std::string MultiAggregation::describe() const {
+  return "rounds_per_epoch=" + std::to_string(config_.rounds_per_epoch) +
+         " instances=" + std::to_string(config_.instances) + " combine=" +
+         (config_.combine == MultiAggregationConfig::Combine::kMedian
+              ? "median"
+              : "mean");
 }
 
 void MultiAggregation::ensure_capacity(std::size_t slots) {

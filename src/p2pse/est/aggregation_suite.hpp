@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -24,16 +24,36 @@ struct MultiAggregationConfig {
   enum class Combine { kMedian, kMean } combine = Combine::kMedian;
 };
 
-class MultiAggregation {
+class MultiAggregation final : public Estimator {
  public:
+  static constexpr Info kInfo{"aggregation_suite", "suite", "MultiAggregation",
+                             Mode::kEpoch};
+
   explicit MultiAggregation(MultiAggregationConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<MultiAggregation>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  /// The instances draw their own initiators; `initiator` is unused.
+  void start_epoch(sim::Simulator& sim, net::NodeId,
+                   support::RngStream& rng) override {
+    start_epoch(sim, rng);
+  }
+  [[nodiscard]] Estimate epoch_estimate(const sim::Simulator& sim,
+                                        net::NodeId reader) const override {
+    return estimate_at(sim, reader);
+  }
+  [[nodiscard]] std::uint32_t rounds_per_epoch() const noexcept override {
+    return config_.rounds_per_epoch;
+  }
 
   /// Starts an epoch: instance i's initiator is drawn uniformly (distinct
   /// where possible); every other node holds 0 in that instance.
   void start_epoch(sim::Simulator& sim, support::RngStream& rng);
 
   /// One synchronous push-pull round; all instances ride each exchange.
-  void run_round(sim::Simulator& sim, support::RngStream& rng);
+  void run_round(sim::Simulator& sim, support::RngStream& rng) override;
 
   /// Combined estimate at a node (median/mean over instances' 1/value).
   [[nodiscard]] Estimate estimate_at(const sim::Simulator& sim,

@@ -1,19 +1,9 @@
 #include "p2pse/est/estimator.hpp"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "p2pse/support/csv.hpp"
-
 namespace p2pse::est {
-namespace {
-
-constexpr double kNoCoverage = std::numeric_limits<double>::quiet_NaN();
-
-using support::format_double;
-
-}  // namespace
 
 void Estimator::wrong_mode(std::string_view method) const {
   throw std::logic_error(std::string(name()) + ": " + std::string(method) +
@@ -27,7 +17,9 @@ Estimate Estimator::estimate_point(sim::Simulator&, net::NodeId,
   wrong_mode("estimate_point");
 }
 
-double Estimator::last_coverage() const noexcept { return kNoCoverage; }
+double Estimator::last_coverage() const noexcept {
+  return std::numeric_limits<double>::quiet_NaN();
+}
 
 void Estimator::start_epoch(sim::Simulator&, net::NodeId,
                             support::RngStream&) {
@@ -43,317 +35,5 @@ Estimate Estimator::epoch_estimate(const sim::Simulator&, net::NodeId) const {
 }
 
 std::uint32_t Estimator::rounds_per_epoch() const noexcept { return 0; }
-
-// --- Sample&Collide ---------------------------------------------------------
-
-SampleCollideEstimator::SampleCollideEstimator(SampleCollideConfig config)
-    : impl_(config) {}
-
-std::string_view SampleCollideEstimator::name() const noexcept {
-  return "sample_collide";
-}
-std::string_view SampleCollideEstimator::short_name() const noexcept {
-  return "sc";
-}
-std::string_view SampleCollideEstimator::display_name() const noexcept {
-  return "Sample&Collide";
-}
-
-std::unique_ptr<Estimator> SampleCollideEstimator::clone() const {
-  return std::make_unique<SampleCollideEstimator>(*this);
-}
-
-std::string SampleCollideEstimator::describe() const {
-  std::string out = "l=" + std::to_string(config().collisions) +
-                    " T=" + format_double(config().timer);
-  if (config().estimator == CollisionEstimator::kMaximumLikelihood) {
-    out += " estimator=mle";
-  }
-  return out;
-}
-
-Estimate SampleCollideEstimator::estimate_point(sim::Simulator& sim,
-                                                net::NodeId initiator,
-                                                support::RngStream& rng) {
-  return impl_.estimate_once(sim, initiator, rng);
-}
-
-// --- HopsSampling -----------------------------------------------------------
-
-HopsSamplingEstimator::HopsSamplingEstimator(HopsSamplingEstimatorConfig config)
-    : impl_(config.hops), last_coverage_(kNoCoverage) {
-  if (config.smooth_last_k > 0) smoother_.emplace(config.smooth_last_k);
-}
-
-std::string_view HopsSamplingEstimator::name() const noexcept {
-  return "hops_sampling";
-}
-std::string_view HopsSamplingEstimator::short_name() const noexcept {
-  return "hs";
-}
-std::string_view HopsSamplingEstimator::display_name() const noexcept {
-  return "HopsSampling";
-}
-
-std::unique_ptr<Estimator> HopsSamplingEstimator::clone() const {
-  return std::make_unique<HopsSamplingEstimator>(*this);
-}
-
-std::string HopsSamplingEstimator::describe() const {
-  std::string out = "gossipTo=" + std::to_string(config().gossip_to) +
-                    " gossipFor=" + std::to_string(config().gossip_for) +
-                    " gossipUntil=" + std::to_string(config().gossip_until) +
-                    " minHopsReporting=" +
-                    std::to_string(config().min_hops_reporting);
-  if (config().oracle_distances) out += " oracle=true";
-  if (smoother_) out += " lastK=" + std::to_string(smoother_->window());
-  return out;
-}
-
-Estimate HopsSamplingEstimator::estimate_point(sim::Simulator& sim,
-                                               net::NodeId initiator,
-                                               support::RngStream& rng) {
-  const HopsSamplingResult result = impl_.run_once(sim, initiator, rng);
-  last_coverage_ = static_cast<double>(result.reached) /
-                   static_cast<double>(sim.graph().size());
-  Estimate estimate = result.estimate;
-  if (smoother_ && estimate.valid) {
-    estimate.value = smoother_->add(estimate.value);
-  }
-  return estimate;
-}
-
-double HopsSamplingEstimator::last_coverage() const noexcept {
-  return last_coverage_;
-}
-
-// --- Random Tour ------------------------------------------------------------
-
-RandomTourEstimator::RandomTourEstimator(RandomTourConfig config)
-    : impl_(config) {}
-
-std::string_view RandomTourEstimator::name() const noexcept {
-  return "random_tour";
-}
-std::string_view RandomTourEstimator::short_name() const noexcept {
-  return "tour";
-}
-std::string_view RandomTourEstimator::display_name() const noexcept {
-  return "Random Tour";
-}
-
-std::unique_ptr<Estimator> RandomTourEstimator::clone() const {
-  return std::make_unique<RandomTourEstimator>(*this);
-}
-
-std::string RandomTourEstimator::describe() const {
-  return "max_steps=" + std::to_string(impl_.config().max_steps);
-}
-
-Estimate RandomTourEstimator::estimate_point(sim::Simulator& sim,
-                                             net::NodeId initiator,
-                                             support::RngStream& rng) {
-  return impl_.estimate_once(sim, initiator, rng);
-}
-
-// --- Interval Density -------------------------------------------------------
-
-IntervalDensityEstimator::IntervalDensityEstimator(
-    IntervalDensityConfig config)
-    : impl_(config) {}
-
-std::string_view IntervalDensityEstimator::name() const noexcept {
-  return "interval_density";
-}
-std::string_view IntervalDensityEstimator::short_name() const noexcept {
-  return "density";
-}
-std::string_view IntervalDensityEstimator::display_name() const noexcept {
-  return "Interval Density";
-}
-
-std::unique_ptr<Estimator> IntervalDensityEstimator::clone() const {
-  return std::make_unique<IntervalDensityEstimator>(*this);
-}
-
-std::string IntervalDensityEstimator::describe() const {
-  return "leafset=" + std::to_string(impl_.config().leafset);
-}
-
-Estimate IntervalDensityEstimator::estimate_point(sim::Simulator& sim,
-                                                  net::NodeId initiator,
-                                                  support::RngStream& rng) {
-  // The identifier ring is the structured overlay's routing state; rebuild it
-  // whenever membership changed (a real DHT repairs leafsets incrementally —
-  // the estimate is the same, only the maintenance cost differs, and the
-  // meter charges the estimate itself, not the maintenance).
-  if (!ids_ || ids_->population() != sim.graph().size() ||
-      std::isnan(ids_->id_of(initiator))) {
-    ids_.emplace(sim.graph(), rng);
-  }
-  return impl_.estimate_once(sim, *ids_, initiator);
-}
-
-// --- Inverted Birthday ------------------------------------------------------
-
-InvertedBirthdayEstimator::InvertedBirthdayEstimator(
-    InvertedBirthdayConfig config)
-    : impl_(config) {}
-
-std::string_view InvertedBirthdayEstimator::name() const noexcept {
-  return "inverted_birthday";
-}
-std::string_view InvertedBirthdayEstimator::short_name() const noexcept {
-  return "ibp";
-}
-std::string_view InvertedBirthdayEstimator::display_name() const noexcept {
-  return "Inverted Birthday";
-}
-
-std::unique_ptr<Estimator> InvertedBirthdayEstimator::clone() const {
-  return std::make_unique<InvertedBirthdayEstimator>(*this);
-}
-
-std::string InvertedBirthdayEstimator::describe() const {
-  return "walk_length=" + std::to_string(impl_.config().walk_length) +
-         " l=" + std::to_string(impl_.config().collisions);
-}
-
-Estimate InvertedBirthdayEstimator::estimate_point(sim::Simulator& sim,
-                                                   net::NodeId initiator,
-                                                   support::RngStream& rng) {
-  return impl_.estimate_once(sim, initiator, rng);
-}
-
-// --- Flat Polling -----------------------------------------------------------
-
-FlatPollingEstimator::FlatPollingEstimator(FlatPollingConfig config)
-    : impl_(config), last_coverage_(kNoCoverage) {}
-
-std::string_view FlatPollingEstimator::name() const noexcept {
-  return "flat_polling";
-}
-std::string_view FlatPollingEstimator::short_name() const noexcept {
-  return "poll";
-}
-std::string_view FlatPollingEstimator::display_name() const noexcept {
-  return "Flat Polling";
-}
-
-std::unique_ptr<Estimator> FlatPollingEstimator::clone() const {
-  return std::make_unique<FlatPollingEstimator>(*this);
-}
-
-std::string FlatPollingEstimator::describe() const {
-  return "p=" + format_double(impl_.config().reply_probability);
-}
-
-Estimate FlatPollingEstimator::estimate_point(sim::Simulator& sim,
-                                              net::NodeId initiator,
-                                              support::RngStream& rng) {
-  const FlatPollingResult result = impl_.run_once(sim, initiator, rng);
-  last_coverage_ = static_cast<double>(result.reached) /
-                   static_cast<double>(sim.graph().size());
-  return result.estimate;
-}
-
-double FlatPollingEstimator::last_coverage() const noexcept {
-  return last_coverage_;
-}
-
-// --- Aggregation ------------------------------------------------------------
-
-AggregationEstimator::AggregationEstimator(AggregationConfig config)
-    : impl_(config) {}
-
-std::string_view AggregationEstimator::name() const noexcept {
-  return "aggregation";
-}
-std::string_view AggregationEstimator::short_name() const noexcept {
-  return "agg";
-}
-std::string_view AggregationEstimator::display_name() const noexcept {
-  return "Aggregation";
-}
-
-std::unique_ptr<Estimator> AggregationEstimator::clone() const {
-  return std::make_unique<AggregationEstimator>(*this);
-}
-
-std::string AggregationEstimator::describe() const {
-  std::string out =
-      "rounds_per_epoch=" + std::to_string(config().rounds_per_epoch);
-  if (!config().push_pull) out += " push_pull=false";
-  return out;
-}
-
-void AggregationEstimator::start_epoch(sim::Simulator& sim,
-                                       net::NodeId initiator,
-                                       support::RngStream&) {
-  impl_.start_epoch(sim, initiator);
-}
-
-void AggregationEstimator::run_round(sim::Simulator& sim,
-                                     support::RngStream& rng) {
-  impl_.run_round(sim, rng);
-}
-
-Estimate AggregationEstimator::epoch_estimate(const sim::Simulator& sim,
-                                              net::NodeId reader) const {
-  return impl_.estimate_at(sim, reader);
-}
-
-std::uint32_t AggregationEstimator::rounds_per_epoch() const noexcept {
-  return config().rounds_per_epoch;
-}
-
-// --- Aggregation suite ------------------------------------------------------
-
-AggregationSuiteEstimator::AggregationSuiteEstimator(
-    MultiAggregationConfig config)
-    : impl_(config) {}
-
-std::string_view AggregationSuiteEstimator::name() const noexcept {
-  return "aggregation_suite";
-}
-std::string_view AggregationSuiteEstimator::short_name() const noexcept {
-  return "suite";
-}
-std::string_view AggregationSuiteEstimator::display_name() const noexcept {
-  return "MultiAggregation";
-}
-
-std::unique_ptr<Estimator> AggregationSuiteEstimator::clone() const {
-  return std::make_unique<AggregationSuiteEstimator>(*this);
-}
-
-std::string AggregationSuiteEstimator::describe() const {
-  return "rounds_per_epoch=" +
-         std::to_string(impl_.config().rounds_per_epoch) +
-         " instances=" + std::to_string(impl_.config().instances) +
-         " combine=" +
-         (impl_.config().combine == MultiAggregationConfig::Combine::kMedian
-              ? "median"
-              : "mean");
-}
-
-void AggregationSuiteEstimator::start_epoch(sim::Simulator& sim, net::NodeId,
-                                            support::RngStream& rng) {
-  impl_.start_epoch(sim, rng);
-}
-
-void AggregationSuiteEstimator::run_round(sim::Simulator& sim,
-                                          support::RngStream& rng) {
-  impl_.run_round(sim, rng);
-}
-
-Estimate AggregationSuiteEstimator::epoch_estimate(const sim::Simulator& sim,
-                                                   net::NodeId reader) const {
-  return impl_.estimate_at(sim, reader);
-}
-
-std::uint32_t AggregationSuiteEstimator::rounds_per_epoch() const noexcept {
-  return impl_.config().rounds_per_epoch;
-}
 
 }  // namespace p2pse::est

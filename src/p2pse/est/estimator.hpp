@@ -16,26 +16,17 @@
 // deterministic. Calling a mode's methods on an estimator of the other mode
 // throws std::logic_error.
 //
-// Concrete adapters for every algorithm in est/ live below; the name-keyed
-// factory that builds them from "name:key=value,..." specs is
+// Every algorithm class in est/ derives from Estimator directly and states
+// its names and mode once, in the Info row it hands to this base; the
+// name-keyed factory that builds them from "name:key=value,..." specs is
 // est::EstimatorRegistry (registry.hpp).
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "p2pse/est/aggregation.hpp"
-#include "p2pse/est/aggregation_suite.hpp"
 #include "p2pse/est/estimate.hpp"
-#include "p2pse/est/flat_polling.hpp"
-#include "p2pse/est/hops_sampling.hpp"
-#include "p2pse/est/interval_density.hpp"
-#include "p2pse/est/inverted_birthday.hpp"
-#include "p2pse/est/random_tour.hpp"
-#include "p2pse/est/sample_collide.hpp"
-#include "p2pse/est/smoothing.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -49,25 +40,38 @@ class Estimator {
     kEpoch,  ///< round-interleaved gossip, one estimate per epoch
   };
 
+  /// What an algorithm is called and how it is driven: one static row per
+  /// class.
+  struct Info {
+    std::string_view name;          ///< registry key, e.g. "sample_collide"
+    std::string_view short_name;    ///< tag used in report ids, e.g. "sc"
+    std::string_view display_name;  ///< e.g. "Sample&Collide"
+    Mode mode;
+    /// False when the estimator's traffic does not route through the
+    /// simulator's delivery channel (Interval Density reads local leafset
+    /// state). Drivers reject a non-ideal network spec for such estimators —
+    /// loss-free results must never be labelled as lossy ones.
+    bool uses_channel = true;
+  };
+
   virtual ~Estimator() = default;
 
-  /// Registry key, e.g. "sample_collide".
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  /// Short tag used in report ids, e.g. "sc".
-  [[nodiscard]] virtual std::string_view short_name() const noexcept = 0;
-  /// Human-readable algorithm name, e.g. "Sample&Collide".
-  [[nodiscard]] virtual std::string_view display_name() const noexcept = 0;
-  [[nodiscard]] virtual Mode mode() const noexcept = 0;
+  [[nodiscard]] std::string_view name() const noexcept { return info_->name; }
+  [[nodiscard]] std::string_view short_name() const noexcept {
+    return info_->short_name;
+  }
+  [[nodiscard]] std::string_view display_name() const noexcept {
+    return info_->display_name;
+  }
+  [[nodiscard]] Mode mode() const noexcept { return info_->mode; }
+  [[nodiscard]] bool uses_channel() const noexcept {
+    return info_->uses_channel;
+  }
   /// Deep copy including run state; replicas must each drive their own clone.
   [[nodiscard]] virtual std::unique_ptr<Estimator> clone() const = 0;
   /// "key=value key=value" fragment describing the active configuration
   /// (used verbatim in report parameter lines).
   [[nodiscard]] virtual std::string describe() const = 0;
-  /// False when the estimator's traffic does not route through the
-  /// simulator's delivery channel (Interval Density reads local leafset
-  /// state). Drivers reject a non-ideal network spec for such estimators —
-  /// loss-free results must never be labelled as lossy ones.
-  [[nodiscard]] virtual bool uses_channel() const noexcept { return true; }
 
   // --- point mode -----------------------------------------------------------
   /// One atomic estimation from `initiator`. Non-const: estimators may keep
@@ -90,195 +94,19 @@ class Estimator {
   [[nodiscard]] virtual std::uint32_t rounds_per_epoch() const noexcept;
 
  protected:
+  /// `info` must outlive the estimator (a static row of the derived class).
+  explicit Estimator(const Info& info) noexcept : info_(&info) {}
+  Estimator(const Estimator&) = default;
+  Estimator& operator=(const Estimator&) = default;
+  Estimator(Estimator&&) = default;
+  Estimator& operator=(Estimator&&) = default;
+
   /// Helper for the default implementations: throws std::logic_error naming
   /// the estimator and the missing mode.
   [[noreturn]] void wrong_mode(std::string_view method) const;
-};
-
-// --- point-mode adapters ----------------------------------------------------
-
-class SampleCollideEstimator final : public Estimator {
- public:
-  explicit SampleCollideEstimator(SampleCollideConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-
-  [[nodiscard]] const SampleCollideConfig& config() const noexcept {
-    return impl_.config();
-  }
 
  private:
-  SampleCollide impl_;
-};
-
-struct HopsSamplingEstimatorConfig {
-  HopsSamplingConfig hops{};
-  /// 0 = report raw oneShot estimates; K >= 1 = lastKruns smoothing.
-  std::size_t smooth_last_k = 0;
-};
-
-class HopsSamplingEstimator final : public Estimator {
- public:
-  explicit HopsSamplingEstimator(HopsSamplingEstimatorConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-  [[nodiscard]] double last_coverage() const noexcept override;
-
-  [[nodiscard]] const HopsSamplingConfig& config() const noexcept {
-    return impl_.config();
-  }
-  [[nodiscard]] std::size_t smooth_last_k() const noexcept {
-    return smoother_ ? smoother_->window() : 0;
-  }
-
- private:
-  HopsSampling impl_;
-  std::optional<LastKAverage> smoother_;
-  double last_coverage_;
-};
-
-class RandomTourEstimator final : public Estimator {
- public:
-  explicit RandomTourEstimator(RandomTourConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-
- private:
-  RandomTour impl_;
-};
-
-class IntervalDensityEstimator final : public Estimator {
- public:
-  explicit IntervalDensityEstimator(IntervalDensityConfig config = {});
-  IntervalDensityEstimator(const IntervalDensityEstimator&) = default;
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] bool uses_channel() const noexcept override { return false; }
-  /// Lazily assigns uniform ring identifiers to the overlay (drawn from
-  /// `rng`) and re-assigns them whenever the population changed since the
-  /// previous call — the simulation analogue of DHT leafset maintenance.
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-
- private:
-  IntervalDensity impl_;
-  std::optional<IdentifierSpace> ids_;
-};
-
-class InvertedBirthdayEstimator final : public Estimator {
- public:
-  explicit InvertedBirthdayEstimator(InvertedBirthdayConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-
- private:
-  InvertedBirthday impl_;
-};
-
-class FlatPollingEstimator final : public Estimator {
- public:
-  explicit FlatPollingEstimator(FlatPollingConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kPoint; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override;
-  [[nodiscard]] double last_coverage() const noexcept override;
-
- private:
-  FlatPolling impl_;
-  double last_coverage_;
-};
-
-// --- epoch-mode adapters ----------------------------------------------------
-
-class AggregationEstimator final : public Estimator {
- public:
-  explicit AggregationEstimator(AggregationConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kEpoch; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  void start_epoch(sim::Simulator& sim, net::NodeId initiator,
-                   support::RngStream& rng) override;
-  void run_round(sim::Simulator& sim, support::RngStream& rng) override;
-  [[nodiscard]] Estimate epoch_estimate(const sim::Simulator& sim,
-                                        net::NodeId reader) const override;
-  [[nodiscard]] std::uint32_t rounds_per_epoch() const noexcept override;
-
-  [[nodiscard]] const AggregationConfig& config() const noexcept {
-    return impl_.config();
-  }
-
- private:
-  Aggregation impl_;
-};
-
-class AggregationSuiteEstimator final : public Estimator {
- public:
-  explicit AggregationSuiteEstimator(MultiAggregationConfig config = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::string_view short_name() const noexcept override;
-  [[nodiscard]] std::string_view display_name() const noexcept override;
-  [[nodiscard]] Mode mode() const noexcept override { return Mode::kEpoch; }
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-  [[nodiscard]] std::string describe() const override;
-  void start_epoch(sim::Simulator& sim, net::NodeId initiator,
-                   support::RngStream& rng) override;
-  void run_round(sim::Simulator& sim, support::RngStream& rng) override;
-  [[nodiscard]] Estimate epoch_estimate(const sim::Simulator& sim,
-                                        net::NodeId reader) const override;
-  [[nodiscard]] std::uint32_t rounds_per_epoch() const noexcept override;
-
- private:
-  MultiAggregation impl_;
+  const Info* info_;
 };
 
 }  // namespace p2pse::est

@@ -4,13 +4,29 @@
 #include <stdexcept>
 #include <vector>
 
+#include "p2pse/support/csv.hpp"
+
 namespace p2pse::est {
 
-FlatPolling::FlatPolling(FlatPollingConfig config) : config_(config) {
+FlatPolling::FlatPolling(FlatPollingConfig config)
+    : Estimator(kInfo), config_(config) {
   if (config_.reply_probability <= 0.0 || config_.reply_probability > 1.0) {
     throw std::invalid_argument(
         "FlatPolling: reply_probability must be in (0, 1]");
   }
+}
+
+std::string FlatPolling::describe() const {
+  return "p=" + support::format_double(config_.reply_probability);
+}
+
+Estimate FlatPolling::estimate_point(sim::Simulator& sim,
+                                     net::NodeId initiator,
+                                     support::RngStream& rng) {
+  const FlatPollingResult result = run_once(sim, initiator, rng);
+  last_coverage_ = static_cast<double>(result.reached) /
+                   static_cast<double>(sim.graph().size());
+  return result.estimate;
 }
 
 FlatPollingResult FlatPolling::run_once(sim::Simulator& sim,

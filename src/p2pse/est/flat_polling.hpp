@@ -14,7 +14,10 @@
 // grade p by distance is precisely to cut the reply flood near the
 // initiator without the far-node variance explosion.
 
-#include "p2pse/est/estimate.hpp"
+
+#include <limits>
+
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -31,9 +34,24 @@ struct FlatPollingResult {
   std::size_t replies = 0;
 };
 
-class FlatPolling {
+class FlatPolling final : public Estimator {
  public:
+  static constexpr Info kInfo{"flat_polling", "poll", "Flat Polling",
+                             Mode::kPoint};
+
   explicit FlatPolling(FlatPollingConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<FlatPolling>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  /// One poll; also records its coverage for last_coverage().
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override;
+  [[nodiscard]] double last_coverage() const noexcept override {
+    return last_coverage_;
+  }
 
   /// Runs one flood + probabilistic report from `initiator`.
   [[nodiscard]] FlatPollingResult run_once(sim::Simulator& sim,
@@ -46,6 +64,7 @@ class FlatPolling {
 
  private:
   FlatPollingConfig config_;
+  double last_coverage_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace p2pse::est

@@ -25,7 +25,8 @@ constexpr std::size_t kSpreadBlock = 64;
 
 }  // namespace
 
-HopsSampling::HopsSampling(HopsSamplingConfig config) : config_(config) {
+HopsSampling::HopsSampling(HopsSamplingConfig config)
+    : Estimator(kInfo), config_(config) {
   if (config_.gossip_to == 0) {
     throw std::invalid_argument("HopsSampling: gossipTo must be >= 1");
   }
@@ -35,6 +36,31 @@ HopsSampling::HopsSampling(HopsSamplingConfig config) : config_(config) {
   if (config_.gossip_until == 0) {
     throw std::invalid_argument("HopsSampling: gossipUntil must be >= 1");
   }
+  if (config_.last_k > 0) smoother_.emplace(config_.last_k);
+}
+
+std::string HopsSampling::describe() const {
+  std::string out = "gossipTo=" + std::to_string(config_.gossip_to) +
+                    " gossipFor=" + std::to_string(config_.gossip_for) +
+                    " gossipUntil=" + std::to_string(config_.gossip_until) +
+                    " minHopsReporting=" +
+                    std::to_string(config_.min_hops_reporting);
+  if (config_.oracle_distances) out += " oracle=true";
+  if (smoother_) out += " lastK=" + std::to_string(smoother_->window());
+  return out;
+}
+
+Estimate HopsSampling::estimate_point(sim::Simulator& sim,
+                                      net::NodeId initiator,
+                                      support::RngStream& rng) {
+  const HopsSamplingResult result = run_once(sim, initiator, rng);
+  last_coverage_ = static_cast<double>(result.reached) /
+                   static_cast<double>(sim.graph().size());
+  Estimate estimate = result.estimate;
+  if (smoother_ && estimate.valid) {
+    estimate.value = smoother_->add(estimate.value);
+  }
+  return estimate;
 }
 
 double HopsSampling::reply_probability(std::uint32_t hops) const noexcept {

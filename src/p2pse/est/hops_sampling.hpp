@@ -22,9 +22,12 @@
 // isolating the reporting estimator from the spread's imperfections.
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
+#include "p2pse/est/smoothing.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -38,6 +41,7 @@ struct HopsSamplingConfig {
   std::uint32_t min_hops_reporting = 5;
   std::uint32_t max_spread_rounds = 100'000;  ///< safety bound
   bool oracle_distances = false;  ///< §V: BFS distances, full participation
+  std::size_t last_k = 0;  ///< 0 = oneShot; K >= 1 = lastKruns smoothing
 };
 
 struct HopsSamplingResult {
@@ -52,9 +56,25 @@ struct HopsSamplingResult {
   double spread_delay = 0.0;
 };
 
-class HopsSampling {
+class HopsSampling final : public Estimator {
  public:
+  static constexpr Info kInfo{"hops_sampling", "hs", "HopsSampling",
+                             Mode::kPoint};
+
   explicit HopsSampling(HopsSamplingConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<HopsSampling>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  /// One poll, smoothed over the last `last_k` polls when configured; also
+  /// records the poll's coverage for last_coverage().
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override;
+  [[nodiscard]] double last_coverage() const noexcept override {
+    return last_coverage_;
+  }
 
   /// Runs one complete poll (spread + report) from `initiator`.
   [[nodiscard]] HopsSamplingResult run_once(sim::Simulator& sim,
@@ -78,6 +98,8 @@ class HopsSampling {
 
  private:
   HopsSamplingConfig config_;
+  std::optional<LastKAverage> smoother_;
+  double last_coverage_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace p2pse::est

@@ -62,36 +62,29 @@ double IdentifierSpace::ring_distance(net::NodeId node,
   return d >= 0.0 ? d : d + 1.0;
 }
 
-void IdentifierSpace::remove(net::NodeId node) {
-  const std::size_t pos = position_of(node);
-  if (pos >= ring_.size()) return;
-  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
-  slot_of_node_[node] = net::kInvalidNode;
-  for (std::size_t i = pos; i < ring_.size(); ++i) {
-    slot_of_node_[ring_[i].node] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void IdentifierSpace::insert(net::NodeId node, support::RngStream& rng) {
-  const double id = rng.uniform_real();
-  const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), id,
-      [](const Slot& slot, double value) { return slot.id < value; });
-  const auto pos = static_cast<std::size_t>(it - ring_.begin());
-  ring_.insert(it, Slot{id, node});
-  if (node >= slot_of_node_.size()) {
-    slot_of_node_.resize(node + 1, net::kInvalidNode);
-  }
-  for (std::size_t i = pos; i < ring_.size(); ++i) {
-    slot_of_node_[ring_[i].node] = static_cast<std::uint32_t>(i);
-  }
-}
-
 IntervalDensity::IntervalDensity(IntervalDensityConfig config)
-    : config_(config) {
+    : Estimator(kInfo), config_(config) {
   if (config_.leafset < 2) {
     throw std::invalid_argument("IntervalDensity: leafset must be >= 2");
   }
+}
+
+std::string IntervalDensity::describe() const {
+  return "leafset=" + std::to_string(config_.leafset);
+}
+
+Estimate IntervalDensity::estimate_point(sim::Simulator& sim,
+                                         net::NodeId initiator,
+                                         support::RngStream& rng) {
+  // The identifier ring is the structured overlay's routing state; rebuild it
+  // whenever membership changed (a real DHT repairs leafsets incrementally —
+  // the estimate is the same, only the maintenance cost differs, and the
+  // meter charges the estimate itself, not the maintenance).
+  if (!ids_ || ids_->population() != sim.graph().size() ||
+      std::isnan(ids_->id_of(initiator))) {
+    ids_.emplace(sim.graph(), rng);
+  }
+  return estimate_once(sim, *ids_, initiator);
 }
 
 Estimate IntervalDensity::estimate_once(sim::Simulator& sim,

@@ -19,9 +19,10 @@
 // identifier-structured overlays.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -29,7 +30,7 @@
 namespace p2pse::est {
 
 /// The identifier substrate: assigns every alive node a uniform id on the
-/// unit ring and answers successor queries. Rebuild (or update) after churn.
+/// unit ring and answers successor queries. Rebuild after churn.
 class IdentifierSpace {
  public:
   /// Assigns fresh uniform ids to every alive node of `graph`.
@@ -50,12 +51,6 @@ class IdentifierSpace {
     return ring_.size();
   }
 
-  /// Removes a departed node from the ring (leafset repair).
-  void remove(net::NodeId node);
-
-  /// Inserts a (new) node with a fresh uniform id.
-  void insert(net::NodeId node, support::RngStream& rng);
-
  private:
   struct Slot {
     double id;
@@ -71,9 +66,23 @@ struct IntervalDensityConfig {
   std::size_t leafset = 16;  ///< k: successors consulted per estimate
 };
 
-class IntervalDensity {
+class IntervalDensity final : public Estimator {
  public:
+  static constexpr Info kInfo{"interval_density", "density", "Interval Density",
+                             Mode::kPoint, /*uses_channel=*/false};
+
   explicit IntervalDensity(IntervalDensityConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<IntervalDensity>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  /// Lazily assigns uniform ring identifiers to the overlay (drawn from
+  /// `rng`) and re-assigns them whenever the population changed since the
+  /// previous call — the simulation analogue of DHT leafset maintenance.
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override;
 
   /// Estimates the population from `node`'s leafset density. Charges
   /// `leafset` kControl messages (successor probes).
@@ -87,6 +96,7 @@ class IntervalDensity {
 
  private:
   IntervalDensityConfig config_;
+  std::optional<IdentifierSpace> ids_;
 };
 
 }  // namespace p2pse::est

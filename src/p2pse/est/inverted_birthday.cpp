@@ -6,10 +6,15 @@
 namespace p2pse::est {
 
 InvertedBirthday::InvertedBirthday(InvertedBirthdayConfig config)
-    : config_(config) {
+    : Estimator(kInfo), config_(config) {
   if (config_.collisions == 0) {
     throw std::invalid_argument("InvertedBirthday: collisions must be >= 1");
   }
+}
+
+std::string InvertedBirthday::describe() const {
+  return "walk_length=" + std::to_string(config_.walk_length) +
+         " l=" + std::to_string(config_.collisions);
 }
 
 InvertedBirthday::Sample InvertedBirthday::sample(

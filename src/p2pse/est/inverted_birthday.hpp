@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -25,9 +25,22 @@ struct InvertedBirthdayConfig {
   std::uint64_t max_samples = 1u << 26;
 };
 
-class InvertedBirthday {
+class InvertedBirthday final : public Estimator {
  public:
+  static constexpr Info kInfo{"inverted_birthday", "ibp", "Inverted Birthday",
+                             Mode::kPoint};
+
   explicit InvertedBirthday(InvertedBirthdayConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<InvertedBirthday>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override {
+    return estimate_once(sim, initiator, rng);
+  }
 
   /// One degree-biased sample: the endpoint of a fixed-length random walk.
   struct Sample {

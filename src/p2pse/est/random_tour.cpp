@@ -2,6 +2,10 @@
 
 namespace p2pse::est {
 
+std::string RandomTour::describe() const {
+  return "max_steps=" + std::to_string(config_.max_steps);
+}
+
 Estimate RandomTour::estimate_once(sim::Simulator& sim, net::NodeId initiator,
                                    support::RngStream& rng) const {
   const std::uint64_t baseline = sim.meter().total();

@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -25,9 +25,23 @@ struct RandomTourConfig {
   std::uint64_t max_steps = 1u << 26;
 };
 
-class RandomTour {
+class RandomTour final : public Estimator {
  public:
-  explicit RandomTour(RandomTourConfig config = {}) noexcept : config_(config) {}
+  static constexpr Info kInfo{"random_tour", "tour", "Random Tour",
+                             Mode::kPoint};
+
+  explicit RandomTour(RandomTourConfig config = {}) noexcept
+      : Estimator(kInfo), config_(config) {}
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<RandomTour>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override {
+    return estimate_once(sim, initiator, rng);
+  }
 
   /// Runs one tour from `initiator`. Each hop counts one kWalkStep message.
   [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,

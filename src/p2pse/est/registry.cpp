@@ -3,29 +3,25 @@
 #include <initializer_list>
 #include <stdexcept>
 
-#include "p2pse/support/spec_reader.hpp"
+#include "p2pse/est/aggregation.hpp"
+#include "p2pse/est/aggregation_suite.hpp"
+#include "p2pse/est/flat_polling.hpp"
+#include "p2pse/est/hops_sampling.hpp"
+#include "p2pse/est/interval_density.hpp"
+#include "p2pse/est/inverted_birthday.hpp"
+#include "p2pse/est/random_tour.hpp"
+#include "p2pse/est/sample_collide.hpp"
 
 namespace p2pse::est {
 namespace {
 
-using Overrides = EstimatorRegistry::Overrides;
-
-/// Converts override values on access (shared support::SpecValueReader
-/// machinery). Key validation happens once in EstimatorRegistry::build
-/// against the entry's registered key list, so factories never re-state
-/// which keys exist.
-class OverrideReader : public support::SpecValueReader {
- public:
-  OverrideReader(std::string_view name, const Overrides& overrides)
-      : support::SpecValueReader(std::string(name), overrides) {}
-};
+using Reader = support::SpecValueReader;
 
 EstimatorRegistry make_global() {
   EstimatorRegistry registry;
 
-  registry.add("sample_collide", {"l", "T", "estimator"},
-               [](const Overrides& o) {
-    OverrideReader reader("sample_collide", o);
+  registry.add(SampleCollide::kInfo.name, {"l", "T", "estimator"},
+               [](const Reader& reader) {
     SampleCollideConfig config;
     config.collisions =
         static_cast<std::uint32_t>(reader.get_uint("l", config.collisions));
@@ -39,77 +35,71 @@ EstimatorRegistry make_global() {
         reader.bad_value("estimator", "quadratic|mle", *kind);
       }
     }
-    return std::make_unique<SampleCollideEstimator>(config);
+    return std::make_unique<SampleCollide>(config);
   });
 
   registry.add(
-      "hops_sampling",
+      HopsSampling::kInfo.name,
       {"gossip_to", "gossip_for", "gossip_until", "min_hops", "oracle",
        "last_k"},
-      [](const Overrides& o) {
-        OverrideReader reader("hops_sampling", o);
-        HopsSamplingEstimatorConfig config;
-        config.hops.gossip_to = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_to", config.hops.gossip_to));
-        config.hops.gossip_for = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_for", config.hops.gossip_for));
-        config.hops.gossip_until = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_until", config.hops.gossip_until));
-        config.hops.min_hops_reporting = static_cast<std::uint32_t>(
-            reader.get_uint("min_hops", config.hops.min_hops_reporting));
-        config.hops.oracle_distances =
-            reader.get_bool("oracle", config.hops.oracle_distances);
-        config.smooth_last_k = reader.get_uint("last_k", 0);
-        return std::make_unique<HopsSamplingEstimator>(config);
+      [](const Reader& reader) {
+        HopsSamplingConfig config;
+        config.gossip_to = static_cast<std::uint32_t>(
+            reader.get_uint("gossip_to", config.gossip_to));
+        config.gossip_for = static_cast<std::uint32_t>(
+            reader.get_uint("gossip_for", config.gossip_for));
+        config.gossip_until = static_cast<std::uint32_t>(
+            reader.get_uint("gossip_until", config.gossip_until));
+        config.min_hops_reporting = static_cast<std::uint32_t>(
+            reader.get_uint("min_hops", config.min_hops_reporting));
+        config.oracle_distances =
+            reader.get_bool("oracle", config.oracle_distances);
+        config.last_k = reader.get_uint("last_k", config.last_k);
+        return std::make_unique<HopsSampling>(config);
       });
 
-  registry.add("random_tour", {"max_steps"}, [](const Overrides& o) {
-    OverrideReader reader("random_tour", o);
+  registry.add(RandomTour::kInfo.name, {"max_steps"}, [](const Reader& reader) {
     RandomTourConfig config;
     config.max_steps = reader.get_uint("max_steps", config.max_steps);
-    return std::make_unique<RandomTourEstimator>(config);
+    return std::make_unique<RandomTour>(config);
   });
 
-  registry.add("interval_density", {"leafset"}, [](const Overrides& o) {
-    OverrideReader reader("interval_density", o);
+  registry.add(IntervalDensity::kInfo.name, {"leafset"},
+               [](const Reader& reader) {
     IntervalDensityConfig config;
     config.leafset = reader.get_uint("leafset", config.leafset);
-    return std::make_unique<IntervalDensityEstimator>(config);
+    return std::make_unique<IntervalDensity>(config);
   });
 
-  registry.add("inverted_birthday", {"walk_length", "l"},
-               [](const Overrides& o) {
-    OverrideReader reader("inverted_birthday", o);
+  registry.add(InvertedBirthday::kInfo.name, {"walk_length", "l"},
+               [](const Reader& reader) {
     InvertedBirthdayConfig config;
     config.walk_length = static_cast<std::uint32_t>(
         reader.get_uint("walk_length", config.walk_length));
     config.collisions =
         static_cast<std::uint32_t>(reader.get_uint("l", config.collisions));
-    return std::make_unique<InvertedBirthdayEstimator>(config);
+    return std::make_unique<InvertedBirthday>(config);
   });
 
-  registry.add("flat_polling", {"p"}, [](const Overrides& o) {
-    OverrideReader reader("flat_polling", o);
+  registry.add(FlatPolling::kInfo.name, {"p"}, [](const Reader& reader) {
     FlatPollingConfig config;
     config.reply_probability =
         reader.get_double("p", config.reply_probability);
-    return std::make_unique<FlatPollingEstimator>(config);
+    return std::make_unique<FlatPolling>(config);
   });
 
-  registry.add("aggregation", {"rounds", "push_pull"},
-               [](const Overrides& o) {
-    OverrideReader reader("aggregation", o);
+  registry.add(Aggregation::kInfo.name, {"rounds", "push_pull"},
+               [](const Reader& reader) {
     AggregationConfig config;
     config.rounds_per_epoch = static_cast<std::uint32_t>(
         reader.get_uint("rounds", config.rounds_per_epoch));
     config.push_pull = reader.get_bool("push_pull", config.push_pull);
-    return std::make_unique<AggregationEstimator>(config);
+    return std::make_unique<Aggregation>(config);
   });
 
   registry.add(
-      "aggregation_suite", {"rounds", "instances", "combine"},
-      [](const Overrides& o) {
-        OverrideReader reader("aggregation_suite", o);
+      MultiAggregation::kInfo.name, {"rounds", "instances", "combine"},
+      [](const Reader& reader) {
         MultiAggregationConfig config;
         config.rounds_per_epoch = static_cast<std::uint32_t>(
             reader.get_uint("rounds", config.rounds_per_epoch));
@@ -124,7 +114,7 @@ EstimatorRegistry make_global() {
             reader.bad_value("combine", "median|mean", *combine);
           }
         }
-        return std::make_unique<AggregationSuiteEstimator>(config);
+        return std::make_unique<MultiAggregation>(config);
       });
 
   return registry;
@@ -162,9 +152,9 @@ const EstimatorRegistry& EstimatorRegistry::global() {
   return registry;
 }
 
-void EstimatorRegistry::add(std::string name, std::vector<std::string> keys,
-                            Factory factory) {
-  entries_[std::move(name)] = Entry{std::move(keys), std::move(factory)};
+void EstimatorRegistry::add(std::string_view name,
+                            std::vector<std::string> keys, Factory factory) {
+  entries_[std::string(name)] = Entry{std::move(keys), std::move(factory)};
 }
 
 std::unique_ptr<Estimator> EstimatorRegistry::build(
@@ -183,7 +173,8 @@ std::unique_ptr<Estimator> EstimatorRegistry::build(
   // typo'd key can never silently yield a default-configured estimator.
   support::require_known_keys(spec.overrides, keys_help(spec.name), spec.name,
                               "override key");
-  return it->second.factory(spec.overrides);
+  return it->second.factory(
+      support::SpecValueReader(spec.name, spec.overrides));
 }
 
 std::unique_ptr<Estimator> EstimatorRegistry::build(

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "p2pse/est/estimator.hpp"
+#include "p2pse/support/spec_reader.hpp"
 
 namespace p2pse::est {
 
@@ -46,8 +47,10 @@ struct EstimatorSpec {
 
 class EstimatorRegistry {
  public:
-  using Overrides = std::vector<std::pair<std::string, std::string>>;
-  using Factory = std::function<std::unique_ptr<Estimator>(const Overrides&)>;
+  /// Converts an estimator's override values; its context is the name, so
+  /// malformed values are reported against the spec they came from.
+  using Factory = std::function<std::unique_ptr<Estimator>(
+      const support::SpecValueReader&)>;
 
   /// The process-wide registry with every built-in estimator registered.
   [[nodiscard]] static const EstimatorRegistry& global();
@@ -58,7 +61,8 @@ class EstimatorRegistry {
   /// `keys` is the single source of truth for the estimator's valid
   /// override keys: build() validates against it and keys_help() renders it,
   /// so the factory only converts values.
-  void add(std::string name, std::vector<std::string> keys, Factory factory);
+  void add(std::string_view name, std::vector<std::string> keys,
+           Factory factory);
 
   /// Builds an estimator. Throws std::invalid_argument for an unknown name
   /// (listing every registered name) or an unknown/malformed override key

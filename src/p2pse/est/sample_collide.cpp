@@ -4,15 +4,28 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "p2pse/support/check.hpp"
+#include "p2pse/support/csv.hpp"
+
 namespace p2pse::est {
 
-SampleCollide::SampleCollide(SampleCollideConfig config) : config_(config) {
+SampleCollide::SampleCollide(SampleCollideConfig config)
+    : Estimator(kInfo), config_(config) {
   if (config_.timer <= 0.0) {
     throw std::invalid_argument("SampleCollide: timer T must be > 0");
   }
   if (config_.collisions == 0) {
     throw std::invalid_argument("SampleCollide: collision target l must be >= 1");
   }
+}
+
+std::string SampleCollide::describe() const {
+  std::string out = "l=" + std::to_string(config_.collisions) +
+                    " T=" + support::format_double(config_.timer);
+  if (config_.estimator == CollisionEstimator::kMaximumLikelihood) {
+    out += " estimator=mle";
+  }
+  return out;
 }
 
 WalkSample SampleCollide::sample(sim::Simulator& sim, net::NodeId initiator,
@@ -87,6 +100,10 @@ Estimate SampleCollide::estimate_once(sim::Simulator& sim,
     ++samples;
     if (!seen.insert(s.node).second) ++collisions;
   }
+  // Every delivered sample is either a new id or a collision, and lost
+  // attempts enter neither count.
+  P2PSE_CHECK(samples == seen.size() + collisions);
+  P2PSE_CHECK(samples <= attempts);
 
   Estimate estimate;
   estimate.time = sim.now();

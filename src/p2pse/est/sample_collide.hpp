@@ -18,7 +18,7 @@
 
 #include <cstdint>
 
-#include "p2pse/est/estimate.hpp"
+#include "p2pse/est/estimator.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -52,9 +52,22 @@ struct WalkSample {
   double elapsed = 0.0;
 };
 
-class SampleCollide {
+class SampleCollide final : public Estimator {
  public:
+  static constexpr Info kInfo{"sample_collide", "sc", "Sample&Collide",
+                             Mode::kPoint};
+
   explicit SampleCollide(SampleCollideConfig config);
+
+  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
+    return std::make_unique<SampleCollide>(*this);
+  }
+  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override {
+    return estimate_once(sim, initiator, rng);
+  }
 
   /// Draws one (asymptotically) uniform sample starting from `initiator`.
   /// Counts one kWalkStep message per hop and one kSampleReply for the

@@ -63,17 +63,12 @@ Series ScenarioRunner::run(const est::Estimator& prototype,
                            std::uint64_t replica) const {
   const std::unique_ptr<est::Estimator> instance = prototype.clone();
   if (instance->mode() == est::Estimator::Mode::kPoint) {
-    return run_point(
-        [&instance](sim::Simulator& sim, net::NodeId initiator,
-                    support::RngStream& rng) {
-          return instance->estimate_point(sim, initiator, rng);
-        },
-        options, replica);
+    return run_point(*instance, options, replica);
   }
   return run_epochs(*instance, options, replica);
 }
 
-Series ScenarioRunner::run_point(const PointEstimator& estimator,
+Series ScenarioRunner::run_point(est::Estimator& estimator,
                                  const RunOptions& options,
                                  std::uint64_t replica) const {
   const std::size_t estimations = options.estimations;
@@ -109,7 +104,7 @@ Series ScenarioRunner::run_point(const PointEstimator& estimator,
       continue;
     }
     initiator = ensure_initiator(sim.graph(), initiator, pick_rng);
-    const est::Estimate e = estimator(sim, initiator, est_rng);
+    const est::Estimate e = estimator.estimate_point(sim, initiator, est_rng);
     point.estimate = e.value;
     point.valid = e.valid;
     point.messages = e.messages;

@@ -2,8 +2,8 @@
 // Comparative-run driver: binds one overlay replica + one membership
 // dynamics (a scripted scenario OR a replayable churn trace — anything
 // implementing scenario::Dynamics) to an estimator and records the
-// (time, true size, estimate) series the paper's figures plot. The runner
-// drives the unified est::Estimator interface and dispatches on its mode:
+// (time, true size, estimate) series the paper's figures plot. run() is the
+// one way to drive an est::Estimator; it dispatches on the mode:
 //
 //  * point estimators (Sample&Collide, HopsSampling, RandomTour, ...) run an
 //    atomic estimation every `interval` time units — churn advances between
@@ -21,7 +21,6 @@
 // gossip values) never leak state across replicas.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,12 +47,6 @@ struct SeriesPoint {
 
 using Series = std::vector<SeriesPoint>;
 
-/// Produces one estimate from the bound simulator. The initiator is chosen
-/// by the runner (re-drawn when the previous one dies). Lambda-based hook
-/// for ad-hoc studies; registry-built estimators go through run().
-using PointEstimator = std::function<est::Estimate(
-    sim::Simulator& sim, net::NodeId initiator, support::RngStream& rng)>;
-
 class ScenarioRunner {
  public:
   /// `seed` is the root seed; replica r derives graph/estimator/churn
@@ -72,18 +65,17 @@ class ScenarioRunner {
                            const RunOptions& options,
                            std::uint64_t replica = 0) const;
 
-  /// Runs a point-estimator callback `options.estimations` times, evenly
-  /// spaced over the script duration (first estimation after one
-  /// interval).
-  [[nodiscard]] Series run_point(const PointEstimator& estimator,
-                                 const RunOptions& options,
-                                 std::uint64_t replica = 0) const;
-
   [[nodiscard]] const Dynamics& dynamics() const noexcept {
     return *dynamics_;
   }
 
  private:
+  /// Point mode: `options.estimations` estimates, evenly spaced over the
+  /// script duration (first estimation after one interval). The initiator
+  /// is re-drawn only when the previous one dies.
+  [[nodiscard]] Series run_point(est::Estimator& estimator,
+                                 const RunOptions& options,
+                                 std::uint64_t replica) const;
   [[nodiscard]] Series run_epochs(est::Estimator& estimator,
                                   const RunOptions& options,
                                   std::uint64_t replica) const;

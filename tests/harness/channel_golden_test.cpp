@@ -10,7 +10,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "p2pse/est/estimator.hpp"
+#include "p2pse/est/aggregation.hpp"
+#include "p2pse/est/sample_collide.hpp"
 #include "p2pse/harness/figures.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/scenario/runner.hpp"
@@ -74,7 +75,7 @@ TEST(ChannelGolden, RunnerPointTrajectoriesEqualWithIdealChannel) {
         return net::build_heterogeneous_random({600, 1, 10}, rng);
       },
       21);
-  const est::SampleCollideEstimator proto({.timer = 4.0, .collisions = 20});
+  const est::SampleCollide proto({.timer = 4.0, .collisions = 20});
   const scenario::RunOptions bare{.estimations = 10};
   scenario::RunOptions routed = bare;
   routed.network = sim::NetworkConfig::parse("net:loss=0,latency=constant:0");
@@ -98,7 +99,7 @@ TEST(ChannelGolden, RunnerEpochTrajectoriesEqualWithIdealChannel) {
         return net::build_heterogeneous_random({400, 1, 10}, rng);
       },
       21);
-  const est::AggregationEstimator proto({.rounds_per_epoch = 20});
+  const est::Aggregation proto({.rounds_per_epoch = 20});
   const scenario::RunOptions bare{.estimations = 0, .rounds_per_unit = 0.1};
   scenario::RunOptions routed = bare;
   routed.network = sim::NetworkConfig::parse("net:loss=0,latency=constant:0");

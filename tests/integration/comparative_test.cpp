@@ -6,7 +6,6 @@
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/est/hops_sampling.hpp"
 #include "p2pse/est/sample_collide.hpp"
-#include "p2pse/est/smoothing.hpp"
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/scenario/runner.hpp"
@@ -31,15 +30,14 @@ struct AlgoStats {
   double mean_msgs = 0.0;
 };
 
-AlgoStats measure(const scenario::PointEstimator& estimator, int runs,
-                  std::uint64_t salt) {
+AlgoStats measure(est::Estimator& estimator, int runs, std::uint64_t salt) {
   sim::Simulator sim = make_sim();
   support::RngStream rng(kSeed ^ salt);
   support::RngStream pick(kSeed ^ (salt + 1));
   const net::NodeId initiator = sim.graph().random_alive(pick);
   support::RunningStats abs_err, signed_err, msgs;
   for (int i = 0; i < runs; ++i) {
-    const est::Estimate e = estimator(sim, initiator, rng);
+    const est::Estimate e = estimator.estimate_point(sim, initiator, rng);
     if (!e.valid) continue;
     const double q =
         support::quality_percent(e.value, static_cast<double>(kNodes)) - 100.0;
@@ -55,19 +53,11 @@ TEST(Comparative, TableOneOverheadOrdering) {
   // S&C-oneShot 0.5M. Aggregation costs Theta(N) per estimation while
   // Sample&Collide costs Theta(sqrt(N)), so the ordering needs a large
   // enough overlay; 5e4 comfortably preserves it.
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 200});
-  const AlgoStats sc_stats = measure(
-      [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return sc.estimate_once(s, i, r);
-      },
-      5, 11);
+  est::SampleCollide sc({.timer = 10.0, .collisions = 200});
+  const AlgoStats sc_stats = measure(sc, 5, 11);
 
-  const est::HopsSampling hs({});
-  const AlgoStats hs_stats = measure(
-      [&hs](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return hs.run_once(s, i, r).estimate;
-      },
-      5, 22);
+  est::HopsSampling hs({});
+  const AlgoStats hs_stats = measure(hs, 5, 22);
 
   sim::Simulator agg_sim = make_sim();
   est::Aggregation agg({.rounds_per_epoch = 50});
@@ -87,19 +77,11 @@ TEST(Comparative, TableOneOverheadOrdering) {
 TEST(Comparative, AccuracyOrderingMatchesPaper) {
   // Aggregation ~exact; Sample&Collide oneShot ~10%; HopsSampling worst and
   // biased low.
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 200});
-  const AlgoStats sc_stats = measure(
-      [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return sc.estimate_once(s, i, r);
-      },
-      8, 44);
+  est::SampleCollide sc({.timer = 10.0, .collisions = 200});
+  const AlgoStats sc_stats = measure(sc, 8, 44);
 
-  const est::HopsSampling hs({});
-  const AlgoStats hs_stats = measure(
-      [&hs](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return hs.run_once(s, i, r).estimate;
-      },
-      8, 55);
+  est::HopsSampling hs({});
+  const AlgoStats hs_stats = measure(hs, 8, 55);
 
   sim::Simulator agg_sim = make_sim();
   est::Aggregation agg({.rounds_per_epoch = 50});
@@ -127,21 +109,10 @@ TEST(Comparative, ScReactsFasterThanSmoothedHsAfterCatastrophe) {
                                         factory, kSeed);
 
   const est::SampleCollide sc({.timer = 10.0, .collisions = 100});
-  const scenario::Series sc_series = runner.run_point(
-      [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return sc.estimate_once(s, i, r);
-      },
-      {.estimations = 50}, 0);
+  const scenario::Series sc_series = runner.run(sc, {.estimations = 50}, 0);
 
-  const est::HopsSampling hs({});
-  auto smoother = std::make_shared<est::LastKAverage>(10);
-  const scenario::Series hs_series = runner.run_point(
-      [&hs, smoother](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        est::Estimate e = hs.run_once(s, i, r).estimate;
-        if (e.valid) e.value = smoother->add(e.value);
-        return e;
-      },
-      {.estimations = 50}, 0);
+  const est::HopsSampling hs({.last_k = 10});
+  const scenario::Series hs_series = runner.run(hs, {.estimations = 50}, 0);
 
   // The -25% drop happens at t=100: series index 4 is the last pre-drop
   // estimation (t=100 applies the event before that tick's estimate, so use
@@ -166,7 +137,7 @@ TEST(Comparative, AggregationFailsUnderHeavyDeparturesButTracksGrowth) {
   const auto factory = [](support::RngStream& rng) {
     return net::build_heterogeneous_random({5000, 1, 10}, rng);
   };
-  const est::AggregationEstimator agg({.rounds_per_epoch = 50});
+  const est::Aggregation agg({.rounds_per_epoch = 50});
   const scenario::RunOptions epochs{.estimations = 0,
                                     .rounds_per_unit = 1.0};
 

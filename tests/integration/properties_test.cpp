@@ -91,16 +91,12 @@ TEST(PipelineDeterminism, DynamicRunIsBitStable) {
     return net::build_heterogeneous_random({2000, 1, 10}, rng);
   };
   const est::SampleCollide sc({.timer = 10.0, .collisions = 20});
-  const scenario::PointEstimator estimator =
-      [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return sc.estimate_once(s, i, r);
-      };
   const scenario::ScenarioRunner a(scenario::catastrophic_script(2000), factory,
                                    99);
   const scenario::ScenarioRunner b(scenario::catastrophic_script(2000), factory,
                                    99);
-  const scenario::Series sa = a.run_point(estimator, {.estimations = 15}, 1);
-  const scenario::Series sb = b.run_point(estimator, {.estimations = 15}, 1);
+  const scenario::Series sa = a.run(sc, {.estimations = 15}, 1);
+  const scenario::Series sb = b.run(sc, {.estimations = 15}, 1);
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
     EXPECT_DOUBLE_EQ(sa[i].estimate, sb[i].estimate);
@@ -115,14 +111,10 @@ TEST(PipelineDeterminism, SeedsChangeOutcomesSanely) {
     return net::build_heterogeneous_random({2000, 1, 10}, rng);
   };
   const est::SampleCollide sc({.timer = 10.0, .collisions = 20});
-  const scenario::PointEstimator estimator =
-      [&sc](sim::Simulator& s, net::NodeId i, support::RngStream& r) {
-        return sc.estimate_once(s, i, r);
-      };
   const scenario::ScenarioRunner a(scenario::static_script(), factory, 1);
   const scenario::ScenarioRunner b(scenario::static_script(), factory, 2);
-  const scenario::Series sa = a.run_point(estimator, {.estimations = 5}, 0);
-  const scenario::Series sb = b.run_point(estimator, {.estimations = 5}, 0);
+  const scenario::Series sa = a.run(sc, {.estimations = 5}, 0);
+  const scenario::Series sb = b.run(sc, {.estimations = 5}, 0);
   bool any_diff = false;
   for (std::size_t i = 0; i < sa.size(); ++i) {
     any_diff |= sa[i].estimate != sb[i].estimate;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "p2pse/est/aggregation.hpp"
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
@@ -27,12 +28,8 @@ GraphFactory factory(std::size_t nodes) {
   };
 }
 
-PointEstimator sample_collide_estimator(std::uint32_t l) {
-  auto sc = std::make_shared<est::SampleCollide>(
-      est::SampleCollideConfig{.timer = 10.0, .collisions = l});
-  return [sc](sim::Simulator& sim, net::NodeId init, support::RngStream& rng) {
-    return sc->estimate_once(sim, init, rng);
-  };
+est::SampleCollide sample_collide_estimator(std::uint32_t l) {
+  return est::SampleCollide({.timer = 10.0, .collisions = l});
 }
 
 TEST(ScenarioRunner, RequiresFactory) {
@@ -42,7 +39,7 @@ TEST(ScenarioRunner, RequiresFactory) {
 
 TEST(ScenarioRunner, ProducesRequestedNumberOfPoints) {
   const ScenarioRunner runner(static_script(), factory(2000), 1);
-  const Series series = runner.run_point(sample_collide_estimator(10), {.estimations = 20});
+  const Series series = runner.run(sample_collide_estimator(10), {.estimations = 20});
   ASSERT_EQ(series.size(), 20u);
   for (const auto& p : series) {
     EXPECT_DOUBLE_EQ(p.truth, 2000.0);
@@ -53,12 +50,12 @@ TEST(ScenarioRunner, ProducesRequestedNumberOfPoints) {
 
 TEST(ScenarioRunner, ZeroEstimationsGivesEmptySeries) {
   const ScenarioRunner runner(static_script(), factory(100), 2);
-  EXPECT_TRUE(runner.run_point(sample_collide_estimator(5), {.estimations = 0}).empty());
+  EXPECT_TRUE(runner.run(sample_collide_estimator(5), {.estimations = 0}).empty());
 }
 
 TEST(ScenarioRunner, TimesAreEvenlySpaced) {
   const ScenarioRunner runner(static_script(), factory(500), 3);
-  const Series series = runner.run_point(sample_collide_estimator(5), {.estimations = 10});
+  const Series series = runner.run(sample_collide_estimator(5), {.estimations = 10});
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_DOUBLE_EQ(series[i].time,
                      100.0 * static_cast<double>(i + 1));
@@ -67,7 +64,7 @@ TEST(ScenarioRunner, TimesAreEvenlySpaced) {
 
 TEST(ScenarioRunner, TruthTracksShrinkingScenario) {
   const ScenarioRunner runner(shrinking_script(2000), factory(2000), 4);
-  const Series series = runner.run_point(sample_collide_estimator(10), {.estimations = 10});
+  const Series series = runner.run(sample_collide_estimator(10), {.estimations = 10});
   ASSERT_EQ(series.size(), 10u);
   EXPECT_NEAR(series.front().truth, 1900.0, 3.0);
   EXPECT_NEAR(series.back().truth, 1000.0, 3.0);
@@ -78,8 +75,8 @@ TEST(ScenarioRunner, TruthTracksShrinkingScenario) {
 
 TEST(ScenarioRunner, SameReplicaIsDeterministic) {
   const ScenarioRunner runner(growing_script(1000), factory(1000), 5);
-  const Series a = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 2);
-  const Series b = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 2);
+  const Series a = runner.run(sample_collide_estimator(10), {.estimations = 8}, 2);
+  const Series b = runner.run(sample_collide_estimator(10), {.estimations = 8}, 2);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].estimate, b[i].estimate);
@@ -90,8 +87,8 @@ TEST(ScenarioRunner, SameReplicaIsDeterministic) {
 
 TEST(ScenarioRunner, DifferentReplicasDiffer) {
   const ScenarioRunner runner(static_script(), factory(1000), 6);
-  const Series a = runner.run_point(sample_collide_estimator(10), {.estimations = 5}, 0);
-  const Series b = runner.run_point(sample_collide_estimator(10), {.estimations = 5}, 1);
+  const Series a = runner.run(sample_collide_estimator(10), {.estimations = 5}, 0);
+  const Series b = runner.run(sample_collide_estimator(10), {.estimations = 5}, 1);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     any_diff |= (a[i].estimate != b[i].estimate);
@@ -103,12 +100,12 @@ TEST(ScenarioRunner, ParallelReplicasPreserveOrderAndDeterminism) {
   const ScenarioRunner runner(static_script(), factory(500), 7);
   const harness::ParallelReplicaRunner pool(4);
   const auto runs = pool.map<Series>(4, [&](std::size_t r) {
-    return runner.run_point(sample_collide_estimator(5), {.estimations = 3},
-                            static_cast<std::uint64_t>(r));
+    return runner.run(sample_collide_estimator(5), {.estimations = 3},
+                      static_cast<std::uint64_t>(r));
   });
   ASSERT_EQ(runs.size(), 4u);
   // Replica 2 recomputed sequentially must match the parallel result.
-  const Series replay = runner.run_point(sample_collide_estimator(5), {.estimations = 3}, 2);
+  const Series replay = runner.run(sample_collide_estimator(5), {.estimations = 3}, 2);
   ASSERT_EQ(runs[2].size(), replay.size());
   for (std::size_t i = 0; i < replay.size(); ++i) {
     EXPECT_DOUBLE_EQ(runs[2][i].estimate, replay[i].estimate);
@@ -116,17 +113,20 @@ TEST(ScenarioRunner, ParallelReplicasPreserveOrderAndDeterminism) {
 }
 
 TEST(ScenarioRunner, UnifiedRunMatchesRunPointForPointEstimators) {
-  // run(prototype) must consume the exact same RNG streams as the
-  // lambda-based hook: the series are bit-identical.
+  // A directly constructed class and the registry-built spec with the same
+  // configuration consume the exact same RNG streams: the series are
+  // bit-identical.
   const ScenarioRunner runner(growing_script(1000), factory(1000), 12);
-  const est::SampleCollideEstimator proto({.timer = 10.0, .collisions = 10});
+  const est::SampleCollide proto({.timer = 10.0, .collisions = 10});
   const Series unified = runner.run(proto, {.estimations = 8}, 1);
-  const Series lambda = runner.run_point(sample_collide_estimator(10), {.estimations = 8}, 1);
-  ASSERT_EQ(unified.size(), lambda.size());
+  const Series built = runner.run(
+      *est::EstimatorRegistry::global().build("sample_collide:l=10,T=10"),
+      {.estimations = 8}, 1);
+  ASSERT_EQ(unified.size(), built.size());
   for (std::size_t i = 0; i < unified.size(); ++i) {
-    EXPECT_DOUBLE_EQ(unified[i].estimate, lambda[i].estimate);
-    EXPECT_DOUBLE_EQ(unified[i].truth, lambda[i].truth);
-    EXPECT_EQ(unified[i].messages, lambda[i].messages);
+    EXPECT_DOUBLE_EQ(unified[i].estimate, built[i].estimate);
+    EXPECT_DOUBLE_EQ(unified[i].truth, built[i].truth);
+    EXPECT_EQ(unified[i].messages, built[i].messages);
   }
 }
 
@@ -142,7 +142,7 @@ TEST(ScenarioRunner, UnifiedRunDrivesRegistryBuiltEstimators) {
 TEST(ScenarioRunner, AggregationSeriesOnePointPerEpoch) {
   const ScenarioRunner runner(static_script(), factory(1000), 8);
   // 1 round per unit, epoch = 50 rounds, duration 1000 -> 20 epochs.
-  const est::AggregationEstimator agg({.rounds_per_epoch = 50});
+  const est::Aggregation agg({.rounds_per_epoch = 50});
   const Series series =
       runner.run(agg, {.estimations = 0, .rounds_per_unit = 1.0}, 0);
   ASSERT_EQ(series.size(), 20u);
@@ -157,7 +157,7 @@ TEST(ScenarioRunner, AggregationSeriesOnePointPerEpoch) {
 
 TEST(ScenarioRunner, EpochModeRejectsNonPositiveRate) {
   const ScenarioRunner runner(static_script(), factory(100), 9);
-  const est::AggregationEstimator agg({.rounds_per_epoch = 10});
+  const est::Aggregation agg({.rounds_per_epoch = 10});
   EXPECT_THROW(
       (void)runner.run(agg, {.estimations = 0, .rounds_per_unit = 0.0}, 0),
       std::invalid_argument);
@@ -167,7 +167,7 @@ TEST(ScenarioRunner, EpochModeRejectsNonFiniteOrOverflowingRate) {
   // NaN passes a plain `<= 0` test and 1e300 overflows llround; either
   // would leave the round loop without a usable bound.
   const ScenarioRunner runner(static_script(), factory(100), 9);
-  const est::AggregationEstimator agg({.rounds_per_epoch = 10});
+  const est::Aggregation agg({.rounds_per_epoch = 10});
   for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
                             std::numeric_limits<double>::infinity(), 1e300}) {
     EXPECT_THROW(
@@ -179,7 +179,7 @@ TEST(ScenarioRunner, EpochModeRejectsNonFiniteOrOverflowingRate) {
 
 TEST(ScenarioRunner, AggregationTracksGrowth) {
   const ScenarioRunner runner(growing_script(1000), factory(1000), 10);
-  const est::AggregationEstimator agg({.rounds_per_epoch = 50});
+  const est::Aggregation agg({.rounds_per_epoch = 50});
   const Series series =
       runner.run(agg, {.estimations = 0, .rounds_per_unit = 1.0}, 0);
   ASSERT_FALSE(series.empty());
@@ -190,8 +190,8 @@ TEST(ScenarioRunner, AggregationTracksGrowth) {
 }
 
 TEST(ScenarioRunner, WrongModeCallsThrowLogicError) {
-  est::AggregationEstimator epoch_only({.rounds_per_epoch = 10});
-  est::SampleCollideEstimator point_only({.timer = 1.0, .collisions = 5});
+  est::Aggregation epoch_only({.rounds_per_epoch = 10});
+  est::SampleCollide point_only({.timer = 1.0, .collisions = 5});
   support::RngStream rng(1);
   sim::Simulator sim(net::build_heterogeneous_random({50, 1, 4}, rng), 2);
   EXPECT_THROW((void)epoch_only.estimate_point(sim, 0, rng),
@@ -207,7 +207,7 @@ TEST(ScenarioRunner, SurvivesExtinctionScenario) {
   ScenarioScript script = static_script();
   script.initial_departure_rate = 10.0;  // kills 1000 nodes well before t=1000
   const ScenarioRunner runner(script, factory(1000), 11);
-  const Series series = runner.run_point(sample_collide_estimator(5), {.estimations = 20});
+  const Series series = runner.run(sample_collide_estimator(5), {.estimations = 20});
   ASSERT_EQ(series.size(), 20u);
   EXPECT_DOUBLE_EQ(series.back().truth, 0.0);
   EXPECT_FALSE(series.back().valid);
@@ -243,10 +243,10 @@ TEST(ScenarioRunner, SimulateSpansExcludeReplicaSetup) {
   options.telemetry = &telemetry;
   options.topology = topo::TopologyConfig::parse("topo:clustered,regions=4");
   const ScenarioRunner runner(static_script(), factory(2000), 17);
-  const est::SampleCollideEstimator sc({.timer = 2.0, .collisions = 5});
+  const est::SampleCollide sc({.timer = 2.0, .collisions = 5});
   options.estimations = 2;
   (void)runner.run(sc, options, 0);
-  const est::AggregationEstimator agg({.rounds_per_epoch = 5});
+  const est::Aggregation agg({.rounds_per_epoch = 5});
   options.rounds_per_unit = 0.01;
   (void)runner.run(agg, options, 1);
 
