@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -318,6 +321,95 @@ TEST(Channel, ChannelRngIsASubstreamThatLeavesTheRootUntouched) {
   // Installing + exercising the channel must not perturb the root stream
   // estimators and churn derive from.
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
+}
+
+// --- Pinned delivery draws ---------------------------------------------------
+// Every figure run under --net/--topo depends on the exact outcome of each
+// send, so each discipline's outcomes are pinned by digest under an ideal, an
+// i.i.d. lossy and two per-link channels (ideal and lossy `net:` knobs over a
+// clustered topology).
+
+enum class Discipline { kSend, kArq, kReliable };
+
+std::uint64_t fold(std::uint64_t hash, std::uint64_t value) {
+  hash ^= value;
+  return hash * 0x100000001b3ULL;
+}
+
+/// FNV-1a over 500 sends of one discipline — delivered flag, latency bits,
+/// transmissions — then the channel's final counters and the meter total.
+/// Endpoints come from their own stream, so the channel's draws are the
+/// only ones the sends make.
+std::uint64_t delivery_digest(Simulator& sim, Discipline discipline) {
+  constexpr int kSends = 500;
+  support::RngStream endpoints(2024);
+  MessageMeter meter;
+  Channel& channel = sim.channel();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < kSends; ++i) {
+    const auto from = static_cast<net::NodeId>(
+        endpoints.uniform_u64(sim.graph().slot_count()));
+    const auto to = static_cast<net::NodeId>(
+        endpoints.uniform_u64(sim.graph().slot_count()));
+    Channel::Delivery d;
+    switch (discipline) {
+      case Discipline::kSend:
+        d = channel.send(meter, MessageClass::kWalkStep, from, to);
+        break;
+      case Discipline::kArq:
+        d = channel.send_arq(meter, MessageClass::kWalkStep, from, to);
+        break;
+      case Discipline::kReliable:
+        d = channel.send_reliable(meter, MessageClass::kWalkStep, from, to);
+        break;
+    }
+    hash = fold(hash, d.delivered ? 1 : 0);
+    hash = fold(hash, std::bit_cast<std::uint64_t>(d.latency));
+    hash = fold(hash, d.transmissions);
+  }
+  const Channel::Counters& c = channel.counters();
+  for (const std::uint64_t value : {c.sends_iid, c.sends_link, c.drops,
+                                    c.retransmits, c.arq_timeouts,
+                                    meter.total()}) {
+    hash = fold(hash, value);
+  }
+  return hash;
+}
+
+TEST(Channel, PinnedDeliveryDigests) {
+  struct Case {
+    const char* net;
+    const char* topo;
+    std::array<std::uint64_t, 3> digests;  // send, send_arq, send_reliable
+  };
+  const char* lossy = "net:loss=0.2,latency=exp:20,jitter=3,retries=1";
+  const std::vector<Case> cases = {
+      {"net",
+       "topo:flat",
+       {0x4fd24d73e7317035ULL, 0x4fd24d73e7317035ULL, 0x4fd24d73e7317035ULL}},
+      {lossy,
+       "topo:flat",
+       {0x73b85b5c33e2e4eeULL, 0x841e43b8081c3601ULL, 0xc8ad869c96086f14ULL}},
+      {"net",
+       "topo:clustered",
+       {0xd30d8fae9a73430eULL, 0x859142b959f24cddULL, 0x859142b959f24cddULL}},
+      {lossy,
+       "topo:clustered",
+       {0x44258aeea21710b2ULL, 0x0ea5cb5bca8de46dULL, 0xb70f32c90574b8bcULL}},
+  };
+  for (const Case& c : cases) {
+    for (const Discipline discipline :
+         {Discipline::kSend, Discipline::kArq, Discipline::kReliable}) {
+      SCOPED_TRACE(testing::Message()
+                   << c.net << " " << c.topo << " discipline="
+                   << static_cast<int>(discipline));
+      Simulator sim(net::Graph(64), 11);
+      sim.set_network(NetworkConfig::parse(c.net));
+      sim.set_topology(topo::TopologyConfig::parse(c.topo));
+      EXPECT_EQ(delivery_digest(sim, discipline),
+                c.digests[static_cast<std::size_t>(discipline)]);
+    }
+  }
 }
 
 }  // namespace
