@@ -131,13 +131,13 @@ void BM_CyclonRound(benchmark::State& state) {
 BENCHMARK(BM_CyclonRound)->Arg(10000)->Arg(50000);
 
 void BM_ChannelSendIdeal(benchmark::State& state) {
-  // The loss-free fast path every pre-channel protocol now runs through:
-  // must stay within noise of the bare meter increment.
+  // The loss-free fast path every protocol message takes on an ideal
+  // network: must stay within noise of the bare meter increment.
   sim::Channel channel;
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send(meter, sim::MessageClass::kWalkStep, 0, 1).delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -151,7 +151,7 @@ void BM_ChannelSendLossy(benchmark::State& state) {
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send(meter, sim::MessageClass::kWalkStep, 0, 1).delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -165,7 +165,8 @@ void BM_ChannelSendArqLossy(benchmark::State& state) {
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send_arq(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send_arq(meter, sim::MessageClass::kWalkStep, 0, 1)
+            .delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

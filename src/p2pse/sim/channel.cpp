@@ -1,12 +1,10 @@
 #include "p2pse/sim/channel.hpp"
 
 #include <stdexcept>
-
-#include "p2pse/support/check.hpp"
-#include <utility>
 #include <vector>
 
 #include "p2pse/sim/run_recorder.hpp"
+#include "p2pse/support/check.hpp"
 #include "p2pse/support/csv.hpp"
 #include "p2pse/support/spec_reader.hpp"
 #include "p2pse/topo/topology.hpp"
@@ -146,23 +144,49 @@ std::string NetworkConfig::canonical() const {
          ",retries=" + std::to_string(retries);
 }
 
-double Channel::draw_latency() {
-  double out = config_.latency.sample(rng_);
-  if (config_.jitter > 0.0) out += rng_.uniform_real(0.0, config_.jitter);
-  return out;
-}
-
 bool Channel::lossy() const noexcept {
   return config_.loss > 0.0 || (topo_ != nullptr && topo_->lossy());
 }
 
-void Channel::require_iid(const char* method) const {
-  if (topo_ != nullptr) {
-    throw std::logic_error(
-        std::string("Channel::") + method +
-        ": a per-link topology is installed; this message must name its "
-        "(from, to) endpoints so the link can be priced");
-  }
+// Pricing: a send composes the link's deterministic parameters with the
+// channel's own i.i.d. knobs,
+//   p(drop)  = 1 - (1-config.loss) * (1-link.loss)
+//   latency  = i.i.d. draw (+ i.i.d. jitter) + link.latency
+//              + one uniform [0, link.jitter_span) access-jitter draw.
+// Without a topology the loss is config.loss itself — not composed with a
+// zero link loss, which would not round-trip bitwise — and the link terms
+// are zero, so no access-jitter draw is made. The link parameters are
+// computed once per logical send; the stochastic terms are re-drawn per
+// transmission.
+
+namespace {
+
+double compose_loss(double iid_loss, double link_loss) noexcept {
+  return 1.0 - (1.0 - iid_loss) * (1.0 - link_loss);
+}
+
+/// Every message names two real endpoints: an invalid one would be priced
+/// with a garbage link (or tallied on no node) and silently skew the run.
+void check_endpoints([[maybe_unused]] net::NodeId from,
+                     [[maybe_unused]] net::NodeId to) {
+  P2PSE_CHECK_MSG(from != net::kInvalidNode && to != net::kInvalidNode,
+                  "Channel: send with an invalid endpoint");
+}
+
+}  // namespace
+
+Channel::Pricing Channel::price(net::NodeId from, net::NodeId to) const {
+  if (topo_ == nullptr) return {config_.loss, {}};
+  const topo::Topology::LinkParams link = topo_->link(from, to);
+  return {compose_loss(config_.loss, link.loss), link};
+}
+
+double Channel::draw_latency(const topo::Topology::LinkParams& link) {
+  double out = config_.latency.sample(rng_);
+  if (config_.jitter > 0.0) out += rng_.uniform_real(0.0, config_.jitter);
+  out += link.latency;
+  if (link.jitter_span > 0.0) out += rng_.uniform_real(0.0, link.jitter_span);
+  return out;
 }
 
 void Channel::record(const MessageMeter& meter, MessageClass cls,
@@ -175,158 +199,28 @@ void Channel::record(const MessageMeter& meter, MessageClass cls,
   }
 }
 
-Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls) {
-  require_iid("send");
-  const Delivery out = send_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
-}
-
-Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls) {
-  require_iid("send_arq");
-  const Delivery out = send_arq_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
-}
-
-Channel::Delivery Channel::send_reliable(MessageMeter& meter,
-                                         MessageClass cls) {
-  require_iid("send_reliable");
-  const Delivery out = send_reliable_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
-}
-
-Channel::Delivery Channel::send_iid(MessageMeter& meter, MessageClass cls) {
+Channel::Delivery Channel::send_ideal(MessageMeter& meter, MessageClass cls,
+                                      net::NodeId from, net::NodeId to) {
   meter.count(cls);
   ++counters_.sends_iid;
-  if (ideal_) return Delivery{};
-  Delivery out;
-  if (rng_.bernoulli(config_.loss)) {
-    ++counters_.drops;
-    out.delivered = false;
-    return out;
-  }
-  out.latency = draw_latency();
+  const Delivery out;
+  if (recorder_ != nullptr) record(meter, cls, from, to, out);
   return out;
 }
-
-Channel::Delivery Channel::send_arq_iid(MessageMeter& meter,
-                                        MessageClass cls) {
-  if (ideal_) {
-    meter.count(cls);
-    ++counters_.sends_iid;
-    return Delivery{};
-  }
-  Delivery out;
-  out.transmissions = 0;
-  for (std::uint32_t attempt = 0; attempt <= config_.retries; ++attempt) {
-    meter.count(cls);
-    ++out.transmissions;
-    ++counters_.sends_iid;
-    if (attempt > 0) ++counters_.retransmits;
-    if (!rng_.bernoulli(config_.loss)) {
-      out.latency += draw_latency();
-      return out;
-    }
-    ++counters_.drops;
-    out.latency += config_.timeout;  // sender waits before retransmitting
-  }
-  ++counters_.arq_timeouts;
-  out.delivered = false;
-  return out;
-}
-
-Channel::Delivery Channel::send_reliable_iid(MessageMeter& meter,
-                                             MessageClass cls) {
-  if (ideal_) {
-    meter.count(cls);
-    ++counters_.sends_iid;
-    return Delivery{};
-  }
-  Delivery out;
-  out.transmissions = 0;
-  while (out.transmissions < kReliableCap) {
-    meter.count(cls);
-    ++out.transmissions;
-    ++counters_.sends_iid;
-    if (out.transmissions > 1) ++counters_.retransmits;
-    if (!rng_.bernoulli(config_.loss)) break;
-    ++counters_.drops;
-    out.latency += config_.timeout;
-  }
-  out.latency += draw_latency();
-  return out;
-}
-
-// --- per-link mode -----------------------------------------------------------
-//
-// Per-link deliveries compose the link's deterministic parameters with the
-// channel's own i.i.d. knobs:
-//   p(drop)  = 1 - (1-config.loss) * (1-link.loss)
-//   latency  = i.i.d. draw (+ i.i.d. jitter) + link.latency
-//              + one uniform [0, link.jitter_span) access-jitter draw
-// Retransmissions (ARQ / reliable) stay on the SAME link: the link
-// parameters are computed once per logical send, the stochastic terms are
-// re-drawn per attempt.
-
-namespace {
-
-double compose_loss(double iid_loss, double link_loss) noexcept {
-  return 1.0 - (1.0 - iid_loss) * (1.0 - link_loss);
-}
-
-}  // namespace
-
-double Channel::draw_link_latency(const topo::Topology::LinkParams& link) {
-  double out = draw_latency() + link.latency;
-  if (link.jitter_span > 0.0) out += rng_.uniform_real(0.0, link.jitter_span);
-  return out;
-}
-
-#if P2PSE_CHECK_ENABLED
-namespace {
-
-/// Per-link contract: a message must name two real endpoints — an invalid
-/// endpoint would be priced with a garbage link and silently skew every
-/// topology sweep. Self-sends are legal (a poll may draw its own initiator;
-/// the link then prices both access terms over zero distance).
-void check_endpoints(net::NodeId from, net::NodeId to) {
-  P2PSE_CHECK_MSG(from != net::kInvalidNode && to != net::kInvalidNode,
-                  "Channel: per-link send with an invalid endpoint");
-}
-
-}  // namespace
-#else
-namespace {
-inline void check_endpoints(net::NodeId, net::NodeId) {}
-}  // namespace
-#endif
 
 Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls,
                                 net::NodeId from, net::NodeId to) {
-  if (topo_ == nullptr) {
-    const Delivery out = send_iid(meter, cls);
-    if (recorder_ != nullptr) record(meter, cls, from, to, out);
-    return out;
-  }
   check_endpoints(from, to);
+  if (ideal_ && topo_ == nullptr) return send_ideal(meter, cls, from, to);
+  const Pricing pricing = price(from, to);
   meter.count(cls);
-  ++counters_.sends_link;
-  const topo::Topology::LinkParams link = topo_->link(from, to);
-  const double loss = compose_loss(config_.loss, link.loss);
+  ++sends();
   Delivery out;
-  if (rng_.bernoulli(loss)) {
+  if (rng_.bernoulli(pricing.loss)) {
     ++counters_.drops;
     out.delivered = false;
   } else {
-    out.latency = draw_link_latency(link);
+    out.latency = draw_latency(pricing.link);
   }
   if (recorder_ != nullptr) record(meter, cls, from, to, out);
   return out;
@@ -334,28 +228,23 @@ Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls,
 
 Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls,
                                     net::NodeId from, net::NodeId to) {
-  if (topo_ == nullptr) {
-    const Delivery out = send_arq_iid(meter, cls);
-    if (recorder_ != nullptr) record(meter, cls, from, to, out);
-    return out;
-  }
   check_endpoints(from, to);
-  const topo::Topology::LinkParams link = topo_->link(from, to);
-  const double loss = compose_loss(config_.loss, link.loss);
+  if (ideal_ && topo_ == nullptr) return send_ideal(meter, cls, from, to);
+  const Pricing pricing = price(from, to);
   Delivery out;
   out.transmissions = 0;
   for (std::uint32_t attempt = 0; attempt <= config_.retries; ++attempt) {
     meter.count(cls);
     ++out.transmissions;
-    ++counters_.sends_link;
+    ++sends();
     if (attempt > 0) ++counters_.retransmits;
-    if (!rng_.bernoulli(loss)) {
-      out.latency += draw_link_latency(link);
+    if (!rng_.bernoulli(pricing.loss)) {
+      out.latency += draw_latency(pricing.link);
       if (recorder_ != nullptr) record(meter, cls, from, to, out);
       return out;
     }
     ++counters_.drops;
-    out.latency += config_.timeout;
+    out.latency += config_.timeout;  // sender waits before retransmitting
   }
   ++counters_.arq_timeouts;
   out.delivered = false;
@@ -365,26 +254,21 @@ Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls,
 
 Channel::Delivery Channel::send_reliable(MessageMeter& meter, MessageClass cls,
                                          net::NodeId from, net::NodeId to) {
-  if (topo_ == nullptr) {
-    const Delivery out = send_reliable_iid(meter, cls);
-    if (recorder_ != nullptr) record(meter, cls, from, to, out);
-    return out;
-  }
   check_endpoints(from, to);
-  const topo::Topology::LinkParams link = topo_->link(from, to);
-  const double loss = compose_loss(config_.loss, link.loss);
+  if (ideal_ && topo_ == nullptr) return send_ideal(meter, cls, from, to);
+  const Pricing pricing = price(from, to);
   Delivery out;
   out.transmissions = 0;
   while (out.transmissions < kReliableCap) {
     meter.count(cls);
     ++out.transmissions;
-    ++counters_.sends_link;
+    ++sends();
     if (out.transmissions > 1) ++counters_.retransmits;
-    if (!rng_.bernoulli(loss)) break;
+    if (!rng_.bernoulli(pricing.loss)) break;
     ++counters_.drops;
     out.latency += config_.timeout;
   }
-  out.latency += draw_link_latency(link);
+  out.latency += draw_latency(pricing.link);
   if (recorder_ != nullptr) record(meter, cls, from, to, out);
   return out;
 }

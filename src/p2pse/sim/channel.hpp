@@ -9,11 +9,12 @@
 // Determinism contract: the channel owns a dedicated RNG substream
 // (Simulator derives it via rng().split("channel")), so installing a
 // channel never perturbs estimator or churn randomness. A loss-free,
-// zero-latency channel takes a fast path that draws nothing at all and
-// therefore reproduces the reliable simulator bit-for-bit at any thread
-// count.
+// zero-latency channel without a topology takes a fast path that draws
+// nothing at all and therefore reproduces the reliable simulator
+// bit-for-bit at any thread count.
 //
-// Three delivery disciplines cover the protocols' reliability needs:
+// Three delivery disciplines cover the protocols' reliability needs, one
+// send each, and every send names its (from, to) endpoints:
 //  * send          — one fire-and-forget transmission (gossip spreads,
 //                    poll replies, Aggregation exchanges: redundancy or a
 //                    round mask is the protocol's own repair mechanism);
@@ -23,6 +24,8 @@
 //  * send_reliable — retransmit until delivered (Random Tour hops: the
 //                    message carries the tour's irreplaceable accumulator,
 //                    the standard lossy-link adaptation is per-hop acks).
+// Without a topology the endpoints only attribute per-node load; with one
+// they also price the link (see set_topology).
 
 #include <cstdint>
 #include <string>
@@ -96,7 +99,7 @@ class Channel {
   /// Simulator::set_network replaces the channel — and these counters —
   /// so snapshot only after all traffic (obs::collect does).
   struct Counters {
-    std::uint64_t sends_iid = 0;    ///< transmissions priced i.i.d.
+    std::uint64_t sends_iid = 0;    ///< transmissions without a topology
     std::uint64_t sends_link = 0;   ///< transmissions priced per-link
     std::uint64_t drops = 0;        ///< transmissions lost to a loss draw
     std::uint64_t retransmits = 0;  ///< transmissions beyond each first
@@ -114,17 +117,13 @@ class Channel {
   }
   [[nodiscard]] bool ideal() const noexcept { return ideal_; }
 
-  /// Installs per-link mode: every endpoint-taking send composes the i.i.d.
-  /// `net:` parameters with the topology's per-link latency/loss/jitter.
-  /// The caller (Simulator) only installs NON-flat topologies — a flat
-  /// topology stays on the i.i.d. draw path, which is what keeps every
+  /// Installs per-link mode: every send composes the i.i.d. `net:`
+  /// parameters with the topology's latency/loss/jitter for its (from, to)
+  /// link. The caller (Simulator) only installs NON-flat topologies — a
+  /// flat topology stays on the i.i.d. draw path, which is what keeps every
   /// pre-topology binary byte-identical — and must keep `topology` alive
   /// for the channel's lifetime. nullptr returns to pure i.i.d. mode.
   void set_topology(topo::Topology* topology) noexcept { topo_ = topology; }
-  [[nodiscard]] bool per_link() const noexcept { return topo_ != nullptr; }
-  [[nodiscard]] const topo::Topology* topology() const noexcept {
-    return topo_;
-  }
 
   /// Lifetime telemetry counters (see obs::collect).
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
@@ -143,45 +142,43 @@ class Channel {
   /// full timeout.
   [[nodiscard]] bool lossy() const noexcept;
 
-  /// One fire-and-forget transmission.
-  Delivery send(MessageMeter& meter, MessageClass cls);
+  /// One fire-and-forget transmission from `from` to `to`. Checked builds
+  /// reject an invalid endpoint on every send (self-sends are legal: a
+  /// poll may draw its own initiator).
+  Delivery send(MessageMeter& meter, MessageClass cls, net::NodeId from,
+                net::NodeId to);
 
   /// Bounded ARQ: up to 1 + config().retries transmissions; gives up after
   /// that (Delivery.delivered == false).
-  Delivery send_arq(MessageMeter& meter, MessageClass cls);
+  Delivery send_arq(MessageMeter& meter, MessageClass cls, net::NodeId from,
+                    net::NodeId to);
 
   /// Hop-reliable delivery: retransmits until the message gets through
   /// (safety-capped; the cap can only bite at loss rates ~1).
-  Delivery send_reliable(MessageMeter& meter, MessageClass cls);
-
-  /// Per-link variants: delivery parameters are composed for the concrete
-  /// (from, to) pair when a topology is installed; without one they are the
-  /// plain i.i.d. sends (endpoints ignored). The endpoint-LESS overloads
-  /// above throw std::logic_error once a topology is installed — a message
-  /// without endpoints cannot be priced per-link, and silently falling back
-  /// to i.i.d. would corrupt topology sweeps.
-  Delivery send(MessageMeter& meter, MessageClass cls, net::NodeId from,
-                net::NodeId to);
-  Delivery send_arq(MessageMeter& meter, MessageClass cls, net::NodeId from,
-                    net::NodeId to);
   Delivery send_reliable(MessageMeter& meter, MessageClass cls,
                          net::NodeId from, net::NodeId to);
 
  private:
-  [[nodiscard]] double draw_latency();
-  /// One delivered per-link transmission's latency: the i.i.d. draw plus
-  /// the link's deterministic terms plus one access-jitter draw. All three
-  /// per-link disciplines share it, keeping their draw sequences aligned.
-  [[nodiscard]] double draw_link_latency(const topo::Topology::LinkParams& link);
-  void require_iid(const char* method) const;
-
-  /// The i.i.d. delivery bodies, shared by the endpoint-less public sends
-  /// and the endpoint-taking fallbacks (topology absent). They draw and
-  /// count but never record — the public wrappers record with whatever
-  /// endpoint knowledge they have.
-  Delivery send_iid(MessageMeter& meter, MessageClass cls);
-  Delivery send_arq_iid(MessageMeter& meter, MessageClass cls);
-  Delivery send_reliable_iid(MessageMeter& meter, MessageClass cls);
+  /// What one logical send is priced with: its per-transmission drop
+  /// probability and the link's deterministic terms (all zero without a
+  /// topology). Retransmissions reuse it — they stay on the same link.
+  struct Pricing {
+    double loss = 0.0;
+    topo::Topology::LinkParams link{};
+  };
+  [[nodiscard]] Pricing price(net::NodeId from, net::NodeId to) const;
+  /// The counter each transmission bumps: sends_link under a topology,
+  /// sends_iid otherwise.
+  [[nodiscard]] std::uint64_t& sends() noexcept {
+    return topo_ != nullptr ? counters_.sends_link : counters_.sends_iid;
+  }
+  /// One delivered transmission's latency: the i.i.d. draw (+ i.i.d.
+  /// jitter), plus the link's latency and one access-jitter draw.
+  [[nodiscard]] double draw_latency(const topo::Topology::LinkParams& link);
+  /// The ideal fast path (ideal channel, no topology): one counted
+  /// transmission delivered at zero latency, drawing nothing.
+  Delivery send_ideal(MessageMeter& meter, MessageClass cls, net::NodeId from,
+                      net::NodeId to);
   /// One logical send into the recorder: all transmissions leave `from`,
   /// the delivered final one reaches `to`. Called with recorder_ non-null.
   void record(const MessageMeter& meter, MessageClass cls, net::NodeId from,

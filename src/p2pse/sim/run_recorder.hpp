@@ -51,8 +51,9 @@ class RunRecorder {
   RunRecorder();
 
   /// One logical send: `transmissions` datagrams of `wire_size` bytes left
-  /// `from`. kInvalidNode (an endpoint-less i.i.d. send) skips the per-node
-  /// tally but still counts globally via the meter.
+  /// `from`. Every channel send names real endpoints; the kInvalidNode
+  /// guards here are safety code that skips the per-node tally (the meter
+  /// still counts the message globally).
   void on_send(net::NodeId from, std::uint32_t transmissions,
                std::uint64_t wire_size) {
     if (from == net::kInvalidNode) return;

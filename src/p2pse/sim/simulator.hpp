@@ -87,17 +87,13 @@ class Simulator {
   /// eagerly, and switches the channel to per-link pricing. A FLAT config
   /// installs nothing at all: the channel stays on its i.i.d. draw path and
   /// the run is byte-identical to one that never mentioned a topology.
-  void set_topology(const topo::TopologyConfig& config) {
-    set_topology(config, nullptr);
-  }
-
-  /// set_topology with an intra-replica worker budget: the eager embedding
-  /// of all alive nodes (the dominant cost at 1M+ nodes) runs sharded on
-  /// `executor`. Byte-identical to the sequential overload at any budget —
-  /// see topo::Topology::attach. The executor is only used during this
-  /// call; later churn-driven embeds stay on the sim thread.
+  ///
+  /// A non-null `executor` shards the eager embedding of all alive nodes
+  /// (the dominant cost at 1M+ nodes); the result is byte-identical at any
+  /// budget — see topo::Topology::attach. The executor is only used during
+  /// this call; later churn-driven embeds stay on the sim thread.
   void set_topology(const topo::TopologyConfig& config,
-                    const support::ShardExecutor* executor) {
+                    const support::ShardExecutor* executor = nullptr) {
     if (config.flat()) {
       channel_.set_topology(nullptr);
       topology_.reset();
@@ -142,21 +138,9 @@ class Simulator {
     return flight_;
   }
 
-  /// Delivery shorthands: count on the meter, route through the channel.
-  /// The endpoint-taking forms are what the protocols use; under a per-link
-  /// topology the endpoint-less forms throw (see Channel).
-  Channel::Delivery send(MessageClass cls) {
-    flight_send(cls, net::kInvalidNode);
-    return channel_.send(meter_, cls);
-  }
-  Channel::Delivery send_arq(MessageClass cls) {
-    flight_send(cls, net::kInvalidNode);
-    return channel_.send_arq(meter_, cls);
-  }
-  Channel::Delivery send_reliable(MessageClass cls) {
-    flight_send(cls, net::kInvalidNode);
-    return channel_.send_reliable(meter_, cls);
-  }
+  /// Delivery shorthands: route one message from `from` to `to` through
+  /// the channel, counting it on the meter (see Channel for the three
+  /// disciplines).
   Channel::Delivery send(MessageClass cls, net::NodeId from, net::NodeId to) {
     flight_send(cls, from);
     return channel_.send(meter_, cls, from, to);

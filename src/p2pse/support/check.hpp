@@ -3,7 +3,7 @@
 //
 // P2PSE_CHECK / P2PSE_CHECK_MSG assert the hot internal invariants the
 // golden-file tests can only witness indirectly: RNG stream thread
-// affinity, per-link endpoint validity, membership bookkeeping, trace
+// affinity, channel endpoint validity, membership bookkeeping, trace
 // replay order. Configured via the P2PSE_CHECKED CMake option (ON by
 // default outside Release; always ON in the sanitizer/tidy CI presets, OFF
 // in the release preset).

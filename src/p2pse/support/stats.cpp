@@ -40,22 +40,7 @@ double RunningStats::variance() const noexcept {
   return count_ > 1 ? m2_ / static_cast<double>(count_) : 0.0;
 }
 
-double RunningStats::sample_variance() const noexcept {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
 
 Summary summarize(const std::vector<double>& values) {
   Summary s;
@@ -91,17 +76,6 @@ double relative_error(double estimate, double truth) noexcept {
 double quality_percent(double estimate, double truth) noexcept {
   if (truth == 0.0) return 0.0;
   return 100.0 * estimate / truth;
-}
-
-double mean_abs_relative_error(const std::vector<double>& estimates,
-                               const std::vector<double>& truths) {
-  const std::size_t n = std::min(estimates.size(), truths.size());
-  if (n == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += std::abs(relative_error(estimates[i], truths[i]));
-  }
-  return acc / static_cast<double>(n);
 }
 
 double chi_square_uniform(const std::vector<std::uint64_t>& counts) {

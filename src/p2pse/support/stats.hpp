@@ -19,8 +19,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
   /// Population variance; 0 for fewer than two observations.
   [[nodiscard]] double variance() const noexcept;
-  /// Unbiased sample variance; 0 for fewer than two observations.
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
@@ -46,10 +44,6 @@ struct Summary {
   double max = 0.0;
 };
 
-/// Linear-interpolation quantile of an unsorted sample (copies the data).
-/// `q` in [0,1]. Returns 0 for an empty sample.
-[[nodiscard]] double quantile(std::vector<double> values, double q);
-
 /// Computes the full summary of a sample.
 [[nodiscard]] Summary summarize(const std::vector<double>& values);
 
@@ -59,10 +53,6 @@ struct Summary {
 
 /// "Quality %" as plotted by the paper: 100 * estimate / truth.
 [[nodiscard]] double quality_percent(double estimate, double truth) noexcept;
-
-/// Mean absolute relative error over paired series (truncated to the shorter).
-[[nodiscard]] double mean_abs_relative_error(const std::vector<double>& estimates,
-                                             const std::vector<double>& truths);
 
 /// Pearson chi-square statistic of observed counts against a uniform
 /// expectation. Used for sampler-uniformity tests.

@@ -63,12 +63,12 @@ void ThreadPool::parallel_for_ranges(
   // caller blocks until `remaining` hits zero, so no lifetime extension
   // (shared_ptr / future) is needed.
   struct Batch {
+    explicit Batch(std::size_t ranges) : remaining(ranges), errors(ranges) {}
     std::mutex mutex;
     std::condition_variable done;
     std::size_t remaining;
     std::vector<std::exception_ptr> errors;  // slot per range, index order
-  } batch{.remaining = chunks};
-  batch.errors.resize(chunks);
+  } batch(chunks);
 
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;

@@ -377,15 +377,4 @@ void Topology::on_leave(net::NodeId id) {
   if (count > 0) --count;
 }
 
-double Topology::mean_access_latency() const noexcept {
-  double total = 0.0;
-  std::size_t alive = 0;
-  for (std::size_t i = 0; i < kPeerClassCount; ++i) {
-    total += static_cast<double>(alive_counts_[i]) *
-             config_.classes[i].access_latency;
-    alive += alive_counts_[i];
-  }
-  return alive > 0 ? total / static_cast<double>(alive) : 0.0;
-}
-
 }  // namespace p2pse::topo

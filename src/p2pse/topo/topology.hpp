@@ -190,9 +190,6 @@ class Topology final : public net::MembershipObserver {
     return alive_counts_;
   }
 
-  /// Mean access latency over currently-alive nodes (0 when none alive).
-  [[nodiscard]] double mean_access_latency() const noexcept;
-
  private:
   [[nodiscard]] const NodeInfo& materialize(net::NodeId id);
 

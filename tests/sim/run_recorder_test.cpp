@@ -46,9 +46,8 @@ TEST(RunRecorder, ResetNodeLoadsKeepsHistograms) {
   EXPECT_EQ(recorder.walk_hops().count(), 1u);
 }
 
-// The channel is the one producer of send/delivery records: an ideal
-// endpoint-taking send must be attributed to its real endpoints, and the
-// endpoint-less i.i.d. sends must count delays without node attribution.
+// The channel is the one producer of send/delivery records: every send is
+// attributed to its own endpoints and observes one delay for its class.
 TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
   Channel channel;  // ideal, draws nothing
   RunRecorder recorder;
@@ -59,17 +58,21 @@ TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
       channel.send(meter, MessageClass::kWalkStep, net::NodeId{1},
                    net::NodeId{2});
   ASSERT_TRUE(link.delivered);
-  const Channel::Delivery iid = channel.send(meter, MessageClass::kControl);
-  ASSERT_TRUE(iid.delivered);
+  const Channel::Delivery control =
+      channel.send(meter, MessageClass::kControl, net::NodeId{3},
+                   net::NodeId{0});
+  ASSERT_TRUE(control.delivered);
 
   const std::uint64_t walk_wire =
       meter.wire_size(MessageClass::kWalkStep);
-  ASSERT_GE(recorder.node_loads().size(), 3u);
+  ASSERT_GE(recorder.node_loads().size(), 4u);
   EXPECT_EQ(recorder.node_loads()[1].sent_msgs, 1u);
   EXPECT_EQ(recorder.node_loads()[1].sent_bytes, walk_wire);
   EXPECT_EQ(recorder.node_loads()[2].recv_msgs, 1u);
   EXPECT_EQ(recorder.node_loads()[2].recv_bytes, walk_wire);
-  // Both logical sends observed a delay; only the per-link one has nodes.
+  EXPECT_EQ(recorder.node_loads()[3].sent_msgs, 1u);
+  EXPECT_EQ(recorder.node_loads()[0].recv_msgs, 1u);
+  // Each logical send observed one delay, under its own class.
   EXPECT_EQ(recorder.delay(MessageClass::kWalkStep).count(), 1u);
   EXPECT_EQ(recorder.delay(MessageClass::kControl).count(), 1u);
   EXPECT_EQ(recorder.node_loads()[1].messages() +

@@ -210,6 +210,22 @@ TEST(CheckedBuild, ChannelRejectsInvalidPerLinkEndpoints) {
       channel.send_reliable(meter, sim::MessageClass::kWalkStep, 1, 2));
   // Self-sends are legal: a uniform poll may draw its own initiator.
   EXPECT_NO_THROW(channel.send(meter, sim::MessageClass::kWalkStep, 3, 3));
+
+  // The contract covers every send, not only per-link ones: without a
+  // topology, on the ideal fast path and on the i.i.d. lossy path alike.
+  for (sim::Channel iid :
+       {sim::Channel(), sim::Channel(net, support::RngStream(5))}) {
+    EXPECT_THROW(
+        iid.send(meter, sim::MessageClass::kWalkStep, net::kInvalidNode, 3),
+        support::CheckFailure);
+    EXPECT_THROW(
+        iid.send_arq(meter, sim::MessageClass::kWalkStep, 1, net::kInvalidNode),
+        support::CheckFailure);
+    EXPECT_THROW(iid.send_reliable(meter, sim::MessageClass::kWalkStep,
+                                   net::kInvalidNode, net::kInvalidNode),
+                 support::CheckFailure);
+    EXPECT_NO_THROW(iid.send(meter, sim::MessageClass::kWalkStep, 1, 2));
+  }
 }
 
 #else  // !P2PSE_CHECK_ENABLED

@@ -39,8 +39,6 @@ TEST(RunningStats, MatchesNaiveComputation) {
   for (const double v : data) ss += (v - mean) * (v - mean);
   EXPECT_NEAR(s.mean(), mean, 1e-12);
   EXPECT_NEAR(s.variance(), ss / static_cast<double>(data.size()), 1e-12);
-  EXPECT_NEAR(s.sample_variance(), ss / static_cast<double>(data.size() - 1),
-              1e-12);
   EXPECT_EQ(s.min(), -3.0);
   EXPECT_EQ(s.max(), 7.0);
 }
@@ -82,26 +80,6 @@ TEST(RunningStats, MergeWithEmptySides) {
   EXPECT_EQ(c.mean(), 2.0);
 }
 
-TEST(Quantile, EmptyReturnsZero) { EXPECT_EQ(quantile({}, 0.5), 0.0); }
-
-TEST(Quantile, SingleElement) { EXPECT_EQ(quantile({7.0}, 0.9), 7.0); }
-
-TEST(Quantile, InterpolatesLinearly) {
-  const std::vector<double> v{0.0, 10.0};
-  EXPECT_NEAR(quantile(v, 0.5), 5.0, 1e-12);
-  EXPECT_NEAR(quantile(v, 0.25), 2.5, 1e-12);
-}
-
-TEST(Quantile, ClampsOutOfRangeQ) {
-  const std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_EQ(quantile(v, -0.5), 1.0);
-  EXPECT_EQ(quantile(v, 1.5), 3.0);
-}
-
-TEST(Quantile, HandlesUnsortedInput) {
-  EXPECT_NEAR(quantile({5.0, 1.0, 3.0, 2.0, 4.0}, 0.5), 3.0, 1e-12);
-}
-
 TEST(Summarize, ComputesAllFields) {
   std::vector<double> v;
   for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
@@ -132,17 +110,6 @@ TEST(QualityPercent, Basics) {
   EXPECT_NEAR(quality_percent(50.0, 100.0), 50.0, 1e-12);
   EXPECT_NEAR(quality_percent(100.0, 100.0), 100.0, 1e-12);
   EXPECT_EQ(quality_percent(5.0, 0.0), 0.0);
-}
-
-TEST(MeanAbsRelativeError, PairedSeries) {
-  const std::vector<double> est{110.0, 90.0};
-  const std::vector<double> truth{100.0, 100.0};
-  EXPECT_NEAR(mean_abs_relative_error(est, truth), 0.1, 1e-12);
-}
-
-TEST(MeanAbsRelativeError, TruncatesToShorter) {
-  EXPECT_NEAR(mean_abs_relative_error({110.0}, {100.0, 100.0}), 0.1, 1e-12);
-  EXPECT_EQ(mean_abs_relative_error({}, {100.0}), 0.0);
 }
 
 TEST(ChiSquareUniform, PerfectlyUniformIsZero) {

@@ -1,9 +1,7 @@
-// Per-link channel mode: flat fast-path byte-identity, endpoint strictness,
-// per-link loss/latency composition through the three delivery disciplines,
-// and the simulator-level wiring (set_topology / set_network ordering).
+// Per-link channel mode: flat fast-path byte-identity, per-link
+// loss/latency composition through the three delivery disciplines, and the
+// simulator-level wiring (set_topology / set_network ordering, moves).
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/simulator.hpp"
@@ -21,7 +19,6 @@ TEST(PerLinkChannel, FlatTopologyInstallsNothing) {
   sim::Simulator sim(net::Graph(10), 42);
   sim.set_topology(topo::TopologyConfig{});
   EXPECT_EQ(sim.topology(), nullptr);
-  EXPECT_FALSE(sim.channel().per_link());
   sim.set_topology(topo::TopologyConfig::parse("topo:flat"));
   EXPECT_EQ(sim.topology(), nullptr);
 }
@@ -48,15 +45,12 @@ TEST(PerLinkChannel, FlatTopologyDrawSequenceMatchesBareChannel) {
 TEST(PerLinkChannel, EndpointLessSendThrowsUnderAPerLinkTopology) {
   sim::Simulator sim(net::Graph(10), 42);
   sim.set_topology(clustered());
-  ASSERT_TRUE(sim.channel().per_link());
-  EXPECT_THROW((void)sim.send(MessageClass::kWalkStep), std::logic_error);
-  EXPECT_THROW((void)sim.send_arq(MessageClass::kWalkStep), std::logic_error);
-  EXPECT_THROW((void)sim.send_reliable(MessageClass::kWalkStep),
-               std::logic_error);
-  // The endpoint-taking forms work.
+  ASSERT_NE(sim.topology(), nullptr);
+  // Under a per-link topology a send prices its (from, to) link.
   const Channel::Delivery d = sim.send(MessageClass::kWalkStep, 0, 1);
   EXPECT_GE(d.latency, 0.0);
   EXPECT_EQ(sim.meter().total(), 1u);
+  EXPECT_EQ(sim.channel().counters().sends_link, 1u);
 }
 
 TEST(PerLinkChannel, MovingTheSimulatorReattachesTheTopology) {
@@ -64,7 +58,6 @@ TEST(PerLinkChannel, MovingTheSimulatorReattachesTheTopology) {
   original.set_topology(clustered());
   sim::Simulator moved(std::move(original));
   ASSERT_NE(moved.topology(), nullptr);
-  ASSERT_TRUE(moved.channel().per_link());
   // Membership hooks now follow the moved-to graph: a join updates the
   // census and per-link sends keep working.
   std::size_t before = 0;
@@ -79,6 +72,7 @@ TEST(PerLinkChannel, MovingTheSimulatorReattachesTheTopology) {
   }
   EXPECT_EQ(after, 11u);
   EXPECT_TRUE(moved.send(MessageClass::kWalkStep, 0, 10).latency >= 0.0);
+  EXPECT_EQ(moved.channel().counters().sends_link, 1u);
 }
 
 TEST(PerLinkChannel, TopologySurvivesSetNetwork) {
@@ -87,7 +81,8 @@ TEST(PerLinkChannel, TopologySurvivesSetNetwork) {
   NetworkConfig net;
   net.loss = 0.1;
   sim.set_network(net);  // channel swap must re-attach the topology
-  EXPECT_TRUE(sim.channel().per_link());
+  (void)sim.send(MessageClass::kWalkStep, 0, 1);
+  EXPECT_EQ(sim.channel().counters().sends_link, 1u);
   EXPECT_TRUE(sim.channel().lossy());
 }
 

@@ -171,7 +171,6 @@ TEST(TopoDeterminism, ClassCensusTracksTheConfiguredMix) {
   EXPECT_NEAR(static_cast<double>(counts[1]), 800.0, 80.0);
   EXPECT_NEAR(static_cast<double>(counts[2]), 3200.0, 80.0);
   EXPECT_EQ(counts[0] + counts[1] + counts[2], graph.size());
-  EXPECT_GT(topology.mean_access_latency(), 0.0);
 }
 
 // --- link composition --------------------------------------------------------
