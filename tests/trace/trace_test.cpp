@@ -6,11 +6,23 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace p2pse::trace {
 namespace {
 
 using Kind = TraceEvent::Kind;
+
+/// The what() of the std::invalid_argument validate() throws, or "" when
+/// the trace is accepted (any other exception type fails the test).
+std::string rejection(const ChurnTrace& trace) {
+  try {
+    trace.validate();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
 
 ChurnTrace small_trace() {
   ChurnTrace trace;
@@ -48,19 +60,22 @@ TEST(ChurnTrace, ValidTracePassesValidation) {
 TEST(ChurnTrace, RejectsNonPositiveDuration) {
   ChurnTrace trace;
   trace.duration = 0.0;
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace), "ChurnTrace: duration must be > 0");
 }
 
 TEST(ChurnTrace, RejectsUnsortedTimestamps) {
   ChurnTrace trace = small_trace();
   std::swap(trace.events[0], trace.events[1]);
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=10, session 2): timestamps not sorted");
 }
 
 TEST(ChurnTrace, RejectsDuplicateTimestamps) {
   ChurnTrace trace = small_trace();
   trace.events[1].time = trace.events[0].time;  // ambiguous replay order
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=10, session 0): duplicate timestamp "
+            "(replay order would be ambiguous)");
 }
 
 TEST(ChurnTrace, RejectsLeaveBeforeJoin) {
@@ -68,14 +83,16 @@ TEST(ChurnTrace, RejectsLeaveBeforeJoin) {
   trace.duration = 100.0;
   trace.initial_sessions = 1;
   trace.events = {{5.0, Kind::kLeave, 7}};  // session 7 never joined
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 0 (t=5, session 7): leave before join");
 }
 
 TEST(ChurnTrace, RejectsDuplicateJoin) {
   ChurnTrace trace;
   trace.duration = 100.0;
   trace.events = {{1.0, Kind::kJoin, 0}, {2.0, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=2, session 0): duplicate join");
 }
 
 TEST(ChurnTrace, RejectsJoinOfInitialSession) {
@@ -83,7 +100,9 @@ TEST(ChurnTrace, RejectsJoinOfInitialSession) {
   trace.duration = 100.0;
   trace.initial_sessions = 3;
   trace.events = {{1.0, Kind::kJoin, 2}};  // id 2 is alive at t=0
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 0 (t=1, session 2): join of an initial "
+            "session (alive at t=0)");
 }
 
 TEST(ChurnTrace, RejectsDuplicateLeave) {
@@ -91,7 +110,14 @@ TEST(ChurnTrace, RejectsDuplicateLeave) {
   trace.duration = 100.0;
   trace.initial_sessions = 1;
   trace.events = {{1.0, Kind::kLeave, 0}, {2.0, Kind::kLeave, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=2, session 0): duplicate leave");
+  // A joined session leaving twice is the same fault.
+  trace.events = {{1.0, Kind::kJoin, 4},
+                  {2.0, Kind::kLeave, 4},
+                  {2.5, Kind::kLeave, 4}};
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 2 (t=2.5, session 4): duplicate leave");
 }
 
 TEST(ChurnTrace, RejectsSessionIdReuse) {
@@ -100,16 +126,45 @@ TEST(ChurnTrace, RejectsSessionIdReuse) {
   trace.events = {{1.0, Kind::kJoin, 5},
                   {2.0, Kind::kLeave, 5},
                   {3.0, Kind::kJoin, 5}};  // one id = one session
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 2 (t=3, session 5): session id reused after "
+            "its leave");
 }
 
 TEST(ChurnTrace, RejectsEventsOutsideDuration) {
   ChurnTrace trace;
   trace.duration = 100.0;
   trace.events = {{100.5, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 0 (t=100.5, session 0): time outside "
+            "[0, duration]");
   trace.events = {{-0.5, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 0 (t=-0.5, session 0): time outside "
+            "[0, duration]");
+}
+
+TEST(ChurnTrace, RejectionNamesTheFirstFaultyEvent) {
+  ChurnTrace trace;
+  trace.duration = 100.0;
+  trace.initial_sessions = 1;
+  // A session fault (event 1) before a time fault (event 2): the lower
+  // index is reported, whichever kind of check it fails.
+  trace.events = {{1.0, Kind::kJoin, 3},
+                  {2.0, Kind::kLeave, 9},
+                  {1.5, Kind::kJoin, 4}};
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=2, session 9): leave before join");
+  // A time fault (event 1) before a session fault (event 2).
+  trace.events = {{1.0, Kind::kJoin, 3},
+                  {0.5, Kind::kJoin, 4},
+                  {2.0, Kind::kJoin, 3}};
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=0.5, session 4): timestamps not sorted");
+  // Both kinds at one event: the time check is reported.
+  trace.events = {{2.0, Kind::kJoin, 3}, {1.0, Kind::kJoin, 3}};
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: event 1 (t=1, session 3): timestamps not sorted");
 }
 
 TEST(ChurnTrace, SizeTrajectoryFollowsEvents) {
