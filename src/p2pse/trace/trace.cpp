@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace p2pse::trace {
 namespace {
@@ -73,67 +72,85 @@ std::optional<std::string_view> metadata_value(std::string_view line,
 
 void ChurnTrace::validate() const {
   if (duration <= 0.0) bad_trace("duration must be > 0");
+  // The lowest-index faulty event is reported; at one index the time checks
+  // come first. Its message is formatted only once a fault is found.
+  std::size_t bad = events.size();
+  std::string_view fault;
   double prev = -1.0;
-  // Alive sessions: the initial range plus joined-but-not-left ids; closed
-  // ids may never reappear (one session id = one join/leave pair).
-  std::unordered_set<std::uint64_t> alive_joined;
-  std::unordered_set<std::uint64_t> closed;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    const std::string at = "event " + std::to_string(i) + " (t=" +
-                           exact(event.time) + ", session " +
-                           std::to_string(event.session) + ")";
-    if (event.time < 0.0 || event.time > duration) {
-      bad_trace(at + ": time outside [0, duration]");
-    }
-    if (event.time == prev) {
-      bad_trace(at + ": duplicate timestamp (replay order would be "
-                     "ambiguous)");
-    }
-    if (event.time < prev) bad_trace(at + ": timestamps not sorted");
-    prev = event.time;
-    const bool is_initial = event.session < initial_sessions;
-    if (event.kind == TraceEvent::Kind::kJoin) {
-      if (is_initial) {
-        bad_trace(at + ": join of an initial session (alive at t=0)");
-      }
-      if (closed.contains(event.session)) {
-        bad_trace(at + ": session id reused after its leave");
-      }
-      if (!alive_joined.insert(event.session).second) {
-        bad_trace(at + ": duplicate join");
-      }
+    const double time = events[i].time;
+    if (time < 0.0 || time > duration) {
+      fault = "time outside [0, duration]";
+    } else if (time == prev) {
+      fault = "duplicate timestamp (replay order would be ambiguous)";
+    } else if (time < prev) {
+      fault = "timestamps not sorted";
     } else {
-      if (is_initial) {
-        if (!closed.insert(event.session).second) {
-          bad_trace(at + ": duplicate leave");
-        }
-      } else if (alive_joined.erase(event.session) == 1) {
-        closed.insert(event.session);
-      } else {
-        bad_trace(at + (closed.contains(event.session)
-                            ? ": duplicate leave"
-                            : ": leave before join"));
-      }
+      prev = time;
+      continue;
     }
+    bad = i;
+    break;
   }
-}
 
-std::vector<std::pair<double, std::size_t>> ChurnTrace::size_trajectory()
-    const {
-  std::vector<std::pair<double, std::size_t>> trajectory;
-  trajectory.reserve(events.size() + 1);
-  std::size_t alive = static_cast<std::size_t>(initial_sessions);
-  trajectory.emplace_back(0.0, alive);
-  for (const TraceEvent& event : events) {
-    if (event.kind == TraceEvent::Kind::kJoin) {
-      ++alive;
-    } else {
-      --alive;
+  // Session checks walk each session's events in index order, grouped by
+  // one sort of (session, index) pairs. Only events before the current
+  // fault can displace it. An initial session starts alive; a closed id
+  // may never reappear (one session id = one join/leave pair).
+  struct SessionEvent {
+    std::uint64_t session;
+    std::size_t index;
+  };
+  std::vector<SessionEvent> order(bad);
+  for (std::size_t i = 0; i < bad; ++i) order[i] = {events[i].session, i};
+  std::sort(order.begin(), order.end(),
+            [](const SessionEvent& a, const SessionEvent& b) {
+              return a.session != b.session ? a.session < b.session
+                                            : a.index < b.index;
+            });
+  enum class State { kNone, kJoined, kClosed };
+  State state = State::kNone;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto [session, i] = order[k];
+    const bool is_initial = session < initial_sessions;
+    if (k == 0 || order[k - 1].session != session) {
+      state = is_initial ? State::kJoined : State::kNone;
     }
-    trajectory.emplace_back(event.time, alive);
+    if (i >= bad) continue;
+    std::string_view problem;
+    if (events[i].kind == TraceEvent::Kind::kJoin) {
+      if (is_initial) {
+        problem = "join of an initial session (alive at t=0)";
+      } else if (state == State::kClosed) {
+        problem = "session id reused after its leave";
+      } else if (state == State::kJoined) {
+        problem = "duplicate join";
+      } else {
+        state = State::kJoined;
+      }
+    } else if (state == State::kJoined) {
+      state = State::kClosed;
+    } else {
+      problem = state == State::kClosed ? "duplicate leave"
+                                        : "leave before join";
+    }
+    if (!problem.empty()) {
+      bad = i;
+      fault = problem;
+    }
   }
-  return trajectory;
+
+  if (bad == events.size()) return;
+  const TraceEvent& event = events[bad];
+  std::string what = "event ";
+  what.append(std::to_string(bad))
+      .append(" (t=")
+      .append(exact(event.time))
+      .append(", session ")
+      .append(std::to_string(event.session))
+      .append("): ")
+      .append(fault);
+  bad_trace(what);
 }
 
 TraceSummary ChurnTrace::summarize() const {

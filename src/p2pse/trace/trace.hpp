@@ -71,16 +71,14 @@ class ChurnTrace {
 
   /// Enforces every invariant in the header comment. Throws
   /// std::invalid_argument naming the first offending event. An empty event
-  /// list is valid (a static workload).
+  /// list is valid (a static workload). The producers validate: the
+  /// generators (through their shared compile step) and read_csv. Consumers
+  /// (TraceDynamics, TraceCursor) take a validated trace and do not repeat
+  /// the check.
   void validate() const;
 
   /// Replay-derived statistics. Requires a valid trace.
   [[nodiscard]] TraceSummary summarize() const;
-
-  /// The (time, alive count) step function the trace induces, starting at
-  /// (0, initial_sessions). One point per event.
-  [[nodiscard]] std::vector<std::pair<double, std::size_t>> size_trajectory()
-      const;
 
   void write_csv(std::ostream& out) const;
   /// Parses and validates. Throws std::invalid_argument with a line number

@@ -135,9 +135,7 @@ TraceDynamics::TraceDynamics(ChurnTrace trace, std::string name,
                              net::JoinPolicy policy)
     : trace_(std::move(trace)),
       name_(name.empty() ? "trace:" + trace_.name : std::move(name)),
-      policy_(policy) {
-  trace_.validate();
-}
+      policy_(policy) {}
 
 std::unique_ptr<scenario::DynamicsCursor> TraceDynamics::bind(
     net::Graph& graph, support::RngStream rng) const {

@@ -40,7 +40,9 @@ struct TraceModelInfo {
 [[nodiscard]] ChurnTrace build_trace(std::string_view spec,
                                      std::size_t initial_nodes);
 
-/// Dynamics adapter over a ChurnTrace: binds TraceCursor replicas.
+/// Dynamics adapter over a ChurnTrace: binds TraceCursor replicas. The
+/// trace must already be valid (as build_trace returns it); it is not
+/// checked again here.
 class TraceDynamics final : public scenario::Dynamics {
  public:
   explicit TraceDynamics(ChurnTrace trace, std::string name = {},

@@ -11,6 +11,7 @@
 
 #include "p2pse/net/builders.hpp"
 #include "p2pse/trace/generators.hpp"
+#include "trace_oracles.hpp"
 
 namespace p2pse::trace {
 namespace {
@@ -42,7 +43,7 @@ TEST(TraceCursor, GraphSizeFollowsTheTraceTrajectory) {
   net::Graph g = overlay(300, 3);
   TraceCursor cursor(trace, g, {}, support::RngStream(4));
   // At every event boundary the alive count must equal the trajectory.
-  for (const auto& [time, alive] : trace.size_trajectory()) {
+  for (const auto& [time, alive] : oracle::size_trajectory(trace)) {
     cursor.advance_to(time);
     EXPECT_EQ(g.size(), alive) << "at t=" << time;
   }

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "p2pse/trace/workloads.hpp"
+#include "trace_oracles.hpp"
 
 namespace p2pse::trace {
 namespace {
@@ -104,7 +105,7 @@ TEST(Generators, FlashCrowdSwellsThenExodusDrops) {
   // Population just before the crowd, at the crowd peak, and across the
   // exodus instant.
   std::size_t before_crowd = 0, peak = 0, before_exodus = 0, after_exodus = 0;
-  for (const auto& [time, alive] : trace.size_trajectory()) {
+  for (const auto& [time, alive] : oracle::size_trajectory(trace)) {
     if (time <= config.crowd_time) before_crowd = alive;
     if (time <= config.crowd_time + config.crowd_ramp) {
       peak = std::max(peak, alive);

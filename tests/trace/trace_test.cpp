@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "trace_oracles.hpp"
+
 namespace p2pse::trace {
 namespace {
 
@@ -168,7 +170,7 @@ TEST(ChurnTrace, RejectionNamesTheFirstFaultyEvent) {
 }
 
 TEST(ChurnTrace, SizeTrajectoryFollowsEvents) {
-  const auto trajectory = small_trace().size_trajectory();
+  const auto trajectory = oracle::size_trajectory(small_trace());
   ASSERT_EQ(trajectory.size(), 5u);
   EXPECT_EQ(trajectory[0], (std::pair<double, std::size_t>{0.0, 2}));
   EXPECT_EQ(trajectory[1], (std::pair<double, std::size_t>{10.0, 3}));
