@@ -160,8 +160,10 @@ TopologyConfig TopologyConfig::parse(std::string_view text) {
   constexpr std::string_view kPrefix = "topo";
   if (text.substr(0, kPrefix.size()) != kPrefix ||
       (text.size() > kPrefix.size() && text[kPrefix.size()] != ':')) {
-    bad_spec("'" + std::string(text) +
-             "' must start with 'topo' (e.g. topo:clustered,regions=8)");
+    std::string what = "'";
+    what.append(text).append(
+        "' must start with 'topo' (e.g. topo:clustered,regions=8)");
+    bad_spec(what);
   }
   // "topo" alone is the default-constructed flat identity.
   if (text.size() <= kPrefix.size()) return TopologyConfig{};
@@ -213,23 +215,33 @@ TopologyConfig TopologyConfig::parse(std::string_view text) {
 
 std::string TopologyConfig::canonical() const {
   if (model == "flat") return "topo:flat";
-  std::string out = "topo:" + model;
+  // Appended piece by piece: GCC 12 misreports `"," + std::string(...)`
+  // chains under -Wrestrict.
+  std::string out = "topo:";
+  out.append(model);
+  const auto key = [&out](std::string_view name) -> std::string& {
+    return out.append(",").append(name).append("=");
+  };
+  const auto triple = [](std::string& to, double a, double b, double c) {
+    to.append(format_double(a))
+        .append(":")
+        .append(format_double(b))
+        .append(":")
+        .append(format_double(c));
+  };
   if (model == "clustered") {
-    out += ",regions=" + std::to_string(regions) +
-           ",spread=" + format_double(spread) +
-           ",world=" + format_double(world) +
-           ",background=" + format_double(background) +
-           ",prop=" + format_double(prop) +
-           ",penalty=" + format_double(penalty);
+    key("regions").append(std::to_string(regions));
+    key("spread").append(format_double(spread));
+    key("world").append(format_double(world));
+    key("background").append(format_double(background));
+    key("prop").append(format_double(prop));
+    key("penalty").append(format_double(penalty));
   }
-  out += ",mix=" + format_double(mix[0]) + ":" + format_double(mix[1]) + ":" +
-         format_double(mix[2]);
+  triple(key("mix"), mix[0], mix[1], mix[2]);
   constexpr std::string_view kClassKeys[kPeerClassCount] = {"dc", "bb", "mob"};
   for (std::size_t i = 0; i < kPeerClassCount; ++i) {
-    out += "," + std::string(kClassKeys[i]) + "=" +
-           format_double(classes[i].access_latency) + ":" +
-           format_double(classes[i].loss) + ":" +
-           format_double(classes[i].jitter);
+    triple(key(kClassKeys[i]), classes[i].access_latency, classes[i].loss,
+           classes[i].jitter);
   }
   return out;
 }

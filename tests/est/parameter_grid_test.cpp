@@ -58,8 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint32_t{10}, std::uint32_t{50},
                                          std::uint32_t{200})),
     [](const ::testing::TestParamInfo<ScGrid>& info) {
-      return "T" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_l" + std::to_string(std::get<1>(info.param));
+      std::string name = "T";
+      name.append(std::to_string(static_cast<int>(std::get<0>(info.param))))
+          .append("_l")
+          .append(std::to_string(std::get<1>(info.param)));
+      return name;
     });
 
 // ---- HopsSampling spread-knob grid -----------------------------------------

@@ -14,8 +14,6 @@ FigureReport plot_report() {
   r.params = "nodes=10";
   r.notes = {"note one", "note two"};
   r.series.push_back(support::Series{"line", {1, 2, 3}, {4, 5, 6}, '*'});
-  r.plot.x_label = "x";
-  r.plot.y_label = "y";
   return r;
 }
 
