@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace p2pse::trace {
 namespace {
@@ -97,23 +98,15 @@ void ChurnTrace::validate() const {
   // one sort of (session, index) pairs. Only events before the current
   // fault can displace it. An initial session starts alive; a closed id
   // may never reappear (one session id = one join/leave pair).
-  struct SessionEvent {
-    std::uint64_t session;
-    std::size_t index;
-  };
-  std::vector<SessionEvent> order(bad);
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(bad);
   for (std::size_t i = 0; i < bad; ++i) order[i] = {events[i].session, i};
-  std::sort(order.begin(), order.end(),
-            [](const SessionEvent& a, const SessionEvent& b) {
-              return a.session != b.session ? a.session < b.session
-                                            : a.index < b.index;
-            });
+  std::sort(order.begin(), order.end());
   enum class State { kNone, kJoined, kClosed };
   State state = State::kNone;
   for (std::size_t k = 0; k < order.size(); ++k) {
     const auto [session, i] = order[k];
     const bool is_initial = session < initial_sessions;
-    if (k == 0 || order[k - 1].session != session) {
+    if (k == 0 || order[k - 1].first != session) {
       state = is_initial ? State::kJoined : State::kNone;
     }
     if (i >= bad) continue;
