@@ -99,8 +99,8 @@ void mutate(ChurnTrace& trace, support::RngStream& rng) {
       event.time = rng.bernoulli(0.5) ? trace.duration + 0.5 : -0.5;
       break;
     case 6:  // shrink the window under an event (possibly to <= 0)
-      trace.duration = other.time - 0.25 * static_cast<double>(
-                                               rng.uniform_u64(5));
+      trace.duration =
+          other.time - 0.25 * static_cast<double>(rng.uniform_u64(5));
       break;
     case 7:  // reorder two events
       std::swap(event, other);
