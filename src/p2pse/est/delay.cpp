@@ -1,7 +1,5 @@
 #include "p2pse/est/delay.hpp"
 
-#include <unordered_set>
-
 namespace p2pse::est {
 
 DelayBreakdown sample_collide_delay(sim::Simulator& sim,
@@ -10,23 +8,18 @@ DelayBreakdown sample_collide_delay(sim::Simulator& sim,
                                     const DelayConfig& config,
                                     support::RngStream& rng) {
   DelayBreakdown out;
-  const std::uint64_t baseline = sim.meter().total();
-  // Re-run the collision loop sample by sample so each walk's hop count is
-  // observable (estimate_once hides it).
-  std::unordered_set<net::NodeId> seen;
-  std::uint64_t samples = 0;
-  std::uint32_t collisions = 0;
-  const std::uint32_t target = sc.config().collisions;
-  while (collisions < target && samples < sc.config().max_samples) {
-    const WalkSample ws = sc.sample(sim, initiator, rng);
-    ++samples;
-    // Walk hops are sequential; the sample's report is one more hop.
-    out.total += config.hop_latency.sequential(ws.steps + 1, rng);
-    if (!seen.insert(ws.node).second) ++collisions;
-  }
-  out.messages = sim.meter().since(baseline);
-  out.estimate = static_cast<double>(samples) * static_cast<double>(samples) /
-                 (2.0 * static_cast<double>(target));
+  // The estimator's own collision loop, observing each walk's hop count
+  // (estimate_once hides it).
+  const CollisionRun run =
+      collide(sim, sc.config().collisions, sc.config().max_samples, [&] {
+        const WalkSample ws = sc.sample(sim, initiator, rng);
+        // Walk hops are sequential; the sample's report is one more hop.
+        out.total += config.hop_latency.sequential(ws.steps + 1, rng);
+        return ws;
+      });
+  const Estimate estimate = sc.estimate_from(run, sim.now());
+  out.messages = estimate.messages;
+  out.estimate = estimate.value;
   return out;
 }
 

@@ -29,7 +29,8 @@ struct DelayBreakdown {
 };
 
 /// Sample&Collide: sequential walks, sequential samples. Runs one real
-/// estimation and accumulates the latency of every hop and reply.
+/// estimation (the estimator's collision loop, so a lost walk is no sample)
+/// and accumulates the latency of every hop and reply.
 [[nodiscard]] DelayBreakdown sample_collide_delay(sim::Simulator& sim,
                                                   const SampleCollide& sc,
                                                   net::NodeId initiator,

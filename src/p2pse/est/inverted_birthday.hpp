@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "p2pse/est/estimator.hpp"
+#include "p2pse/est/walk.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -42,16 +43,12 @@ class InvertedBirthday final : public Estimator {
     return estimate_once(sim, initiator, rng);
   }
 
-  /// One degree-biased sample: the endpoint of a fixed-length random walk.
-  struct Sample {
-    net::NodeId node = net::kInvalidNode;
-    bool lost = false;      ///< reply permanently lost (bounded ARQ exhausted)
-    double elapsed = 0.0;   ///< transit wall-clock under the channel
-  };
-  [[nodiscard]] Sample sample(sim::Simulator& sim, net::NodeId initiator,
-                              support::RngStream& rng) const;
-
   /// Samples until `collisions` repeats and returns N-hat = C^2 / (2 l).
+  /// Each sample is the endpoint of a fixed-length walk, degree-biased.
+  /// Fixed-length walks carry no timer state, so loss handling matches the
+  /// walk-class convention: hop-reliable forwarding, bounded-ARQ reply. A
+  /// permanently lost reply means the initiator never learns the sample (it
+  /// times out and launches the next walk, as in Sample&Collide).
   [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
                                        net::NodeId initiator,
                                        support::RngStream& rng) const;

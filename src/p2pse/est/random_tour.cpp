@@ -1,5 +1,7 @@
 #include "p2pse/est/random_tour.hpp"
 
+#include "p2pse/est/walk.hpp"
+
 namespace p2pse::est {
 
 std::string RandomTour::describe() const {
@@ -25,30 +27,24 @@ Estimate RandomTour::estimate_once(sim::Simulator& sim, net::NodeId initiator,
   // uses the channel's hop-reliable send: loss inflates message cost and
   // wall-clock delay but never kills the tour.
   double phi = 1.0 / static_cast<double>(init_degree);
-  double delay = 0.0;
-  net::NodeId current = initiator;
-  for (std::uint64_t step = 0; step < config_.max_steps; ++step) {
-    const net::NodeId next = graph.random_neighbor(current, rng);
-    if (next == net::kInvalidNode) {
-      // Walk trapped on an isolated survivor (possible only under churn
-      // mid-tour; impossible on a static undirected graph).
-      return Estimate::invalid_at(sim.now(), sim.meter().since(baseline));
-    }
-    delay +=
-        sim.send_reliable(sim::MessageClass::kWalkStep, current, next).latency;
-    current = next;
-    if (current == initiator) {
-      sim.record_walk_hops(step + 1);
-      Estimate estimate;
-      estimate.value = static_cast<double>(init_degree) * phi;
-      estimate.time = sim.now();
-      estimate.messages = sim.meter().since(baseline);
-      estimate.delay = delay;
-      return estimate;
-    }
-    phi += 1.0 / static_cast<double>(graph.degree(current));
+  const WalkSample tour = walk<HopDelivery::kReliable>(
+      sim, initiator, config_.max_steps, rng, [&](net::NodeId at) {
+        if (at == initiator) return true;
+        phi += 1.0 / static_cast<double>(graph.degree(at));
+        return false;
+      });
+  if (tour.node != initiator) {
+    // Hit the step bound, or trapped on an isolated survivor (possible only
+    // under churn mid-tour; impossible on a static undirected graph).
+    return Estimate::invalid_at(sim.now(), sim.meter().since(baseline));
   }
-  return Estimate::invalid_at(sim.now(), sim.meter().since(baseline));
+  sim.record_walk_hops(tour.steps);
+  Estimate estimate;
+  estimate.value = static_cast<double>(init_degree) * phi;
+  estimate.time = sim.now();
+  estimate.messages = sim.meter().since(baseline);
+  estimate.delay = tour.elapsed;
+  return estimate;
 }
 
 }  // namespace p2pse::est

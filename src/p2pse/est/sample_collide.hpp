@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "p2pse/est/estimator.hpp"
+#include "p2pse/est/walk.hpp"
 #include "p2pse/net/graph.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/rng.hpp"
@@ -37,19 +38,6 @@ struct SampleCollideConfig {
   /// Safety bounds; generously above anything the paper's settings need.
   std::uint64_t max_walk_steps = 1u << 22;
   std::uint64_t max_samples = 1u << 26;
-};
-
-/// Result of one T-walk.
-struct WalkSample {
-  net::NodeId node = net::kInvalidNode;
-  std::uint64_t steps = 0;  ///< logical hops taken (ARQ may retransmit each)
-  /// Walk or reply lost in transit (per-hop ARQ exhausted): the initiator
-  /// never learns the sample and times out. Always false on a loss-free
-  /// channel.
-  bool lost = false;
-  /// Wall-clock of the transit under the simulator's channel: hop latencies
-  /// plus retransmission waits (0 on the ideal channel).
-  double elapsed = 0.0;
 };
 
 class SampleCollide final : public Estimator {
@@ -84,6 +72,11 @@ class SampleCollide final : public Estimator {
   [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
                                        net::NodeId initiator,
                                        support::RngStream& rng) const;
+
+  /// Values a collision run of this estimator's samples: invalid when the
+  /// sample bound stopped it before `l` collisions.
+  [[nodiscard]] Estimate estimate_from(const CollisionRun& run,
+                                       sim::Time now) const;
 
   [[nodiscard]] const SampleCollideConfig& config() const noexcept {
     return config_;

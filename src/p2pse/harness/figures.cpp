@@ -18,11 +18,11 @@
 #include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/est/smoothing.hpp"
+#include "p2pse/est/walk.hpp"
 #include "p2pse/harness/parallel_runner.hpp"
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/net/cyclon.hpp"
-#include "p2pse/net/random_walk.hpp"
 #include "p2pse/obs/size_model.hpp"
 #include "p2pse/obs/telemetry.hpp"
 #include "p2pse/scenario/runner.hpp"
@@ -1439,11 +1439,11 @@ FigureReport ablation_samplers(const FigureSpec&,
       });
   add("Metropolis-Hastings (" + std::to_string(hops) + " hops)", "mh",
       [&](RngStream& rng) {
-        return net::metropolis_hastings_walk(at.sim, at.initiator, hops, rng);
+        return est::metropolis_hastings_walk(at.sim, at.initiator, hops, rng);
       });
   add("simple walk (" + std::to_string(hops) + " hops, biased)", "simple",
       [&](RngStream& rng) {
-        return net::simple_walk(at.sim, at.initiator, hops, rng);
+        return est::simple_walk(at.sim, at.initiator, hops, rng);
       });
   report.notes = {
       "both the T-walk and Metropolis-Hastings converge to uniform; the "

@@ -61,8 +61,6 @@ class ConstantChurn {
 
   [[nodiscard]] double arrival_rate() const noexcept { return arrival_rate_; }
   [[nodiscard]] double departure_rate() const noexcept { return departure_rate_; }
-  [[nodiscard]] double arrival_credit() const noexcept { return arrival_credit_; }
-  [[nodiscard]] double departure_credit() const noexcept { return departure_credit_; }
 
  private:
   double arrival_rate_;

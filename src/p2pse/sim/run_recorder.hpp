@@ -73,9 +73,9 @@ class RunRecorder {
     load.recv_bytes += wire_size;
   }
 
-  /// One completed random walk of `hops` delivered hops (Sample&Collide,
-  /// RandomTour, InvertedBirthday call this; walks killed by loss do not
-  /// report a length).
+  /// One completed random walk of `hops` delivered hops (the walk engine's
+  /// est::walk_to_sample, for Sample&Collide and InvertedBirthday, and
+  /// RandomTour call this; walks killed by loss do not report a length).
   void on_walk(std::uint64_t hops) {
     walk_hops_.observe(static_cast<double>(hops));
   }

@@ -1,10 +1,10 @@
 #pragma once
-// Fixed-bucket histogram for the deterministic run-stats path. Unlike
-// obs::Histogram (registry convenience, carries a double `sum`), this one
-// holds ONLY merge-order-invariant state: u64 bucket counts. Replica blocks
-// merge in thread-completion order, and double addition is not commutative
-// in floating point — so a histogram that must be byte-identical across
-// --threads carries no floating-point accumulator at all.
+// Fixed-bucket histogram for the deterministic run-stats path. It holds
+// ONLY merge-order-invariant state: u64 bucket counts. Replica blocks merge
+// in thread-completion order, and floating-point addition is not
+// associative — so a histogram that must be byte-identical across
+// --threads carries no floating-point accumulator (no running `sum`) at
+// all.
 //
 // `bounds` are ascending upper edges; an observation lands in the first
 // bucket whose bound is >= the value, or in the overflow bucket past the

@@ -72,6 +72,32 @@ TEST(DelayAnalysis, SampleCollideDelayMatchesItsMessageCount) {
   EXPECT_GT(d.estimate, 0.0);
 }
 
+TEST(DelayAnalysis, SampleCollideDelayRunsTheEstimatorsCollisionLoop) {
+  // Under loss a walk or its reply can be lost. A lost walk is no sample:
+  // it must neither enter the collision set nor count toward C, and the
+  // attempt bound applies. With constant hop latency the delay analysis
+  // draws nothing from the estimator's stream, so it must agree with
+  // estimate_once from the same seed.
+  const SampleCollide sc({.timer = 10.0, .collisions = 20});
+  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0)};
+  const auto lossy_sim = [] {
+    sim::Simulator sim = hetero_sim(2000, 13);
+    sim.set_network(sim::NetworkConfig::parse("net:loss=0.3"));
+    return sim;
+  };
+  sim::Simulator delay_sim = lossy_sim();
+  support::RngStream delay_rng(14);
+  const DelayBreakdown d =
+      sample_collide_delay(delay_sim, sc, 0, config, delay_rng);
+  sim::Simulator estimate_sim = lossy_sim();
+  support::RngStream estimate_rng(14);
+  const Estimate e = sc.estimate_once(estimate_sim, 0, estimate_rng);
+  ASSERT_TRUE(e.valid);
+  EXPECT_GT(delay_sim.channel().counters().arq_timeouts, 0u);
+  EXPECT_DOUBLE_EQ(d.estimate, e.value);
+  EXPECT_EQ(d.messages, e.messages);
+}
+
 TEST(DelayAnalysis, HopsSamplingDelayIsSpreadDepth) {
   sim::Simulator sim = hetero_sim(3000, 7);
   support::RngStream rng(8);

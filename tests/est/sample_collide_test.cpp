@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "p2pse/est/registry.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/support/stats.hpp"
 
@@ -31,6 +35,35 @@ TEST(SampleCollideConfig, Validation) {
   EXPECT_THROW(SampleCollide({.timer = -1.0}), std::invalid_argument);
   EXPECT_THROW(SampleCollide({.timer = 1.0, .collisions = 0}),
                std::invalid_argument);
+}
+
+TEST(SampleCollideConfig, RejectsNonFiniteTimer) {
+  // A NaN timer passed `timer <= 0.0` and then never expired: every walk
+  // ran the full max_walk_steps. Config and spec both name the value.
+  const std::vector<std::tuple<double, const char*>> cases = {
+      {std::nan(""), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {-std::numeric_limits<double>::infinity(), "-inf"},
+  };
+  for (const auto& [timer, text] : cases) {
+    SCOPED_TRACE(text);
+    const std::string expected =
+        std::string("SampleCollide: timer T must be finite and > 0, got ") +
+        text;
+    try {
+      (void)SampleCollide({.timer = timer});
+      ADD_FAILURE() << "SampleCollideConfig accepted T=" << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), expected);
+    }
+    try {
+      (void)EstimatorRegistry::global().build(
+          std::string("sample_collide:T=") + text);
+      ADD_FAILURE() << "the registry accepted T=" << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), expected);
+    }
+  }
 }
 
 TEST(SampleCollideWalk, IsolatedInitiatorSendsNoMessages) {

@@ -164,20 +164,24 @@ TEST(ConstantChurn, SetRatesCarriesFractionalCredit) {
 }
 
 TEST(ConstantChurn, SetRatesKeepsCreditObservable) {
+  // The credit is observed through the departures it produces.
   Graph g = test_overlay(100, 33);
   support::RngStream rng(34);
   ConstantChurn churn(0.0, 0.9);
   churn.step(g, 1.0, rng);
-  EXPECT_DOUBLE_EQ(churn.departure_credit(), 0.9);
+  EXPECT_EQ(g.size(), 100u);  // 0.9 departure credit, no departure yet
   churn.set_rates(5.0, 0.2);
-  EXPECT_DOUBLE_EQ(churn.departure_credit(), 0.9);  // survives the change
   EXPECT_DOUBLE_EQ(churn.arrival_rate(), 5.0);
   EXPECT_DOUBLE_EQ(churn.departure_rate(), 0.2);
   // One more unit: 5 arrivals, and the carried 0.9 + 0.2 = 1.1 departure
   // credit finally converts into one departure.
   churn.step(g, 1.0, rng);
   EXPECT_EQ(g.size(), 104u);
-  EXPECT_NEAR(churn.departure_credit(), 0.1, 1e-9);
+  // The 0.1 left over carries too: 0.1 + 0.95 crosses one departure, where
+  // 0.95 alone would not.
+  churn.set_rates(0.0, 0.95);
+  churn.step(g, 1.0, rng);
+  EXPECT_EQ(g.size(), 103u);
 }
 
 TEST(ConstantChurn, ArrivalsKeepDegreeDistributionStationary) {
