@@ -94,7 +94,7 @@ constexpr FigureDigest kDigests[] = {
      0x8016e0f1e10a2fe7},
     {"ablation_polling", 0xcd3e784dcb64cfe1, 0x6235c3d70df69b42,
      0x082cf818d8936831},
-    {"ablation_samplers", 0xb5eae371058c1e2d, 0xae347a113f9115de,
+    {"ablation_samplers", 0xb5eae371058c1e2d, 0x56715ac4c81f71f8,
      0xa3953bb959777d6f},
     {"ablation_oscillating", 0x2203ce58613a78de, 0xf19b7311077b2524,
      0x609be554690b64e0},
