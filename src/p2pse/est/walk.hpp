@@ -34,16 +34,14 @@ struct Hop {
 template <HopDelivery kDelivery>
 [[nodiscard]] inline Hop hop(sim::Simulator& sim, net::NodeId from,
                              support::RngStream& rng) {
-  Hop out;
-  out.next = sim.graph().random_neighbor(from, rng);
-  if (out.next == net::kInvalidNode) return out;
+  const net::NodeId next = sim.graph().random_neighbor(from, rng);
+  if (next == net::kInvalidNode) return {};
   if constexpr (kDelivery == HopDelivery::kArq) {
-    out.delivery = sim.send_arq(sim::MessageClass::kWalkStep, from, out.next);
+    return {next, sim.send_arq(sim::MessageClass::kWalkStep, from, next)};
   } else {
-    out.delivery =
-        sim.send_reliable(sim::MessageClass::kWalkStep, from, out.next);
+    return {next,
+            sim.send_reliable(sim::MessageClass::kWalkStep, from, next)};
   }
-  return out;
 }
 
 /// Result of one walk.

@@ -184,19 +184,5 @@ TEST(WalkEngine, CollideCountsSamplesCollisionsAndChargesLostWalks) {
   EXPECT_DOUBLE_EQ(birthday_estimate(run.samples, 1), 4.5);
 }
 
-TEST(WalkEngine, CollideStopsAtTheAttemptBound) {
-  sim::Simulator sim(Graph(4), 25);
-  NodeId id = 0;
-  const CollisionRun run = collide(sim, 1, 3, [&] {
-    WalkSample s;
-    s.node = id++;
-    return s;
-  });
-  EXPECT_EQ(run.attempts, 3u);
-  EXPECT_EQ(run.collisions, 0u);
-  EXPECT_FALSE(run.complete);
-  EXPECT_FALSE(run.estimate(0.0).valid);
-}
-
 }  // namespace
 }  // namespace p2pse::est
