@@ -6,6 +6,11 @@ namespace p2pse::est {
 
 InvertedBirthday::InvertedBirthday(InvertedBirthdayConfig config)
     : Estimator(kInfo), config_(config) {
+  // A zero-hop walk samples its own initiator every time: the first two
+  // samples collide and the estimate is 2 whatever the overlay size.
+  if (config_.walk_length == 0) {
+    throw std::invalid_argument("InvertedBirthday: walk_length must be >= 1");
+  }
   if (config_.collisions == 0) {
     throw std::invalid_argument("InvertedBirthday: collisions must be >= 1");
   }

@@ -21,7 +21,7 @@
 namespace p2pse::est {
 
 struct InvertedBirthdayConfig {
-  std::uint32_t walk_length = 30;  ///< fixed hop count per sample
+  std::uint32_t walk_length = 30;  ///< fixed hop count per sample, >= 1
   std::uint32_t collisions = 1;    ///< classic first-collision stopping
   std::uint64_t max_samples = 1u << 26;
 };

@@ -23,8 +23,7 @@ EstimatorRegistry make_global() {
   registry.add(SampleCollide::kInfo.name, {"l", "T", "estimator"},
                [](const Reader& reader) {
     SampleCollideConfig config;
-    config.collisions =
-        static_cast<std::uint32_t>(reader.get_uint("l", config.collisions));
+    config.collisions = reader.get_uint("l", config.collisions);
     config.timer = reader.get_double("T", config.timer);
     if (const std::string* kind = reader.find("estimator")) {
       if (*kind == "quadratic") {
@@ -44,14 +43,12 @@ EstimatorRegistry make_global() {
        "last_k"},
       [](const Reader& reader) {
         HopsSamplingConfig config;
-        config.gossip_to = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_to", config.gossip_to));
-        config.gossip_for = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_for", config.gossip_for));
-        config.gossip_until = static_cast<std::uint32_t>(
-            reader.get_uint("gossip_until", config.gossip_until));
-        config.min_hops_reporting = static_cast<std::uint32_t>(
-            reader.get_uint("min_hops", config.min_hops_reporting));
+        config.gossip_to = reader.get_uint("gossip_to", config.gossip_to);
+        config.gossip_for = reader.get_uint("gossip_for", config.gossip_for);
+        config.gossip_until =
+            reader.get_uint("gossip_until", config.gossip_until);
+        config.min_hops_reporting =
+            reader.get_uint("min_hops", config.min_hops_reporting);
         config.oracle_distances =
             reader.get_bool("oracle", config.oracle_distances);
         config.last_k = reader.get_uint("last_k", config.last_k);
@@ -74,10 +71,8 @@ EstimatorRegistry make_global() {
   registry.add(InvertedBirthday::kInfo.name, {"walk_length", "l"},
                [](const Reader& reader) {
     InvertedBirthdayConfig config;
-    config.walk_length = static_cast<std::uint32_t>(
-        reader.get_uint("walk_length", config.walk_length));
-    config.collisions =
-        static_cast<std::uint32_t>(reader.get_uint("l", config.collisions));
+    config.walk_length = reader.get_uint("walk_length", config.walk_length);
+    config.collisions = reader.get_uint("l", config.collisions);
     return std::make_unique<InvertedBirthday>(config);
   });
 
@@ -91,8 +86,8 @@ EstimatorRegistry make_global() {
   registry.add(Aggregation::kInfo.name, {"rounds", "push_pull"},
                [](const Reader& reader) {
     AggregationConfig config;
-    config.rounds_per_epoch = static_cast<std::uint32_t>(
-        reader.get_uint("rounds", config.rounds_per_epoch));
+    config.rounds_per_epoch =
+        reader.get_uint("rounds", config.rounds_per_epoch);
     config.push_pull = reader.get_bool("push_pull", config.push_pull);
     return std::make_unique<Aggregation>(config);
   });
@@ -101,10 +96,9 @@ EstimatorRegistry make_global() {
       MultiAggregation::kInfo.name, {"rounds", "instances", "combine"},
       [](const Reader& reader) {
         MultiAggregationConfig config;
-        config.rounds_per_epoch = static_cast<std::uint32_t>(
-            reader.get_uint("rounds", config.rounds_per_epoch));
-        config.instances = static_cast<std::uint32_t>(
-            reader.get_uint("instances", config.instances));
+        config.rounds_per_epoch =
+            reader.get_uint("rounds", config.rounds_per_epoch);
+        config.instances = reader.get_uint("instances", config.instances);
         if (const std::string* combine = reader.find("combine")) {
           if (*combine == "median") {
             config.combine = MultiAggregationConfig::Combine::kMedian;

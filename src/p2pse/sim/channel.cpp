@@ -6,6 +6,7 @@
 #include "p2pse/sim/run_recorder.hpp"
 #include "p2pse/support/check.hpp"
 #include "p2pse/support/csv.hpp"
+#include "p2pse/support/number.hpp"
 #include "p2pse/support/spec_reader.hpp"
 #include "p2pse/topo/topology.hpp"
 
@@ -27,64 +28,43 @@ constexpr std::uint32_t kReliableCap = 256;
 LatencyModel parse_latency(std::string_view value) {
   const std::size_t colon = value.find(':');
   const std::string_view model = value.substr(0, colon);
-  std::vector<double> args;
-  if (colon != std::string_view::npos) {
-    std::string_view rest = value.substr(colon + 1);
-    while (!rest.empty()) {
-      const std::size_t next = rest.find(':');
-      const std::string token(rest.substr(0, next));
-      rest = next == std::string_view::npos ? std::string_view{}
-                                            : rest.substr(next + 1);
-      try {
-        std::size_t consumed = 0;
-        args.push_back(std::stod(token, &consumed));
-        if (consumed != token.size()) throw std::invalid_argument("trailing");
-      } catch (const std::exception&) {
-        bad_latency(value, "'" + token + "' is not a number");
-      }
-    }
-  }
+  const std::vector<double> args = support::parse_number_list(
+      colon == std::string_view::npos ? std::string_view{}
+                                      : value.substr(colon + 1),
+      [value](std::string_view token) {
+        bad_latency(value,
+                    "'" + std::string(token) + "' is not a finite number");
+      });
   // Arity first, factories second: a factory rejection (negative latency,
   // zero exponential mean, ...) is re-phrased in spec terms exactly once.
-  if (model == "constant") {
-    if (args.size() != 1) bad_latency(value, "constant takes one argument");
+  const auto make = [&](std::size_t arity, const char* arity_error,
+                        auto factory) -> LatencyModel {
+    if (args.size() != arity) bad_latency(value, arity_error);
     try {
-      return LatencyModel::constant(args[0]);
+      return factory();
     } catch (const std::invalid_argument& error) {
       bad_latency(value, error.what());
     }
+  };
+  if (model == "constant") {
+    return make(1, "constant takes one argument",
+                [&] { return LatencyModel::constant(args[0]); });
   }
   if (model == "uniform") {
-    if (args.size() != 2) bad_latency(value, "uniform takes two arguments");
-    try {
-      return LatencyModel::uniform(args[0], args[1]);
-    } catch (const std::invalid_argument& error) {
-      bad_latency(value, error.what());
-    }
+    return make(2, "uniform takes two arguments",
+                [&] { return LatencyModel::uniform(args[0], args[1]); });
   }
   if (model == "exp" || model == "exponential") {
-    if (args.size() != 1) bad_latency(value, "exp takes one argument");
-    try {
-      return LatencyModel::exponential(args[0]);
-    } catch (const std::invalid_argument& error) {
-      bad_latency(value, error.what());
-    }
+    return make(1, "exp takes one argument",
+                [&] { return LatencyModel::exponential(args[0]); });
   }
   if (model == "lognormal") {
-    if (args.size() != 2) bad_latency(value, "lognormal takes two arguments");
-    try {
-      return LatencyModel::lognormal(args[0], args[1]);
-    } catch (const std::invalid_argument& error) {
-      bad_latency(value, error.what());
-    }
+    return make(2, "lognormal takes two arguments",
+                [&] { return LatencyModel::lognormal(args[0], args[1]); });
   }
   if (model == "pareto") {
-    if (args.size() != 2) bad_latency(value, "pareto takes two arguments");
-    try {
-      return LatencyModel::pareto(args[0], args[1]);
-    } catch (const std::invalid_argument& error) {
-      bad_latency(value, error.what());
-    }
+    return make(2, "pareto takes two arguments",
+                [&] { return LatencyModel::pareto(args[0], args[1]); });
   }
   bad_latency(value, "unknown model '" + std::string(model) + "'");
 }
@@ -105,29 +85,22 @@ NetworkConfig NetworkConfig::parse(std::string_view text) {
 
   const support::SpecValueReader reader("net spec", overrides);
   NetworkConfig config;
+  // The defaults pass every range check, so a failing key was given.
+  const auto require = [&reader](bool ok, std::string_view key,
+                                 std::string_view expected) {
+    if (!ok) reader.bad_value(key, expected, *reader.find(key));
+  };
   config.loss = reader.get_double("loss", config.loss);
-  if (config.loss < 0.0 || config.loss > 1.0) {
-    throw std::invalid_argument(
-        "net spec: key 'loss' expects a probability in [0, 1], got '" +
-        *reader.find("loss") + "'");
-  }
+  require(config.loss >= 0.0 && config.loss <= 1.0, "loss",
+          "a probability in [0, 1]");
   if (const std::string* latency = reader.find("latency")) {
     config.latency = parse_latency(*latency);
   }
   config.jitter = reader.get_double("jitter", config.jitter);
-  if (config.jitter < 0.0) {
-    throw std::invalid_argument(
-        "net spec: key 'jitter' expects a non-negative number, got '" +
-        *reader.find("jitter") + "'");
-  }
+  require(config.jitter >= 0.0, "jitter", "a non-negative number");
   config.timeout = reader.get_double("timeout", config.timeout);
-  if (config.timeout <= 0.0) {
-    throw std::invalid_argument(
-        "net spec: key 'timeout' expects a positive number, got '" +
-        *reader.find("timeout") + "'");
-  }
-  config.retries =
-      static_cast<std::uint32_t>(reader.get_uint("retries", config.retries));
+  require(config.timeout > 0.0, "timeout", "a positive number");
+  config.retries = reader.get_uint("retries", config.retries);
   return config;
 }
 

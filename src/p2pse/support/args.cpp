@@ -1,13 +1,23 @@
 #include "p2pse/support/args.hpp"
 
-#include <charconv>
 #include <stdexcept>
+
+#include "p2pse/support/number.hpp"
 
 namespace p2pse::support {
 namespace {
 
 bool looks_like_option(std::string_view arg) {
   return arg.size() >= 3 && arg.substr(0, 2) == "--";
+}
+
+/// `value` of flag --`name` as a T, or the error naming both.
+template <class T>
+T convert(std::string_view name, const std::string& value,
+          std::string_view expected) {
+  if (const std::optional<T> out = parse_number<T>(value)) return *out;
+  throw std::invalid_argument("--" + std::string(name) + ": expected " +
+                              std::string(expected) + ", got '" + value + "'");
 }
 
 }  // namespace
@@ -85,39 +95,21 @@ std::string Args::get_string(std::string_view name,
 std::int64_t Args::get_int(std::string_view name,
                            std::int64_t default_value) const {
   const auto value = raw(name);
-  if (!value) return default_value;
-  std::int64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value->data(), value->data() + value->size(), out);
-  if (ec != std::errc{} || ptr != value->data() + value->size()) {
-    throw std::invalid_argument("--" + std::string(name) +
-                                ": expected integer, got '" + *value + "'");
-  }
-  return out;
+  return value ? convert<std::int64_t>(name, *value, "integer")
+               : default_value;
 }
 
 std::uint64_t Args::get_uint(std::string_view name,
                              std::uint64_t default_value) const {
-  const std::int64_t v = get_int(name, static_cast<std::int64_t>(default_value));
-  if (v < 0) {
-    throw std::invalid_argument("--" + std::string(name) +
-                                ": expected non-negative integer");
-  }
-  return static_cast<std::uint64_t>(v);
+  const auto value = raw(name);
+  return value ? convert<std::uint64_t>(name, *value, "non-negative integer")
+               : default_value;
 }
 
 double Args::get_double(std::string_view name, double default_value) const {
   const auto value = raw(name);
-  if (!value) return default_value;
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(*value, &consumed);
-    if (consumed != value->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + std::string(name) +
-                                ": expected number, got '" + *value + "'");
-  }
+  return value ? convert<double>(name, *value, "finite number")
+               : default_value;
 }
 
 bool Args::get_bool(std::string_view name, bool default_value) const {

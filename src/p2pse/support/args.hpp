@@ -30,6 +30,8 @@ class Args {
 
   [[nodiscard]] std::string get_string(std::string_view name,
                                        std::string default_value) const;
+  /// Numeric getters read with support::parse_number and throw
+  /// std::invalid_argument naming the flag and value when it refuses.
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t default_value) const;
   [[nodiscard]] std::uint64_t get_uint(std::string_view name,

@@ -1,6 +1,5 @@
 #include "p2pse/support/spec_reader.hpp"
 
-#include <charconv>
 #include <stdexcept>
 
 namespace p2pse::support {
@@ -128,31 +127,12 @@ void SpecValueReader::bad_value(std::string_view key,
                               ", got '" + std::string(value) + "'");
 }
 
-std::uint64_t SpecValueReader::get_uint(std::string_view key,
-                                        std::uint64_t fallback) const {
-  const std::string* raw = find(key);
-  if (!raw) return fallback;
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(raw->data(), raw->data() + raw->size(), out);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) {
-    bad_value(key, "a non-negative integer", *raw);
-  }
-  return out;
-}
-
 double SpecValueReader::get_double(std::string_view key,
                                    double fallback) const {
   const std::string* raw = find(key);
   if (!raw) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(*raw, &consumed);
-    if (consumed != raw->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    bad_value(key, "a number", *raw);
-  }
+  if (const auto value = parse_number<double>(*raw)) return *value;
+  bad_value(key, "a finite number", *raw);
 }
 
 bool SpecValueReader::get_bool(std::string_view key, bool fallback) const {

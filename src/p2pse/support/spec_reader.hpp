@@ -7,10 +7,14 @@
 // list of valid keys each registry owns.
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "p2pse/support/number.hpp"
 
 namespace p2pse::support {
 
@@ -48,6 +52,22 @@ void require_known_keys(const SpecOverrides& overrides,
                         std::string_view valid_keys, std::string_view context,
                         std::string_view noun = "key");
 
+/// The entry of a model catalog (elements with a `name`) named `name`.
+/// Throws std::invalid_argument("<context>: unknown model '<name>' (known:
+/// <every name, in catalog order>)").
+template <class Info>
+[[nodiscard]] const Info& require_known_model(const std::vector<Info>& infos,
+                                              std::string_view name,
+                                              std::string_view context) {
+  std::string known;
+  for (const Info& info : infos) {
+    if (info.name == name) return info;
+    known.append(known.empty() ? "" : ", ").append(info.name);
+  }
+  throw std::invalid_argument(std::string(context) + ": unknown model '" +
+                              std::string(name) + "' (known: " + known + ")");
+}
+
 class SpecValueReader {
  public:
   /// `context` prefixes every error message (e.g. the estimator or trace
@@ -59,9 +79,11 @@ class SpecValueReader {
   [[nodiscard]] const std::string* find(std::string_view key) const;
 
   /// Converting getters: return `fallback` when the key is absent, throw
-  /// std::invalid_argument when the value does not fully parse.
-  [[nodiscard]] std::uint64_t get_uint(std::string_view key,
-                                       std::uint64_t fallback) const;
+  /// std::invalid_argument naming the key and value when parse_number
+  /// (support/number.hpp) refuses it. get_uint reads into the type of
+  /// `fallback`, so a value past that type's range is an error, not a wrap.
+  template <class T>
+  [[nodiscard]] T get_uint(std::string_view key, T fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
   [[nodiscard]] std::string get_string(std::string_view key,
@@ -76,5 +98,19 @@ class SpecValueReader {
   std::string context_;
   const SpecOverrides* overrides_;
 };
+
+template <class T>
+T SpecValueReader::get_uint(std::string_view key, T fallback) const {
+  static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>);
+  const std::string* raw = find(key);
+  if (!raw) return fallback;
+  if (const std::optional<T> value = parse_number<T>(*raw)) return *value;
+  constexpr T kMax = std::numeric_limits<T>::max();
+  if constexpr (kMax == std::numeric_limits<std::uint64_t>::max()) {
+    bad_value(key, "a non-negative integer", *raw);
+  } else {
+    bad_value(key, "an integer in [0, " + std::to_string(kMax) + "]", *raw);
+  }
+}
 
 }  // namespace p2pse::support

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "p2pse/support/csv.hpp"
+#include "p2pse/support/number.hpp"
 #include "p2pse/support/sharding.hpp"
 #include "p2pse/support/spec_reader.hpp"
 
@@ -18,25 +19,14 @@ using support::format_double;
   throw std::invalid_argument("topo spec: " + why);
 }
 
-/// Splits a colon-separated numeric tuple ("0.1:0.6:0.3", "40:0.03:15").
+/// Reads a colon-separated numeric tuple ("0.1:0.6:0.3", "40:0.03:15").
 std::vector<double> parse_tuple(std::string_view key, const std::string& raw,
                                 std::size_t arity) {
-  std::vector<double> out;
-  std::string_view rest = raw;
-  while (!rest.empty()) {
-    const std::size_t colon = rest.find(':');
-    const std::string token(rest.substr(0, colon));
-    rest = colon == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(colon + 1);
-    try {
-      std::size_t consumed = 0;
-      out.push_back(std::stod(token, &consumed));
-      if (consumed != token.size()) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
-      bad_spec("key '" + std::string(key) + "': '" + token +
-               "' is not a number");
-    }
-  }
+  std::vector<double> out =
+      support::parse_number_list(raw, [key](std::string_view token) {
+        bad_spec("key '" + std::string(key) + "': '" + std::string(token) +
+                 "' is not a finite number");
+      });
   if (out.size() != arity) {
     bad_spec("key '" + std::string(key) + "' expects " +
              std::to_string(arity) + " colon-separated numbers, got '" + raw +
@@ -170,19 +160,9 @@ TopologyConfig TopologyConfig::parse(std::string_view text) {
 
   const support::ParsedSpec parsed =
       support::parse_model_spec(text.substr(kPrefix.size() + 1), "topo spec");
-  const TopologyModelInfo* info = nullptr;
-  for (const TopologyModelInfo& candidate : topology_model_infos()) {
-    if (candidate.name == parsed.name) info = &candidate;
-  }
-  if (!info) {
-    std::string known;
-    for (const TopologyModelInfo& candidate : topology_model_infos()) {
-      if (!known.empty()) known += ", ";
-      known += candidate.name;
-    }
-    bad_spec("unknown model '" + parsed.name + "' (known: " + known + ")");
-  }
-  support::require_known_keys(parsed.overrides, info->keys,
+  const TopologyModelInfo& info = support::require_known_model(
+      topology_model_infos(), parsed.name, "topo spec");
+  support::require_known_keys(parsed.overrides, info.keys,
                               "topo spec: " + parsed.name);
   const support::SpecValueReader reader("topo spec", parsed.overrides);
   if (parsed.name == "flat") return TopologyConfig{};

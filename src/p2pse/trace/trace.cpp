@@ -1,6 +1,7 @@
 #include "p2pse/trace/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -8,8 +9,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
+
+#include "p2pse/support/number.hpp"
 
 namespace p2pse::trace {
 namespace {
@@ -33,30 +37,15 @@ std::string exact(double value) {
   return out.str();
 }
 
-double parse_double(std::string_view text, std::size_t line,
-                    std::string_view what) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(std::string(text), &consumed);
-    if (consumed != text.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    bad_line(line, std::string(what) + " is not a number: '" +
-                       std::string(text) + "'");
-  }
-}
-
-std::uint64_t parse_u64(std::string_view text, std::size_t line,
-                        std::string_view what) {
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(std::string(text), &consumed);
-    if (consumed != text.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    bad_line(line, std::string(what) + " is not a non-negative integer: '" +
-                       std::string(text) + "'");
-  }
+/// Field `what` of line `line` as a T (support/number.hpp's rules).
+template <class T>
+T parse_field(std::string_view text, std::size_t line, std::string_view what) {
+  if (const auto value = support::parse_number<T>(text)) return *value;
+  bad_line(line, std::string(what) +
+                     (std::is_floating_point_v<T>
+                          ? " is not a finite number: '"
+                          : " is not a non-negative integer: '") +
+                     std::string(text) + "'");
 }
 
 /// Value of a `# key: value` metadata line, or nullopt on mismatch.
@@ -72,6 +61,9 @@ std::optional<std::string_view> metadata_value(std::string_view line,
 }  // namespace
 
 void ChurnTrace::validate() const {
+  if (!std::isfinite(duration)) {
+    bad_trace("duration must be finite, got " + exact(duration));
+  }
   if (duration <= 0.0) bad_trace("duration must be > 0");
   // The lowest-index faulty event is reported; at one index the time checks
   // come first. Its message is formatted only once a fault is found.
@@ -80,7 +72,9 @@ void ChurnTrace::validate() const {
   double prev = -1.0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const double time = events[i].time;
-    if (time < 0.0 || time > duration) {
+    // Negated so that a NaN time, which fails every comparison, is out of
+    // the window too; a finite duration keeps both infinities out as well.
+    if (!(time >= 0.0 && time <= duration)) {
       fault = "time outside [0, duration]";
     } else if (time == prev) {
       fault = "duplicate timestamp (replay order would be ambiguous)";
@@ -233,11 +227,12 @@ ChurnTrace ChurnTrace::read_csv(std::istream& in) {
   if (!next_line()) bad_line(line_no, "missing '# duration:' metadata");
   const auto duration = metadata_value(line, "duration");
   if (!duration) bad_line(line_no, "expected '# duration: ...'");
-  trace.duration = parse_double(*duration, line_no, "duration");
+  trace.duration = parse_field<double>(*duration, line_no, "duration");
   if (!next_line()) bad_line(line_no, "missing '# initial_sessions:' metadata");
   const auto initial = metadata_value(line, "initial_sessions");
   if (!initial) bad_line(line_no, "expected '# initial_sessions: ...'");
-  trace.initial_sessions = parse_u64(*initial, line_no, "initial_sessions");
+  trace.initial_sessions = parse_field<std::uint64_t>(*initial, line_no,
+                                                    "initial_sessions");
   if (!next_line() || line != kHeader) {
     bad_line(line_no, "expected column header '" + std::string(kHeader) + "'");
   }
@@ -253,7 +248,7 @@ ChurnTrace ChurnTrace::read_csv(std::istream& in) {
       bad_line(line_no, "expected exactly 3 fields (time,event,session)");
     }
     TraceEvent event;
-    event.time = parse_double(row.substr(0, first), line_no, "time");
+    event.time = parse_field<double>(row.substr(0, first), line_no, "time");
     const std::string_view kind = row.substr(first + 1, second - first - 1);
     if (kind == "join") {
       event.kind = TraceEvent::Kind::kJoin;
@@ -264,7 +259,8 @@ ChurnTrace ChurnTrace::read_csv(std::istream& in) {
                "event must be 'join' or 'leave', got '" + std::string(kind) +
                    "'");
     }
-    event.session = parse_u64(row.substr(second + 1), line_no, "session");
+    event.session = parse_field<std::uint64_t>(row.substr(second + 1),
+                                               line_no, "session");
     trace.events.push_back(event);
   }
   trace.validate();

@@ -5,9 +5,9 @@
 // diurnal cycles, flash crowds; cf. arXiv:2205.14927 on IPFS churn).
 //
 // Semantics
-//   * The trace covers [0, duration]. `initial_sessions` sessions (ids
-//     0..initial_sessions-1) are alive at t=0 — they map onto the initial
-//     overlay and may leave, but never (re)join.
+//   * The trace covers the finite window [0, duration]. `initial_sessions`
+//     sessions (ids 0..initial_sessions-1) are alive at t=0 — they map onto
+//     the initial overlay and may leave, but never (re)join.
 //   * Every other session id appears at most once as a kJoin and at most
 //     once as a later kLeave; a session whose leave falls beyond `duration`
 //     simply has no leave event (right-censored).
@@ -26,7 +26,8 @@
 //   0.7401,leave,4127
 //
 // Metadata lines are required, in that order; `event` is `join` or `leave`.
-// Times round-trip exactly (printed with max_digits10 precision).
+// Times round-trip exactly (printed with max_digits10 precision); every
+// field is read by support::parse_number.
 
 #include <cstdint>
 #include <iosfwd>

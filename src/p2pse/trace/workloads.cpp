@@ -10,10 +10,6 @@
 namespace p2pse::trace {
 namespace {
 
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw std::invalid_argument("trace spec: " + what);
-}
-
 support::ParsedSpec parse_spec(std::string_view text) {
   // "file=PATH" consumes the whole remainder: paths may legally contain
   // commas, so the key=value grammar must not split them. Everything else
@@ -53,32 +49,25 @@ const std::vector<TraceModelInfo>& trace_model_infos() {
 
 ChurnTrace build_trace(std::string_view spec_text, std::size_t initial_nodes) {
   const support::ParsedSpec parsed = parse_spec(spec_text);
-  const TraceModelInfo* info = nullptr;
-  for (const TraceModelInfo& candidate : trace_model_infos()) {
-    if (candidate.name == parsed.name) info = &candidate;
-  }
-  if (!info) {
-    std::string known;
-    for (const TraceModelInfo& candidate : trace_model_infos()) {
-      if (!known.empty()) known += ", ";
-      known += candidate.name;
-    }
-    bad_spec("unknown model '" + parsed.name + "' (known: " + known + ")");
-  }
-  // `info->keys` is the list --list also renders.
+  const TraceModelInfo& info = support::require_known_model(
+      trace_model_infos(), parsed.name, "trace spec");
+  // `info.keys` is the list --list also renders.
   const std::string context = "trace spec: " + parsed.name;
-  support::require_known_keys(parsed.overrides, info->keys, context);
+  support::require_known_keys(parsed.overrides, info.keys, context);
   // `parsed` outlives the reader, which borrows the override list.
   const support::SpecValueReader reader(context, parsed.overrides);
 
   if (parsed.name == "file") {
     const std::string path = reader.get_string("path", "");
-    if (path.empty()) bad_spec("file: missing path (trace:file=PATH)");
+    if (path.empty()) {
+      throw std::invalid_argument(
+          "trace spec: file: missing path (trace:file=PATH)");
+    }
     return ChurnTrace::load_file(path);
   }
 
   const double duration = reader.get_double("duration", 1000.0);
-  const support::RngStream rng(reader.get_uint("seed", 1));
+  const support::RngStream rng(reader.get_uint("seed", std::uint64_t{1}));
   const auto initial = static_cast<std::uint64_t>(initial_nodes);
 
   if (parsed.name == "diurnal") {

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "p2pse/est/inverted_birthday.hpp"
 #include "p2pse/est/random_tour.hpp"
+#include "p2pse/est/registry.hpp"
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/support/stats.hpp"
@@ -137,6 +140,25 @@ TEST(RandomTour, CostGrowsLinearlyWhileSampleCollideGrowsAsSqrt) {
 TEST(InvertedBirthday, ConfigValidation) {
   EXPECT_THROW(InvertedBirthday({.walk_length = 10, .collisions = 0}),
                std::invalid_argument);
+}
+
+TEST(InvertedBirthday, RejectsZeroWalkLength) {
+  // A zero-hop walk samples its initiator every time, so the first two
+  // samples collide: on a 2000-node overlay it estimated 2 and sent no
+  // message. Config and spec both get the constructor's message.
+  const std::string expected = "InvertedBirthday: walk_length must be >= 1";
+  try {
+    (void)InvertedBirthday({.walk_length = 0, .collisions = 1});
+    ADD_FAILURE() << "InvertedBirthdayConfig accepted walk_length=0";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), expected);
+  }
+  try {
+    (void)EstimatorRegistry::global().build("inverted_birthday:walk_length=0");
+    ADD_FAILURE() << "the registry accepted walk_length=0";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), expected);
+  }
 }
 
 TEST(InvertedBirthday, FirstCollisionFormula) {

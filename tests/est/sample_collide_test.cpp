@@ -39,7 +39,8 @@ TEST(SampleCollideConfig, Validation) {
 
 TEST(SampleCollideConfig, RejectsNonFiniteTimer) {
   // A NaN timer passed `timer <= 0.0` and then never expired: every walk
-  // ran the full max_walk_steps. Config and spec both name the value.
+  // ran the full max_walk_steps. Config and spec both name the value; in a
+  // spec the number reader refuses it before the config is built.
   const std::vector<std::tuple<double, const char*>> cases = {
       {std::nan(""), "nan"},
       {std::numeric_limits<double>::infinity(), "inf"},
@@ -47,21 +48,24 @@ TEST(SampleCollideConfig, RejectsNonFiniteTimer) {
   };
   for (const auto& [timer, text] : cases) {
     SCOPED_TRACE(text);
-    const std::string expected =
-        std::string("SampleCollide: timer T must be finite and > 0, got ") +
-        text;
     try {
       (void)SampleCollide({.timer = timer});
       ADD_FAILURE() << "SampleCollideConfig accepted T=" << text;
     } catch (const std::invalid_argument& error) {
-      EXPECT_EQ(std::string(error.what()), expected);
+      EXPECT_EQ(std::string(error.what()),
+                std::string("SampleCollide: timer T must be finite and > 0, "
+                            "got ") +
+                    text);
     }
     try {
       (void)EstimatorRegistry::global().build(
           std::string("sample_collide:T=") + text);
       ADD_FAILURE() << "the registry accepted T=" << text;
     } catch (const std::invalid_argument& error) {
-      EXPECT_EQ(std::string(error.what()), expected);
+      EXPECT_EQ(std::string(error.what()),
+                std::string("sample_collide: key 'T' expects a finite number, "
+                            "got '") +
+                    text + "'");
     }
   }
 }

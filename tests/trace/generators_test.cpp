@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "p2pse/trace/workloads.hpp"
 #include "trace_oracles.hpp"
@@ -32,6 +38,85 @@ TEST(Generators, SessionsTraceIsValidAndDeterministic) {
   }
   const ChurnTrace c = generate_sessions(config, seed(2));
   EXPECT_NE(a.events.size(), c.events.size());  // different seed, different trace
+}
+
+TEST(Generators, NonFiniteConfigFieldsAreTypedErrors) {
+  // Specs no longer carry these values (the number reader refuses them),
+  // but configs built in code still rely on these checks: unchecked,
+  // duration=inf stalls the arrival loop and arrival=nan reaches an
+  // undefined float-to-size cast.
+  const auto sessions = [](auto edit) {
+    return [edit](double v) {
+      SessionWorkloadConfig config;
+      config.initial_sessions = 100;
+      edit(config, v);
+      (void)generate_sessions(config, seed());
+    };
+  };
+  const auto diurnal = [](auto edit) {
+    return [edit](double v) {
+      DiurnalConfig config;
+      config.initial_sessions = 100;
+      edit(config, v);
+      (void)generate_diurnal(config, seed());
+    };
+  };
+  const auto crowd = [](auto edit) {
+    return [edit](double v) {
+      FlashCrowdConfig config;
+      config.initial_sessions = 100;
+      edit(config, v);
+      (void)generate_flash_crowd(config, seed());
+    };
+  };
+  using Law = Lifetime::Law;
+  const std::vector<std::pair<const char*, std::function<void(double)>>>
+      fields = {
+          {"duration", sessions([](auto& c, double v) { c.duration = v; })},
+          {"arrival",
+           sessions([](auto& c, double v) { c.arrival_rate = v; })},
+          {"mean", sessions([](auto& c, double v) {
+             c.lifetime.mean_lifetime = v;
+           })},
+          {"weibull shape", sessions([](auto& c, double v) {
+             c.lifetime = {Law::kWeibull, 100.0, v, 50.0};
+           })},
+          {"weibull scale", sessions([](auto& c, double v) {
+             c.lifetime = {Law::kWeibull, 100.0, 0.5, v};
+           })},
+          {"pareto alpha", sessions([](auto& c, double v) {
+             c.lifetime = {Law::kPareto, 100.0, v, 20.0};
+           })},
+          {"pareto xmin", sessions([](auto& c, double v) {
+             c.lifetime = {Law::kPareto, 100.0, 1.5, v};
+           })},
+          {"amplitude", diurnal([](auto& c, double v) { c.amplitude = v; })},
+          {"period", diurnal([](auto& c, double v) { c.period = v; })},
+          {"base", diurnal([](auto& c, double v) { c.base_rate = v; })},
+          {"crowd_time", crowd([](auto& c, double v) { c.crowd_time = v; })},
+          {"crowd_ramp", crowd([](auto& c, double v) { c.crowd_ramp = v; })},
+          {"crowd_fraction",
+           crowd([](auto& c, double v) { c.crowd_fraction = v; })},
+          {"crowd_mean",
+           crowd([](auto& c, double v) { c.crowd_mean_lifetime = v; })},
+          {"exodus_time",
+           crowd([](auto& c, double v) { c.exodus_time = v; })},
+          {"exodus_fraction",
+           crowd([](auto& c, double v) { c.exodus_fraction = v; })},
+      };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [field, generate] : fields) {
+    for (const double value : {std::nan(""), kInf, -kInf}) {
+      SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+      try {
+        generate(value);
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("trace generator: ", 0), 0u)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Generators, ExponentialStationaryPopulationHoversAroundInitial) {

@@ -1,5 +1,6 @@
 #include "trace_oracles.hpp"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -40,6 +41,9 @@ std::vector<std::pair<double, std::size_t>> size_trajectory(
 }
 
 void reference_validate(const ChurnTrace& trace) {
+  if (!std::isfinite(trace.duration)) {
+    bad_trace("duration must be finite, got " + exact(trace.duration));
+  }
   if (trace.duration <= 0.0) bad_trace("duration must be > 0");
   double prev = -1.0;
   std::unordered_set<std::uint64_t> alive_joined;
@@ -49,7 +53,8 @@ void reference_validate(const ChurnTrace& trace) {
     const std::string at = "event " + std::to_string(i) + " (t=" +
                            exact(event.time) + ", session " +
                            std::to_string(event.session) + ")";
-    if (event.time < 0.0 || event.time > trace.duration) {
+    if (std::isnan(event.time) || event.time < 0.0 ||
+        event.time > trace.duration) {
       bad_trace(at + ": time outside [0, duration]");
     }
     if (event.time == prev) {

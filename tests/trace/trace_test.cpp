@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "trace_oracles.hpp"
 
@@ -63,6 +65,27 @@ TEST(ChurnTrace, RejectsNonPositiveDuration) {
   ChurnTrace trace;
   trace.duration = 0.0;
   EXPECT_EQ(rejection(trace), "ChurnTrace: duration must be > 0");
+}
+
+TEST(ChurnTrace, RejectsNonFiniteDurationAndTimes) {
+  // Traces built in code skip the CSV reader's number rules; validate()
+  // itself keeps NaN and infinities out of the window and the events.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ChurnTrace trace = small_trace();
+  trace.duration = kNaN;
+  EXPECT_EQ(rejection(trace), "ChurnTrace: duration must be finite, got nan");
+  trace.duration = kInf;
+  EXPECT_EQ(rejection(trace), "ChurnTrace: duration must be finite, got inf");
+  const std::pair<double, const char*> times[] = {
+      {kNaN, "nan"}, {kInf, "inf"}, {-kInf, "-inf"}};
+  for (const auto& [time, text] : times) {
+    trace = small_trace();
+    trace.events[1].time = time;
+    EXPECT_EQ(rejection(trace),
+              std::string("ChurnTrace: event 1 (t=") + text +
+                  ", session 0): time outside [0, duration]");
+  }
 }
 
 TEST(ChurnTrace, RejectsUnsortedTimestamps) {

@@ -79,7 +79,9 @@ void mutate(ChurnTrace& trace, support::RngStream& rng) {
   std::vector<TraceEvent>& events = trace.events;
   TraceEvent& event = events[rng.uniform_u64(events.size())];
   TraceEvent& other = events[rng.uniform_u64(events.size())];
-  switch (rng.uniform_u64(9)) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (rng.uniform_u64(10)) {
     case 0:  // swap the kind
       event.kind = event.kind == Kind::kJoin ? Kind::kLeave : Kind::kJoin;
       break;
@@ -105,9 +107,14 @@ void mutate(ChurnTrace& trace, support::RngStream& rng) {
     case 7:  // reorder two events
       std::swap(event, other);
       break;
-    default:  // a time no comparison orders
-      event.time = std::numeric_limits<double>::quiet_NaN();
+    case 8:  // a window with no finite end
+      trace.duration = rng.bernoulli(0.5) ? kNaN : kInf;
       break;
+    default: {  // a time no comparison orders, or one past every window
+      const double non_finite[] = {kNaN, kInf, -kInf};
+      event.time = non_finite[rng.uniform_u64(3)];
+      break;
+    }
   }
 }
 
@@ -125,7 +132,9 @@ TEST(ValidateOracle, MutatedTracesGetTheReferenceVerdict) {
   }
   // Every verdict occurs, so no check is compared vacuously.
   for (const char* outcome :
-       {"accepted", "duration must be > 0", "time outside [0, duration]",
+       {"accepted", "duration must be > 0",
+        "duration must be finite, got nan", "duration must be finite, got inf",
+        "time outside [0, duration]",
         "duplicate timestamp (replay order would be ambiguous)",
         "timestamps not sorted", "join of an initial session (alive at t=0)",
         "session id reused after its leave", "duplicate join",

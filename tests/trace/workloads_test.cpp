@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -42,58 +41,6 @@ TEST(TraceSpec, MalformedValuesAreHardErrors) {
   EXPECT_THROW((void)build_trace("weibull,shape", 100),
                std::invalid_argument);
 }
-
-/// One numeric key of one model. NaN and infinity must be typed generator
-/// errors: unchecked, they stall the arrival loop (duration=inf) or reach
-/// an undefined float-to-size cast (arrival=nan).
-struct NumericKey {
-  const char* model;
-  const char* key;
-};
-
-// Without a printer gtest shows the two pointers' bytes, so the listed test
-// names would change with every link layout and address-space randomization.
-void PrintTo(const NumericKey& k, std::ostream* os) {
-  *os << k.model << ',' << k.key;
-}
-
-class TraceSpecNonFinite : public ::testing::TestWithParam<NumericKey> {};
-
-TEST_P(TraceSpecNonFinite, IsATypedGeneratorError) {
-  for (const char* value : {"nan", "inf", "-inf"}) {
-    const std::string spec = std::string(GetParam().model) + "," +
-                             GetParam().key + "=" + value;
-    try {
-      (void)build_trace(spec, 100);
-      ADD_FAILURE() << spec << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("trace generator: ", 0), 0u)
-          << spec << ": " << e.what();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EveryKey, TraceSpecNonFinite,
-    ::testing::Values(NumericKey{"weibull", "duration"},
-                      NumericKey{"exponential", "arrival"},
-                      NumericKey{"exponential", "mean"},
-                      NumericKey{"weibull", "shape"},
-                      NumericKey{"weibull", "scale"},
-                      NumericKey{"pareto", "alpha"},
-                      NumericKey{"pareto", "xmin"},
-                      NumericKey{"diurnal", "amplitude"},
-                      NumericKey{"diurnal", "period"},
-                      NumericKey{"diurnal", "base"},
-                      NumericKey{"flashcrowd", "crowd_time"},
-                      NumericKey{"flashcrowd", "crowd_ramp"},
-                      NumericKey{"flashcrowd", "crowd_fraction"},
-                      NumericKey{"flashcrowd", "crowd_mean"},
-                      NumericKey{"flashcrowd", "exodus_time"},
-                      NumericKey{"flashcrowd", "exodus_fraction"}),
-    [](const ::testing::TestParamInfo<NumericKey>& info) {
-      return std::string(info.param.model) + "_" + info.param.key;
-    });
 
 TEST(TraceSpec, KeysFlowIntoTheGenerator) {
   const ChurnTrace short_run = build_trace("exponential,duration=100", 200);
