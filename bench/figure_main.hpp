@@ -12,7 +12,6 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -35,21 +34,6 @@ inline constexpr std::string_view kFigureFlags[] = {
     "trace-json", "progress", "flight-record",
 };
 
-/// A 32-bit unsigned flag. Values past UINT32_MAX are a hard error rather
-/// than a silent wrap (--l 4294967297 must not run as l=1).
-inline std::uint32_t uint32_from_args(const support::Args& args,
-                                      std::string_view flag,
-                                      std::uint32_t fallback) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
-  const std::uint64_t value = args.get_uint(flag, fallback);
-  if (value > kMax) {
-    throw std::invalid_argument("--" + std::string(flag) + " must be <= " +
-                                std::to_string(kMax) + ", got " +
-                                std::to_string(value));
-  }
-  return static_cast<std::uint32_t>(value);
-}
-
 /// Maps the shared CLI flags onto `params`. Shared by figure_main and the
 /// p2pse_matrix driver so every binary speaks the same dialect. An overlay
 /// needs at least two nodes and a report at least one replica; smaller
@@ -68,9 +52,9 @@ inline FigureParams figure_params_from_args(const support::Args& args,
   if (params.replicas == 0) {
     throw std::invalid_argument("--replicas must be >= 1, got 0");
   }
-  params.sc_collisions = uint32_from_args(args, "l", params.sc_collisions);
+  params.sc_collisions = args.get_uint("l", params.sc_collisions);
   params.sc_timer = args.get_double("T", params.sc_timer);
-  params.agg_rounds = uint32_from_args(args, "agg-rounds", params.agg_rounds);
+  params.agg_rounds = args.get_uint("agg-rounds", params.agg_rounds);
   params.last_k = args.get_uint("last-k", params.last_k);
   params.threads = args.get_uint("threads", params.threads);
   params.sim_threads = args.get_uint("sim-threads", params.sim_threads);

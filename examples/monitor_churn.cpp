@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
   const std::size_t estimations = args.get_uint("estimations", 40);
-  const auto l = static_cast<std::uint32_t>(args.get_uint("l", 100));
+  const std::uint32_t l = args.get_uint("l", std::uint32_t{100});
   const std::uint64_t seed = args.get_uint("seed", 7);
   const std::string kind = args.get_string("scenario", "shrinking");
 

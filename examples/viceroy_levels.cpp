@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
   const std::size_t joins = args.get_uint("joins", 500);
-  const auto l = static_cast<std::uint32_t>(args.get_uint("l", 50));
+  const std::uint32_t l = args.get_uint("l", std::uint32_t{50});
   const std::uint64_t seed = args.get_uint("seed", 11);
 
   const support::RngStream root(seed);

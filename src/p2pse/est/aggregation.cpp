@@ -1,11 +1,8 @@
 #include "p2pse/est/aggregation.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "p2pse/est/exchange_round.hpp"
-#include "p2pse/support/stats.hpp"
 
 namespace p2pse::est {
 
@@ -96,15 +93,6 @@ Estimate Aggregation::estimate_at(const sim::Simulator& sim,
   }
   estimate.value = 1.0 / v;
   return estimate;
-}
-
-double Aggregation::value_dispersion(const sim::Simulator& sim) const {
-  support::RunningStats stats;
-  for (const net::NodeId id : sim.graph().alive_nodes()) {
-    stats.add(value_at(id));
-  }
-  if (stats.count() == 0 || stats.mean() == 0.0) return 0.0;
-  return stats.stddev() / std::abs(stats.mean());
 }
 
 double Aggregation::total_mass(const sim::Simulator& sim) const {

@@ -78,10 +78,6 @@ class Aggregation final : public Estimator {
   [[nodiscard]] Estimate estimate_at(const sim::Simulator& sim,
                                      net::NodeId id) const noexcept;
 
-  /// Mean of |1/value - truth|-free convergence diagnostic: the coefficient
-  /// of variation of values across alive nodes (0 = fully converged).
-  [[nodiscard]] double value_dispersion(const sim::Simulator& sim) const;
-
   /// Sum of all alive nodes' values — conserved under static membership.
   [[nodiscard]] double total_mass(const sim::Simulator& sim) const;
 
@@ -90,8 +86,6 @@ class Aggregation final : public Estimator {
   }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] net::NodeId initiator() const noexcept { return initiator_; }
-  /// Measured wall-clock of the rounds run since the epoch started.
-  [[nodiscard]] double epoch_delay() const noexcept { return epoch_delay_; }
 
  private:
   void ensure_capacity(std::size_t slots);

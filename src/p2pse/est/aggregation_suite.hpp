@@ -68,15 +68,14 @@ class MultiAggregation final : public Estimator {
   [[nodiscard]] std::vector<double> instance_estimates(net::NodeId id) const;
 
   /// Local value of one gossip instance at a node (0 when untouched this
-  /// epoch or out of range). Exposed for mass-conservation diagnostics.
+  /// epoch or out of range).
+  // p2pse-lint: allow(no-caller) tests pin each instance's mass and values
   [[nodiscard]] double value_of(std::uint32_t instance,
                                 net::NodeId id) const noexcept;
 
   [[nodiscard]] const MultiAggregationConfig& config() const noexcept {
     return config_;
   }
-  /// Measured wall-clock of the rounds run since the epoch started.
-  [[nodiscard]] double epoch_delay() const noexcept { return epoch_delay_; }
 
  private:
   void ensure_capacity(std::size_t slots);

@@ -29,6 +29,7 @@
 #include "p2pse/scenario/scenarios.hpp"
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/csv.hpp"
+#include "p2pse/support/log_bins.hpp"
 #include "p2pse/support/sharding.hpp"
 #include "p2pse/support/stats.hpp"
 #include "p2pse/topo/topology.hpp"
@@ -426,6 +427,98 @@ void attach_raw_series(FigureReport& report,
   }
 }
 
+// --- paper captions per estimator -------------------------------------------
+
+/// The value of `key` on an estimator's describe() line ("l=200 T=10"), or
+/// "" when the line has no such field.
+std::string described(const est::Estimator& estimator, std::string_view key) {
+  std::istringstream fields(estimator.describe());
+  const std::string prefix = std::string(key) + "=";
+  for (std::string field; fields >> field;) {
+    if (field.starts_with(prefix)) return field.substr(prefix.size());
+  }
+  return {};
+}
+
+/// Caption of a dynamic-tracking report. The paper's three candidates
+/// (Figs 9-17) keep the paper's wording; the last row, keyed "", is what
+/// every other estimator gets. Captions describe the estimator that
+/// actually ran (its describe() line), not FigureParams: a matrix override
+/// like `sample_collide:l=10` must not be reported as the paper's l=200.
+struct TrackingCaption {
+  std::string_view estimator;  ///< registry name; "" = any other
+  std::string (*title)(const est::Estimator&);
+  bool per_estimation_x;       ///< x = estimation index (Figs 9-11)
+  std::string_view param_key;  ///< describe() field on the params line
+  bool pacing;                 ///< estimations= / rounds_per_unit= too
+  std::string_view error_note;  ///< appended to the tracking-error note
+  std::string_view paper_note;  ///< a note line of its own
+  bool messages_note;           ///< quote the mean messages per estimate
+};
+
+constexpr TrackingCaption kTrackingCaptions[] = {
+    {"sample_collide",
+     [](const est::Estimator&) {
+       return std::string("Sample&Collide oneShot");
+     },
+     true, "l", true, " (paper: reacts well even to brutal changes)", "",
+     false},
+    {"hops_sampling",
+     [](const est::Estimator& e) {
+       const std::string k = described(e, "lastK");
+       return "HopsSampling " +
+              (k.empty() ? std::string("oneShot") : "last" + k + "runs");
+     },
+     false, "", true,
+     " (paper: good behaviour, slight under-estimation, more variance than "
+     "Sample&Collide)",
+     "", false},
+    {"aggregation",
+     [](const est::Estimator& e) {
+       return "Aggregation (" + described(e, "rounds_per_epoch") +
+              "-round epochs)";
+     },
+     false, "rounds_per_epoch", false, "",
+     "paper: adapts to growth; under heavy departures the overlay loses "
+     "connectivity and estimates degrade (threshold ~30% departures)",
+     false},
+    {"",
+     [](const est::Estimator& e) {
+       return std::string(e.display_name()) + " (" + e.describe() + ")";
+     },
+     false, "", true, "", "", true},
+};
+
+/// Paper-comparison suffixes of a static-quality report's notes (Figs 1-4,
+/// 18), keyed like kTrackingCaptions; the last row adds nothing.
+struct StaticCaption {
+  std::string_view estimator;  ///< registry name; "" = any other
+  const char* one_shot_error;  ///< after the oneShot mean |error|
+  const char* last_k_error;    ///< after the lastK mean |error|
+  const char* coverage;        ///< after the mean poll coverage
+  const char* messages;        ///< after the mean messages per estimation
+};
+
+constexpr StaticCaption kStaticCaptions[] = {
+    {"sample_collide", " (paper: mostly within 10%, peaks to 20%)",
+     " (paper: within 3-4%)", "", ""},
+    {"hops_sampling", " (paper: peaks over 50%)",
+     " (paper: within 20%, consistent under-estimation)",
+     " (paper: ~89% at 1e5)", " (paper: O(2N))"},
+    {"", "", "", "", ""},
+};
+
+/// The row of a caption table for `estimator`: its own, else the last.
+template <class Caption, std::size_t N>
+const Caption& caption_for(const Caption (&table)[N],
+                           std::string_view estimator) {
+  const Caption* caption = table;
+  while (!caption->estimator.empty() && caption->estimator != estimator) {
+    ++caption;
+  }
+  return *caption;
+}
+
 // --- static setting (§IV-C): Figs 1-4, 18 -----------------------------------
 
 FigureReport fig_static_quality(const FigureSpec& spec,
@@ -488,19 +581,13 @@ FigureReport fig_static_quality(const FigureSpec& spec,
   // Paper-comparison suffixes differ per candidate; the measurements and
   // their order do not.
   const bool polls = r.coverage.count() > 0;  // spread-phase estimators
-  const bool is_sc = proto->name() == "sample_collide";
-  const bool is_hs = proto->name() == "hops_sampling";
-  report.notes.push_back(
-      "mean |error| oneShot: " + format_double(r.abs_err.mean(), 3) +
-      "%" +
-      (is_sc ? " (paper: mostly within 10%, peaks to 20%)"
-             : is_hs ? " (paper: peaks over 50%)" : ""));
-  report.notes.push_back(
-      "mean |error| lastK:   " + format_double(r.last_k_abs.mean(), 3) +
-      "%" +
-      (is_sc ? " (paper: within 3-4%)"
-             : is_hs ? " (paper: within 20%, consistent under-estimation)"
-                     : ""));
+  const StaticCaption& caption = caption_for(kStaticCaptions, proto->name());
+  report.notes.push_back("mean |error| oneShot: " +
+                         format_double(r.abs_err.mean(), 3) + "%" +
+                         caption.one_shot_error);
+  report.notes.push_back("mean |error| lastK:   " +
+                         format_double(r.last_k_abs.mean(), 3) + "%" +
+                         caption.last_k_error);
   if (polls) {
     report.notes.push_back(
         "mean signed error oneShot: " +
@@ -508,11 +595,10 @@ FigureReport fig_static_quality(const FigureSpec& spec,
         "% (negative = under-estimates, as the paper observes)");
     report.notes.push_back(
         "mean poll coverage: " + format_double(100.0 * r.coverage.mean(), 4) +
-        "% of nodes reached" + (is_hs ? " (paper: ~89% at 1e5)" : ""));
+        "% of nodes reached" + caption.coverage);
   }
   report.notes.push_back("mean messages per estimation: " +
-                         human_count(r.messages.mean()) +
-                         (is_hs ? " (paper: O(2N))" : ""));
+                         human_count(r.messages.mean()) + caption.messages);
   if (routed(options)) {
     report.notes.push_back(delay_note("mean measured delay per estimation: ",
                                       r.delay.mean()));
@@ -645,7 +731,7 @@ FigureReport fig_scale_free_degrees(const FigureSpec&,
     params.telemetry->add_replica(obs::collect(graph));
   }
   const net::DegreeStats stats = net::degree_stats(graph);
-  const auto bins = support::log_binned(stats.histogram);
+  const auto bins = support::log_binned(stats.counts);
   const double slope = support::power_law_slope(bins);
 
   FigureReport report;
@@ -655,8 +741,9 @@ FigureReport fig_scale_free_degrees(const FigureSpec&,
                   " attach=3 seed=" + std::to_string(params.seed);
   // Paper's axes: x = number of nodes with that degree, y = degree.
   support::Series s{"Scale Free Distribution", {}, {}, '*'};
-  for (const auto& [degree, count] : stats.histogram.items()) {
-    if (degree == 0) continue;
+  for (std::size_t degree = 1; degree < stats.counts.size(); ++degree) {
+    const std::uint64_t count = stats.counts[degree];
+    if (count == 0) continue;
     s.x.push_back(static_cast<double>(count));
     s.y.push_back(static_cast<double>(degree));
   }
@@ -743,74 +830,6 @@ FigureReport fig_scale_free_compare(const FigureSpec&,
 
 // --- dynamic setting (§IV-D): Figs 9-17 and the matrix core -----------------
 
-/// The value of `key` on an estimator's describe() line ("l=200 T=10"), or
-/// "" when the line has no such field.
-std::string described(const est::Estimator& estimator, std::string_view key) {
-  std::istringstream fields(estimator.describe());
-  const std::string prefix = std::string(key) + "=";
-  for (std::string field; fields >> field;) {
-    if (field.starts_with(prefix)) return field.substr(prefix.size());
-  }
-  return {};
-}
-
-/// Caption of a dynamic-tracking report. The paper's three candidates
-/// (Figs 9-17) keep the paper's wording; the last row, keyed "", is what
-/// every other estimator gets. Captions describe the estimator that
-/// actually ran (its describe() line), not FigureParams: a matrix override
-/// like `sample_collide:l=10` must not be reported as the paper's l=200.
-struct TrackingCaption {
-  std::string_view estimator;  ///< registry name; "" = any other
-  std::string (*title)(const est::Estimator&);
-  bool per_estimation_x;       ///< x = estimation index (Figs 9-11)
-  std::string_view param_key;  ///< describe() field on the params line
-  bool pacing;                 ///< estimations= / rounds_per_unit= too
-  std::string_view error_note;  ///< appended to the tracking-error note
-  std::string_view paper_note;  ///< a note line of its own
-  bool messages_note;           ///< quote the mean messages per estimate
-};
-
-constexpr TrackingCaption kTrackingCaptions[] = {
-    {"sample_collide",
-     [](const est::Estimator&) {
-       return std::string("Sample&Collide oneShot");
-     },
-     true, "l", true, " (paper: reacts well even to brutal changes)", "",
-     false},
-    {"hops_sampling",
-     [](const est::Estimator& e) {
-       const std::string k = described(e, "lastK");
-       return "HopsSampling " +
-              (k.empty() ? std::string("oneShot") : "last" + k + "runs");
-     },
-     false, "", true,
-     " (paper: good behaviour, slight under-estimation, more variance than "
-     "Sample&Collide)",
-     "", false},
-    {"aggregation",
-     [](const est::Estimator& e) {
-       return "Aggregation (" + described(e, "rounds_per_epoch") +
-              "-round epochs)";
-     },
-     false, "rounds_per_epoch", false, "",
-     "paper: adapts to growth; under heavy departures the overlay loses "
-     "connectivity and estimates degrade (threshold ~30% departures)",
-     false},
-    {"",
-     [](const est::Estimator& e) {
-       return std::string(e.display_name()) + " (" + e.describe() + ")";
-     },
-     false, "", true, "", "", true},
-};
-
-const TrackingCaption& tracking_caption(std::string_view estimator) {
-  const TrackingCaption* caption = kTrackingCaptions;
-  while (!caption->estimator.empty() && caption->estimator != estimator) {
-    ++caption;
-  }
-  return *caption;
-}
-
 /// Shared driver for every estimator × workload combination: builds the
 /// prototype, fans `params.replicas` deterministic replicas over the
 /// unified ScenarioRunner, and assembles the tracking report. The paper
@@ -851,7 +870,7 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
       });
   const obs::Span merge_span = obs_span(params, "merge");
 
-  const TrackingCaption& caption = tracking_caption(proto.name());
+  const TrackingCaption& caption = caption_for(kTrackingCaptions, proto.name());
   const bool epoch = proto.mode() == est::Estimator::Mode::kEpoch;
   const TrackingStats stats = tracking_stats(replicas);
   // Paper's x-axis for Figs 9-11 is the estimation index.

@@ -36,13 +36,6 @@ ComponentInfo connected_components(const Graph& graph) {
   return info;
 }
 
-double largest_component_fraction(const Graph& graph) {
-  if (graph.empty()) return 1.0;
-  const ComponentInfo info = connected_components(graph);
-  return static_cast<double>(info.largest_size()) /
-         static_cast<double>(graph.size());
-}
-
 std::vector<std::uint32_t> bfs_distances(const Graph& graph, NodeId source) {
   if (!graph.is_alive(source)) return {};
   std::vector<std::uint32_t> dist(graph.slot_count(), kUnreached);
@@ -73,7 +66,8 @@ DegreeStats degree_stats(const Graph& graph) {
     stats.min = std::min(stats.min, d);
     stats.max = std::max(stats.max, d);
     total += static_cast<double>(d);
-    stats.histogram.add(d);
+    if (d >= stats.counts.size()) stats.counts.resize(d + 1, 0);
+    ++stats.counts[d];
   }
   stats.mean = total / static_cast<double>(graph.size());
   return stats;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "p2pse/net/graph.hpp"
-#include "p2pse/support/histogram.hpp"
 
 namespace p2pse::net {
 
@@ -30,10 +29,6 @@ struct ComponentInfo {
 /// Connected components over alive nodes (iterative BFS).
 [[nodiscard]] ComponentInfo connected_components(const Graph& graph);
 
-/// Fraction of alive nodes inside the largest component (1.0 when empty —
-/// an empty overlay is vacuously connected).
-[[nodiscard]] double largest_component_fraction(const Graph& graph);
-
 /// BFS hop distance from `source` per slot id; kUnreached where unreachable
 /// or dead. Returns an empty vector if `source` is dead.
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& graph,
@@ -43,7 +38,9 @@ struct DegreeStats {
   std::size_t min = 0;
   std::size_t max = 0;
   double mean = 0.0;
-  support::IntHistogram histogram;
+  /// counts[d] = alive nodes of degree d; its size is max + 1 (empty for an
+  /// empty graph).
+  std::vector<std::uint64_t> counts;
 };
 
 /// Degree distribution over alive nodes.

@@ -51,14 +51,4 @@ struct BarabasiAlbertConfig {
 [[nodiscard]] Graph build_barabasi_albert(const BarabasiAlbertConfig& config,
                                           support::RngStream& rng);
 
-/// Erdős–Rényi G(n,p) with p chosen to hit `average_degree`. Uses geometric
-/// edge skipping, O(n + |E|).
-struct ErdosRenyiConfig {
-  std::size_t nodes = 0;
-  double average_degree = 7.2;
-};
-
-[[nodiscard]] Graph build_erdos_renyi(const ErdosRenyiConfig& config,
-                                      support::RngStream& rng);
-
 }  // namespace p2pse::net

@@ -121,37 +121,8 @@ void CyclonOverlay::shuffle_from(std::uint32_t initiator) {
 }
 
 void CyclonOverlay::run_round() {
-  // Iterate over a snapshot so shuffles triggered by churned-in members
-  // during this round don't run twice.
-  const std::vector<std::uint32_t> snapshot = alive_ids_;
-  for (const std::uint32_t id : snapshot) {
-    if (members_[id].alive) shuffle_from(id);
-  }
-}
-
-std::uint32_t CyclonOverlay::add_member() {
-  const auto id = static_cast<std::uint32_t>(members_.size());
-  Member fresh;
-  fresh.alive = true;
-  // Bootstrap through a random live introducer.
-  if (alive_count_ > 0) {
-    const std::uint32_t intro = alive_ids_[static_cast<std::size_t>(
-        rng_.uniform_u64(alive_ids_.size()))];
-    fresh.view.push_back(Entry{intro, 0});
-    for (const Entry& e : members_[intro].view) {
-      if (fresh.view.size() >= config_.view_size) break;
-      if (e.node == id || !members_[e.node].alive) continue;
-      if (std::any_of(fresh.view.begin(), fresh.view.end(),
-                      [&e](const Entry& x) { return x.node == e.node; })) {
-        continue;
-      }
-      fresh.view.push_back(Entry{e.node, 0});
-    }
-  }
-  members_.push_back(std::move(fresh));
-  alive_ids_.push_back(id);
-  ++alive_count_;
-  return id;
+  // Shuffles never change membership, so the live ids are stable here.
+  for (const std::uint32_t id : alive_ids_) shuffle_from(id);
 }
 
 void CyclonOverlay::remove_member(std::uint32_t id) {
@@ -172,14 +143,6 @@ std::vector<std::uint32_t> CyclonOverlay::view_of(std::uint32_t id) const {
   out.reserve(members_[id].view.size());
   for (const Entry& e : members_[id].view) out.push_back(e.node);
   return out;
-}
-
-std::size_t CyclonOverlay::in_degree(std::uint32_t id) const {
-  std::size_t count = 0;
-  for (const std::uint32_t member : alive_ids_) {
-    if (member != id && contains(members_[member], id)) ++count;
-  }
-  return count;
 }
 
 Graph CyclonOverlay::materialize(

@@ -42,10 +42,6 @@ class CyclonOverlay {
   /// `messages()`.
   void run_round();
 
-  /// Adds a member; it bootstraps by copying (a subset of) the view of a
-  /// random live introducer, as in the CYCLON paper.
-  std::uint32_t add_member();
-
   /// Removes a member. Dead pointers linger in others' views until aged out
   /// and are skipped when dialing (timeout behaviour).
   void remove_member(std::uint32_t id);
@@ -63,10 +59,6 @@ class CyclonOverlay {
   /// non-null.
   [[nodiscard]] Graph materialize(
       std::vector<std::uint32_t>* original_ids = nullptr) const;
-
-  /// In-degree (number of live views pointing at `id`) — CYCLON's
-  /// balance property is tested on this.
-  [[nodiscard]] std::size_t in_degree(std::uint32_t id) const;
 
  private:
   struct Entry {

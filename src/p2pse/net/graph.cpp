@@ -172,18 +172,6 @@ bool Graph::remove_edge(NodeId a, NodeId b) {
   return true;
 }
 
-bool Graph::has_edge(NodeId a, NodeId b) const noexcept {
-  if (a == b || !is_alive(a) || !is_alive(b)) return false;
-  const Extent& ea = extents_[a];
-  const Extent& eb = extents_[b];
-  const bool scan_a = ea.len <= eb.len;
-  const Extent& scan = scan_a ? ea : eb;
-  const NodeId probe = scan_a ? b : a;
-  const NodeId* const first = arena_.data() + scan.offset;
-  const NodeId* const last = first + scan.len;
-  return std::find(first, last, probe) != last;
-}
-
 double Graph::average_degree() const noexcept {
   if (alive_.empty()) return 0.0;
   return 2.0 * static_cast<double>(edges_) / static_cast<double>(alive_.size());

@@ -127,7 +127,6 @@ class Graph {
   /// Removes the undirected edge {a,b} if present. Returns true if removed.
   bool remove_edge(NodeId a, NodeId b);
 
-  [[nodiscard]] bool has_edge(NodeId a, NodeId b) const noexcept;
   [[nodiscard]] bool is_alive(NodeId id) const noexcept {
     return id < alive_pos_.size() && alive_pos_[id] != kInvalidNode;
   }
@@ -200,13 +199,15 @@ class Graph {
 
   void reserve(std::size_t nodes);
 
-  /// Arena introspection for tests/benchmarks: total adjacency slots backed
-  /// by the arena, and how many of those sit on chunk free-lists awaiting
-  /// reuse. Under steady churn (leave/rejoin at similar degrees) arena_size
+  /// Arena introspection for tests: total adjacency slots backed by the
+  /// arena, and how many of those sit on chunk free-lists awaiting reuse.
+  /// Under steady churn (leave/rejoin at similar degrees) arena_size
   /// stabilizes because freed chunks are recycled rather than leaked.
+  // p2pse-lint: allow(no-caller) arena-stability tests read private state
   [[nodiscard]] std::size_t arena_size() const noexcept {
     return arena_.size();
   }
+  // p2pse-lint: allow(no-caller) arena-stability tests read private state
   [[nodiscard]] std::size_t arena_free() const noexcept;
 
   /// Lifetime telemetry counters (see obs::collect).

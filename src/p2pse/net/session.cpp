@@ -56,9 +56,4 @@ NodeId SessionMembership::leave(SessionId session) {
   return id;
 }
 
-NodeId SessionMembership::node_of(SessionId session) const noexcept {
-  const auto it = nodes_.find(session);
-  return it == nodes_.end() ? kInvalidNode : it->second;
-}
-
 }  // namespace p2pse::net

@@ -43,9 +43,6 @@ class SessionMembership {
   /// never joined or already left.
   NodeId leave(SessionId session);
 
-  /// NodeId of a live session, or kInvalidNode when unknown/departed.
-  [[nodiscard]] NodeId node_of(SessionId session) const noexcept;
-
   /// Number of sessions currently mapped to a node.
   [[nodiscard]] std::size_t active_sessions() const noexcept {
     return nodes_.size();

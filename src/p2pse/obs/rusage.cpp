@@ -1,10 +1,6 @@
 #include "p2pse/obs/rusage.hpp"
 
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdio>
 
 namespace p2pse::obs {
 
@@ -12,31 +8,6 @@ std::int64_t peak_rss_kb() {
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return static_cast<std::int64_t>(usage.ru_maxrss);
-}
-
-ChildResult run_and_measure(const std::vector<std::string>& argv) {
-  std::vector<char*> raw;
-  raw.reserve(argv.size() + 1);
-  for (const std::string& arg : argv) {
-    raw.push_back(const_cast<char*>(arg.c_str()));
-  }
-  raw.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid == 0) {
-    // Child: silence the run's stdout; the caller only wants exit + RSS.
-    if (freopen("/dev/null", "w", stdout) == nullptr) _exit(127);
-    execv(raw[0], raw.data());
-    _exit(127);
-  }
-  ChildResult result;
-  if (pid < 0) return result;
-  int status = 0;
-  struct rusage usage {};
-  if (wait4(pid, &status, 0, &usage) != pid) return result;
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  result.max_rss_kb = static_cast<std::int64_t>(usage.ru_maxrss);
-  return result;
 }
 
 }  // namespace p2pse::obs

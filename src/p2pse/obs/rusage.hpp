@@ -1,28 +1,14 @@
 #pragma once
-// Host-resource probes shared by the `host` stats section and the scale
-// smoke test. Everything here reads the OPERATING SYSTEM, never the
-// simulation: nothing in this header may feed the deterministic `sim`
-// section of a run summary.
+// Host-resource probe behind the `host` stats section. It reads the
+// OPERATING SYSTEM, never the simulation: nothing in this header may feed
+// the deterministic `sim` section of a run summary.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace p2pse::obs {
 
 /// Peak resident set size of the calling process, in kilobytes
 /// (getrusage ru_maxrss — Linux reports kilobytes).
 [[nodiscard]] std::int64_t peak_rss_kb();
-
-struct ChildResult {
-  int exit_code = -1;
-  std::int64_t max_rss_kb = 0;
-};
-
-/// fork/exec `argv` (argv[0] is the binary path), wait for completion, and
-/// report the child's exit code and peak RSS in kilobytes (wait4 ru_maxrss).
-/// The child's stdout is redirected to /dev/null. On fork/wait failure the
-/// exit code stays -1.
-[[nodiscard]] ChildResult run_and_measure(const std::vector<std::string>& argv);
 
 }  // namespace p2pse::obs

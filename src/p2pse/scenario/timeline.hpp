@@ -54,9 +54,6 @@ class ScenarioCursor final : public DynamicsCursor {
   void advance_to(double t) override;
 
   [[nodiscard]] double now() const noexcept override { return now_; }
-  [[nodiscard]] bool finished() const noexcept {
-    return now_ >= script_->duration;
-  }
   [[nodiscard]] const ScenarioScript& script() const noexcept {
     return *script_;
   }

@@ -87,11 +87,7 @@ class RunRecorder {
     return walk_hops_;
   }
 
-  /// The per-node tallies recorded so far (indexed by NodeId; nodes beyond
-  /// the vector never handled a message).
-  [[nodiscard]] const std::vector<NodeLoad>& node_loads() const noexcept {
-    return loads_;
-  }
+  /// The busiest node's total (sent + received) messages and bytes.
   [[nodiscard]] std::uint64_t max_node_messages() const noexcept;
   [[nodiscard]] std::uint64_t max_node_bytes() const noexcept;
 

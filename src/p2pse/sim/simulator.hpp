@@ -134,9 +134,6 @@ class Simulator {
   /// sim-side FlightSink interface). Non-owning; null detaches. Purely
   /// observational — never perturbs a draw or a delivery.
   void set_flight_recorder(FlightSink* sink) noexcept { flight_ = sink; }
-  [[nodiscard]] FlightSink* flight_recorder() const noexcept {
-    return flight_;
-  }
 
   /// Delivery shorthands: route one message from `from` to `to` through
   /// the channel, counting it on the meter (see Channel for the three

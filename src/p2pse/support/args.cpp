@@ -2,22 +2,11 @@
 
 #include <stdexcept>
 
-#include "p2pse/support/number.hpp"
-
 namespace p2pse::support {
 namespace {
 
 bool looks_like_option(std::string_view arg) {
   return arg.size() >= 3 && arg.substr(0, 2) == "--";
-}
-
-/// `value` of flag --`name` as a T, or the error naming both.
-template <class T>
-T convert(std::string_view name, const std::string& value,
-          std::string_view expected) {
-  if (const std::optional<T> out = parse_number<T>(value)) return *out;
-  throw std::invalid_argument("--" + std::string(name) + ": expected " +
-                              std::string(expected) + ", got '" + value + "'");
 }
 
 }  // namespace
@@ -92,24 +81,19 @@ std::string Args::get_string(std::string_view name,
   return value ? *value : std::move(default_value);
 }
 
-std::int64_t Args::get_int(std::string_view name,
-                           std::int64_t default_value) const {
-  const auto value = raw(name);
-  return value ? convert<std::int64_t>(name, *value, "integer")
-               : default_value;
-}
-
-std::uint64_t Args::get_uint(std::string_view name,
-                             std::uint64_t default_value) const {
-  const auto value = raw(name);
-  return value ? convert<std::uint64_t>(name, *value, "non-negative integer")
-               : default_value;
-}
-
 double Args::get_double(std::string_view name, double default_value) const {
   const auto value = raw(name);
-  return value ? convert<double>(name, *value, "finite number")
-               : default_value;
+  if (!value) return default_value;
+  if (const std::optional<double> out = parse_number<double>(*value)) {
+    return *out;
+  }
+  refuse(name, "finite number", *value);
+}
+
+void Args::refuse(std::string_view name, std::string_view expected,
+                  const std::string& value) {
+  throw std::invalid_argument("--" + std::string(name) + ": expected " +
+                              std::string(expected) + ", got '" + value + "'");
 }
 
 bool Args::get_bool(std::string_view name, bool default_value) const {

@@ -4,12 +4,16 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "p2pse/support/number.hpp"
 
 namespace p2pse::support {
 
@@ -32,10 +36,11 @@ class Args {
                                        std::string default_value) const;
   /// Numeric getters read with support::parse_number and throw
   /// std::invalid_argument naming the flag and value when it refuses.
-  [[nodiscard]] std::int64_t get_int(std::string_view name,
-                                     std::int64_t default_value) const;
-  [[nodiscard]] std::uint64_t get_uint(std::string_view name,
-                                       std::uint64_t default_value) const;
+  /// get_uint reads at the width of `default_value`'s unsigned type (64
+  /// bits for a plain literal), so a value past that width is an error, not
+  /// a wrap: with a std::uint32_t default, --l 4294967297 is refused.
+  template <class T>
+  [[nodiscard]] auto get_uint(std::string_view name, T default_value) const;
   [[nodiscard]] double get_double(std::string_view name,
                                   double default_value) const;
   [[nodiscard]] bool get_bool(std::string_view name, bool default_value) const;
@@ -53,11 +58,30 @@ class Args {
 
  private:
   [[nodiscard]] std::optional<std::string> raw(std::string_view name) const;
+  /// Throws the error naming flag --`name`, the `expected` form and `value`.
+  [[noreturn]] static void refuse(std::string_view name,
+                                  std::string_view expected,
+                                  const std::string& value);
 
   std::string program_;
   std::map<std::string, std::string, std::less<>> options_;
   std::vector<std::string> positional_;
   bool help_ = false;
 };
+
+template <class T>
+auto Args::get_uint(std::string_view name, T default_value) const {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  using U = std::conditional_t<std::is_unsigned_v<T>, T, std::uint64_t>;
+  const std::optional<std::string> value = raw(name);
+  if (!value) return static_cast<U>(default_value);
+  if (const std::optional<U> out = parse_number<U>(*value)) return *out;
+  constexpr U kMax = std::numeric_limits<U>::max();
+  if constexpr (kMax == std::numeric_limits<std::uint64_t>::max()) {
+    refuse(name, "non-negative integer", *value);
+  } else {
+    refuse(name, "integer in [0, " + std::to_string(kMax) + "]", *value);
+  }
+}
 
 }  // namespace p2pse::support

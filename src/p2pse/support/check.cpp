@@ -23,8 +23,7 @@ std::string format_failure(const char* file, int line, const char* expr,
 
 CheckFailure::CheckFailure(const char* file, int line, const char* expr,
                            const std::string& message)
-    : std::logic_error(format_failure(file, line, expr, message)),
-      file_(file), line_(line), expr_(expr) {}
+    : std::logic_error(format_failure(file, line, expr, message)) {}
 
 namespace detail {
 

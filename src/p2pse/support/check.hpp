@@ -10,9 +10,9 @@
 //
 // Semantics:
 //  * Checked builds: a failed condition throws support::CheckFailure (a
-//    std::logic_error) carrying file:line, the expression, and an optional
-//    message. Throwing — not aborting — keeps failures testable and plays
-//    well with sanitizers.
+//    std::logic_error) whose message carries file:line, the expression and
+//    an optional note. Throwing — not aborting — keeps failures testable
+//    and plays well with sanitizers.
 //  * Unchecked builds: the macros compile to nothing; the condition is NOT
 //    evaluated, so conditions must be side-effect free.
 //  * Contracts never draw randomness or write output, so enabling them can
@@ -38,15 +38,6 @@ class CheckFailure : public std::logic_error {
  public:
   CheckFailure(const char* file, int line, const char* expr,
                const std::string& message);
-
-  [[nodiscard]] const char* file() const noexcept { return file_; }
-  [[nodiscard]] int line() const noexcept { return line_; }
-  [[nodiscard]] const char* expression() const noexcept { return expr_; }
-
- private:
-  const char* file_;
-  int line_;
-  const char* expr_;
 };
 
 namespace detail {

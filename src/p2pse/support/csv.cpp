@@ -29,7 +29,6 @@ void CsvWriter::header(const std::vector<std::string>& columns) {
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
   write_line(fields);
-  ++rows_;
 }
 
 void CsvWriter::row(const std::vector<double>& values, int precision) {

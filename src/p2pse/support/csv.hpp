@@ -24,13 +24,10 @@ class CsvWriter {
   /// Convenience: numeric row, formatted with up to `precision` digits.
   void row(const std::vector<double>& values, int precision = 6);
 
-  [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
-
  private:
   void write_line(const std::vector<std::string>& fields);
   std::ostream& out_;
   std::string prefix_;
-  std::size_t rows_ = 0;
 };
 
 /// Formats a double compactly (no trailing zeros beyond what's needed).

@@ -1,53 +1,25 @@
-#include "p2pse/support/histogram.hpp"
+#include "p2pse/support/log_bins.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace p2pse::support {
 
-void IntHistogram::add(std::uint64_t value, std::uint64_t weight) {
-  counts_[value] += weight;
-  total_ += weight;
-}
-
-std::uint64_t IntHistogram::count(std::uint64_t value) const noexcept {
-  const auto it = counts_.find(value);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t IntHistogram::min() const noexcept {
-  return counts_.empty() ? 0 : counts_.begin()->first;
-}
-
-std::uint64_t IntHistogram::max() const noexcept {
-  return counts_.empty() ? 0 : counts_.rbegin()->first;
-}
-
-double IntHistogram::mean() const noexcept {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (const auto& [value, count] : counts_) {
-    acc += static_cast<double>(value) * static_cast<double>(count);
-  }
-  return acc / static_cast<double>(total_);
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> IntHistogram::items() const {
-  return {counts_.begin(), counts_.end()};
-}
-
-std::vector<LogBin> log_binned(const IntHistogram& hist, int bins_per_decade) {
+std::vector<LogBin> log_binned(std::span<const std::uint64_t> counts,
+                               int bins_per_decade) {
   std::vector<LogBin> bins;
-  if (hist.empty() || bins_per_decade <= 0) return bins;
+  std::uint64_t total_count = 0;
+  for (const std::uint64_t count : counts) total_count += count;
+  if (total_count == 0 || bins_per_decade <= 0) return bins;
   const double factor = std::pow(10.0, 1.0 / bins_per_decade);
-  // Values of 0 cannot appear on a log axis; fold them into the first bin
-  // starting at 1 is wrong, so they are skipped (a degree-0 node has no place
-  // in a log-log degree plot).
-  const double total = static_cast<double>(hist.total());
+  // Value 0 cannot appear on a log axis (a degree-0 node has no place in a
+  // log-log degree plot), so binning starts at 1; its count stays in the
+  // total the densities divide by.
+  const double total = static_cast<double>(total_count);
 
   double lower = 1.0;
-  for (const auto& [value, count] : hist.items()) {
-    if (value == 0) continue;
+  for (std::size_t value = 1; value < counts.size(); ++value) {
+    const std::uint64_t count = counts[value];
+    if (count == 0) continue;
     while (static_cast<double>(value) >= lower * factor) lower *= factor;
     const double upper = lower * factor;
     if (!bins.empty() && bins.back().lower == lower) {

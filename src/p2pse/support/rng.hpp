@@ -116,12 +116,6 @@ class RngStream {
     return RngStream(splitmix64(mix));
   }
 
-  /// Raw 64 random bits.
-  [[nodiscard]] std::uint64_t next_u64() P2PSE_CHECKED_NOEXCEPT {
-    account();
-    return engine_();
-  }
-
   /// Uniform integer in [0, bound). `bound` must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   /// Defined inline: this is the single hottest draw in the simulator
@@ -215,29 +209,6 @@ class RngStream {
     }
   }
 
-  /// Fills `out` with uniform integers in [0, bound), equivalent to
-  /// out.size() successive uniform_u64(bound) calls (identical rejection
-  /// behavior, so the engine advances by the same number of steps).
-  void bounded_batch(std::span<std::uint64_t> out, std::uint64_t bound)
-      P2PSE_CHECKED_NOEXCEPT {
-    if (bound == 0) {
-      for (std::uint64_t& v : out) v = 0;
-      return;
-    }
-    account_batch(out.size());
-    for (std::uint64_t& v : out) v = bounded_step(bound);
-  }
-
-  /// Fisher–Yates shuffle of a span.
-  template <typename T>
-  void shuffle(std::span<T> values) P2PSE_CHECKED_NOEXCEPT {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(uniform_u64(i));
-      using std::swap;
-      swap(values[i - 1], values[j]);
-    }
-  }
-
   /// Picks a uniformly random element of a non-empty span.
   template <typename T>
   [[nodiscard]] const T& pick(std::span<const T> values)
@@ -249,6 +220,7 @@ class RngStream {
   /// Draws consumed since construction/assignment (checked builds only) —
   /// the per-split accounting the contract tests pin: a substream consumes
   /// draws only when ITS code path runs (e.g. an ideal channel draws 0).
+  // p2pse-lint: allow(no-caller) contract tests read the private draw count
   [[nodiscard]] std::uint64_t debug_draw_count() const noexcept {
     return draws_;
   }
@@ -260,8 +232,7 @@ class RngStream {
   void sample_without_replacement(std::size_t n, std::span<std::size_t> out);
 
  private:
-  /// One unaccounted Lemire bounded draw (bound > 0). Shared by the scalar
-  /// and batched entry points so both consume the engine identically.
+  /// One unaccounted Lemire bounded draw (bound > 0).
   [[nodiscard]] std::uint64_t bounded_step(std::uint64_t bound) noexcept {
 #ifdef __SIZEOF_INT128__
     // Lemire's nearly-divisionless unbiased bounded generation.

@@ -68,11 +68,6 @@ Summary summarize(const std::vector<double>& values) {
   return s;
 }
 
-double relative_error(double estimate, double truth) noexcept {
-  if (truth == 0.0) return 0.0;
-  return (estimate - truth) / truth;
-}
-
 double quality_percent(double estimate, double truth) noexcept {
   if (truth == 0.0) return 0.0;
   return 100.0 * estimate / truth;

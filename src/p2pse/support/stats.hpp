@@ -47,10 +47,6 @@ struct Summary {
 /// Computes the full summary of a sample.
 [[nodiscard]] Summary summarize(const std::vector<double>& values);
 
-/// Relative error of an estimate vs ground truth: (est - truth) / truth.
-/// Returns 0 when truth == 0.
-[[nodiscard]] double relative_error(double estimate, double truth) noexcept;
-
 /// "Quality %" as plotted by the paper: 100 * estimate / truth.
 [[nodiscard]] double quality_percent(double estimate, double truth) noexcept;
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "p2pse/net/graph.hpp"
 #include "p2pse/support/number.hpp"
 
 namespace p2pse::trace {
@@ -65,6 +66,17 @@ void ChurnTrace::validate() const {
     bad_trace("duration must be finite, got " + exact(duration));
   }
   if (duration <= 0.0) bad_trace("duration must be > 0");
+  // Every initial session becomes an overlay node at replay, numbered by
+  // a net::NodeId: a larger population cannot be built.
+  constexpr std::uint64_t kMaxInitial =
+      std::numeric_limits<net::NodeId>::max();
+  if (initial_sessions > kMaxInitial) {
+    std::string what = "initial_sessions must be <= ";
+    what.append(std::to_string(kMaxInitial));
+    what.append(" (the node id range), got ");
+    what.append(std::to_string(initial_sessions));
+    bad_trace(what);
+  }
   // The lowest-index faulty event is reported; at one index the time checks
   // come first. Its message is formatted only once a fault is found.
   std::size_t bad = events.size();

@@ -8,6 +8,8 @@
 #include "p2pse/net/churn.hpp"
 #include "p2pse/support/stats.hpp"
 
+#include "est/aggregation_oracles.hpp"
+
 namespace p2pse::est {
 namespace {
 
@@ -64,10 +66,10 @@ TEST(Aggregation, DispersionShrinksMonotonically) {
   support::RngStream rng(8);
   Aggregation agg({.rounds_per_epoch = 50});
   agg.start_epoch(sim, 0);
-  double previous = agg.value_dispersion(sim);
+  double previous = oracle::value_dispersion(agg, sim);
   for (int round = 0; round < 30; ++round) {
     agg.run_round(sim, rng);
-    const double current = agg.value_dispersion(sim);
+    const double current = oracle::value_dispersion(agg, sim);
     EXPECT_LT(current, previous * 1.05);  // allow tiny stochastic wiggle
     previous = current;
   }
@@ -170,10 +172,10 @@ TEST(Aggregation, PushOnlyVariantAlsoConvergesButSlower) {
   Aggregation push_only({.rounds_per_epoch = 25, .push_pull = false});
   push_pull.start_epoch(sim, 0);
   for (int r = 0; r < 25; ++r) push_pull.run_round(sim, rng_pp);
-  const double disp_pp = push_pull.value_dispersion(sim);
+  const double disp_pp = oracle::value_dispersion(push_pull, sim);
   push_only.start_epoch(sim, 0);
   for (int r = 0; r < 25; ++r) push_only.run_round(sim, rng_po);
-  const double disp_po = push_only.value_dispersion(sim);
+  const double disp_po = oracle::value_dispersion(push_only, sim);
   EXPECT_LT(disp_pp, disp_po);  // push-pull mixes faster
   EXPECT_NEAR(push_only.total_mass(sim), 1.0, 1e-9);  // still conservative
 }

@@ -307,7 +307,7 @@ TEST(BlockSpread, MatchesPlainLoop) {
     EXPECT_EQ(result.spread_rounds, plain.rounds);
     EXPECT_EQ(bits(result.spread_delay), bits(plain.delay));
     expect_same_traffic(block_sim, plain_sim);
-    EXPECT_EQ(block_rng.next_u64(), plain_rng.next_u64());
+    EXPECT_EQ(block_rng.uniform_real(), plain_rng.uniform_real());
   }
 }
 
@@ -331,7 +331,7 @@ TEST(BlockSpread, PollMatchesPlainLoop) {
     EXPECT_EQ(r.max_distance, plain.max_distance);
     EXPECT_EQ(r.reached, plain.spread.reached);
     expect_same_traffic(block_sim, plain_sim);
-    EXPECT_EQ(block_rng.next_u64(), plain_rng.next_u64());
+    EXPECT_EQ(block_rng.uniform_real(), plain_rng.uniform_real());
   }
 }
 
@@ -357,7 +357,7 @@ TEST(BlockSpread, ReplyTableCoversDistancesBeyondTheSpreadsRounds) {
     if (plain_rng.bernoulli(p)) expected += 1.0 / p;
   }
   EXPECT_EQ(bits(r.estimate.value), bits(expected));
-  EXPECT_EQ(rng.next_u64(), plain_rng.next_u64());
+  EXPECT_EQ(rng.uniform_real(), plain_rng.uniform_real());
 }
 
 // --- Aggregation / MultiAggregation ----------------------------------------
@@ -414,9 +414,10 @@ TEST(BlockRound, AggregationMatchesPlainLoop) {
       for (net::NodeId id = 0; id < values.size(); ++id) {
         ASSERT_EQ(bits(agg.value_at(id)), bits(values[id])) << "node " << id;
       }
-      EXPECT_EQ(bits(agg.epoch_delay()), bits(plain_delay));
+      EXPECT_EQ(bits(agg.estimate_at(block_sim, initiator).delay),
+                bits(plain_delay));
       expect_same_traffic(block_sim, plain_sim);
-      EXPECT_EQ(block_rng.next_u64(), plain_rng.next_u64());
+      EXPECT_EQ(block_rng.uniform_real(), plain_rng.uniform_real());
     }
   }
 }
@@ -452,9 +453,9 @@ TEST(BlockRound, MultiAggregationMatchesPlainLoop) {
             << "instance " << i << " node " << id;
       }
     }
-    EXPECT_EQ(bits(multi.epoch_delay()), bits(plain_delay));
+    EXPECT_EQ(bits(multi.estimate_at(block_sim, 0).delay), bits(plain_delay));
     expect_same_traffic(block_sim, plain_sim);
-    EXPECT_EQ(block_rng.next_u64(), plain_rng.next_u64());
+    EXPECT_EQ(block_rng.uniform_real(), plain_rng.uniform_real());
   }
 }
 

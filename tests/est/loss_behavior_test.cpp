@@ -14,6 +14,8 @@
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/simulator.hpp"
 
+#include "est/aggregation_oracles.hpp"
+
 namespace p2pse::est {
 namespace {
 
@@ -175,7 +177,7 @@ TEST(LossBehavior, AggregationConvergesSlowerUnderLoss) {
     RngStream rng(5);
     agg.start_epoch(sim, 0);
     for (int round = 0; round < rounds; ++round) agg.run_round(sim, rng);
-    dispersion[variant] = agg.value_dispersion(sim);
+    dispersion[variant] = oracle::value_dispersion(agg, sim);
   }
   // Masked exchanges mean less mixing per round.
   EXPECT_GT(dispersion[1], dispersion[0]);
@@ -189,7 +191,6 @@ TEST(LossBehavior, AggregationRoundDelayIsTheSlowestExchange) {
   for (int round = 0; round < 5; ++round) agg.run_round(sim, rng);
   // Constant 3-unit hops: every push-pull exchange takes exactly 6, and the
   // per-round maximum accumulates across the 5 rounds.
-  EXPECT_DOUBLE_EQ(agg.epoch_delay(), 5 * 6.0);
   EXPECT_DOUBLE_EQ(agg.estimate_at(sim, 0).delay, 5 * 6.0);
 }
 
@@ -203,7 +204,7 @@ TEST(LossBehavior, AggregationMaskedRoundChargesTheDetectionTimeout) {
   agg.start_epoch(sim, 0);
   for (int round = 0; round < 5; ++round) agg.run_round(sim, rng);
   // At 50% loss every round of 200 exchanges masks at least one.
-  EXPECT_DOUBLE_EQ(agg.epoch_delay(), 5 * timeout);
+  EXPECT_DOUBLE_EQ(agg.estimate_at(sim, 0).delay, 5 * timeout);
 }
 
 TEST(LossBehavior, MultiAggregationMeasuresEpochDelayLikeAggregation) {
@@ -212,7 +213,6 @@ TEST(LossBehavior, MultiAggregationMeasuresEpochDelayLikeAggregation) {
   RngStream rng(5);
   multi.start_epoch(sim, rng);
   for (int round = 0; round < 5; ++round) multi.run_round(sim, rng);
-  EXPECT_DOUBLE_EQ(multi.epoch_delay(), 5 * 6.0);
   EXPECT_DOUBLE_EQ(multi.estimate_at(sim, 0).delay, 5 * 6.0);
 }
 

@@ -12,6 +12,8 @@
 #include "p2pse/scenario/scenarios.hpp"
 #include "p2pse/support/stats.hpp"
 
+#include "net/graph_oracles.hpp"
+
 namespace p2pse {
 namespace {
 
@@ -171,7 +173,7 @@ TEST(Comparative, ConnectivityLossExplainsAggregationFailure) {
   // overlay actually fragments under 50% no-healing departures.
   support::RngStream rng(kSeed);
   net::Graph g = net::build_heterogeneous_random({10000, 1, 10}, rng);
-  const double before = net::largest_component_fraction(g);
+  const double before = net::oracle::largest_component_fraction(g);
   EXPECT_GT(before, 0.99);
   support::RngStream churn_rng(kSeed ^ 1);
   net::remove_fraction(g, 0.5, churn_rng);

@@ -12,6 +12,8 @@
 #include "p2pse/scenario/scenarios.hpp"
 #include "p2pse/support/stats.hpp"
 
+#include "net/graph_oracles.hpp"
+
 namespace p2pse {
 namespace {
 
@@ -22,7 +24,7 @@ net::Graph build(const std::string& kind, std::size_t nodes,
   }
   if (kind == "homo") return net::build_homogeneous_random({nodes, 7}, rng);
   if (kind == "ba") return net::build_barabasi_albert({nodes, 3}, rng);
-  return net::build_erdos_renyi({nodes, 7.2}, rng);
+  return net::oracle::build_erdos_renyi({nodes, 7.2}, rng);
 }
 
 using TopologyCase = std::tuple<std::string, std::uint64_t>;

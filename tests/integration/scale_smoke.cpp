@@ -5,18 +5,18 @@
 // all-in), where per-node heap vectors used to blow past that on the
 // overlay alone.
 //
-// Child spawning + peak-RSS capture live in obs::run_and_measure (shared
-// with the --stats-json host section), so this test measures with the same
-// machinery the telemetry subsystem ships.
-//
 // Deliberately heavy (tens of seconds), so it is NOT in the default suite:
 // configure with -DP2PSE_SCALE_TESTS=ON and run `ctest -L scale` (or invoke
 // the p2pse_scale_smoke binary directly, any configuration).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
-
-#include "p2pse/obs/rusage.hpp"
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #ifndef P2PSE_MATRIX_BINARY
 #error "build defines P2PSE_MATRIX_BINARY as the path to p2pse_matrix"
@@ -24,10 +24,44 @@
 
 namespace {
 
+struct ChildResult {
+  int exit_code = -1;
+  std::int64_t max_rss_kb = 0;
+};
+
+/// fork/exec `argv` (argv[0] is the binary path), wait for completion, and
+/// report the child's exit code and peak RSS in kilobytes (wait4 ru_maxrss).
+/// The child's stdout is redirected to /dev/null. On fork/wait failure the
+/// exit code stays -1.
+ChildResult run_and_measure(const std::vector<std::string>& argv) {
+  std::vector<char*> raw;
+  raw.reserve(argv.size() + 1);
+  for (const std::string& arg : argv) {
+    raw.push_back(const_cast<char*>(arg.c_str()));
+  }
+  raw.push_back(nullptr);
+
+  const pid_t pid = fork();
+  if (pid == 0) {
+    // Child: silence the run's stdout; the caller only wants exit + RSS.
+    if (freopen("/dev/null", "w", stdout) == nullptr) _exit(127);
+    execv(raw[0], raw.data());
+    _exit(127);
+  }
+  ChildResult result;
+  if (pid < 0) return result;
+  int status = 0;
+  struct rusage usage {};
+  if (wait4(pid, &status, 0, &usage) != pid) return result;
+  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  result.max_rss_kb = static_cast<std::int64_t>(usage.ru_maxrss);
+  return result;
+}
+
 TEST(ScaleSmoke, TenMillionNodeStaticFigureCompletesWithSaneRss) {
   // √N walk length, two collisions, one replica: the cheapest configuration
   // that still exercises graph build + identifier space + walks at 10M.
-  const p2pse::obs::ChildResult result = p2pse::obs::run_and_measure({
+  const ChildResult result = run_and_measure({
       P2PSE_MATRIX_BINARY,
       "--estimator", "sample_collide:l=3162,T=2",
       "--scenario", "static",

@@ -4,6 +4,8 @@
 
 #include "p2pse/net/builders.hpp"
 
+#include "net/graph_oracles.hpp"
+
 namespace p2pse::net {
 namespace {
 
@@ -56,9 +58,9 @@ TEST(LargestComponentFraction, Basics) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
-  EXPECT_DOUBLE_EQ(largest_component_fraction(g), 0.75);
+  EXPECT_DOUBLE_EQ(oracle::largest_component_fraction(g), 0.75);
   Graph empty;
-  EXPECT_DOUBLE_EQ(largest_component_fraction(empty), 1.0);
+  EXPECT_DOUBLE_EQ(oracle::largest_component_fraction(empty), 1.0);
 }
 
 TEST(BfsDistances, PathGraph) {
@@ -98,8 +100,9 @@ TEST(DegreeStats, StarGraph) {
   EXPECT_EQ(stats.min, 1u);
   EXPECT_EQ(stats.max, 9u);
   EXPECT_NEAR(stats.mean, 1.8, 1e-9);
-  EXPECT_EQ(stats.histogram.count(1), 9u);
-  EXPECT_EQ(stats.histogram.count(9), 1u);
+  // One count per degree up to the maximum, zero where no node sits.
+  const std::vector<std::uint64_t> counts{0, 9, 0, 0, 0, 0, 0, 0, 0, 1};
+  EXPECT_EQ(stats.counts, counts);
 }
 
 TEST(DegreeStats, EmptyGraph) {
@@ -108,6 +111,47 @@ TEST(DegreeStats, EmptyGraph) {
   EXPECT_EQ(stats.min, 0u);
   EXPECT_EQ(stats.max, 0u);
   EXPECT_EQ(stats.mean, 0.0);
+}
+
+TEST(DegreeStats, EmptyGraphHasNoCounts) {
+  // No alive node, no count: neither an empty graph nor one whose every
+  // slot is dead opens a degree-0 entry.
+  Graph none;
+  EXPECT_TRUE(degree_stats(none).counts.empty());
+  Graph all_dead(3);
+  all_dead.add_edge(0, 1);
+  for (NodeId id = 0; id < 3; ++id) all_dead.remove_node(id);
+  const DegreeStats stats = degree_stats(all_dead);
+  EXPECT_TRUE(stats.counts.empty());
+  EXPECT_EQ(stats.min, 0u);
+  EXPECT_EQ(stats.max, 0u);
+  EXPECT_EQ(stats.mean, 0.0);
+}
+
+TEST(DegreeStats, CountsPerDegreeWithGaps) {
+  // A 4-clique (four nodes of degree 3) beside a 7-leaf star: several
+  // nodes share a degree, and the degrees between them count zero.
+  Graph g(12);
+  for (NodeId a = 0; a < 4; ++a) {
+    for (NodeId b = a + 1; b < 4; ++b) g.add_edge(a, b);
+  }
+  for (NodeId leaf = 5; leaf < 12; ++leaf) g.add_edge(4, leaf);
+  const DegreeStats stats = degree_stats(g);
+  const std::vector<std::uint64_t> counts{0, 7, 0, 4, 0, 0, 0, 1};
+  EXPECT_EQ(stats.counts, counts);
+  EXPECT_EQ(stats.min, 1u);
+  EXPECT_EQ(stats.max, 7u);
+  EXPECT_NEAR(stats.mean, (1.0 * 7 + 3.0 * 4 + 7.0 * 1) / 12.0, 1e-12);
+}
+
+TEST(DegreeStats, CountsIsolatedNodesAtDegreeZero) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.remove_node(3);  // dead slots are not counted
+  const DegreeStats stats = degree_stats(g);
+  const std::vector<std::uint64_t> counts{1, 2};
+  EXPECT_EQ(stats.counts, counts);
+  EXPECT_EQ(stats.min, 0u);
 }
 
 TEST(BfsDistances, MatchesManualOnGrid) {

@@ -5,6 +5,8 @@
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/net/builders.hpp"
 
+#include "net/graph_oracles.hpp"
+
 namespace p2pse::net {
 namespace {
 
@@ -85,9 +87,9 @@ TEST(RemoveFraction, NoHealingDegradesConnectivity) {
   // rewiring must strictly lose edges and eventually fragment the overlay.
   Graph g = test_overlay(5000, 15);
   support::RngStream rng(16);
-  const double before = largest_component_fraction(g);
+  const double before = oracle::largest_component_fraction(g);
   remove_fraction(g, 0.6, rng);
-  const double after = largest_component_fraction(g);
+  const double after = oracle::largest_component_fraction(g);
   EXPECT_LT(after, before + 1e-12);
   // Survivors keep only surviving links (no new edges appear).
   for (const NodeId u : g.alive_nodes()) {

@@ -8,6 +8,8 @@
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/stats.hpp"
 
+#include "net/graph_oracles.hpp"
+
 namespace p2pse::net {
 namespace {
 
@@ -37,7 +39,7 @@ TEST(Cyclon, MaterializedOverlayIsConnected) {
   for (int round = 0; round < 20; ++round) overlay.run_round();
   const Graph g = overlay.materialize();
   EXPECT_EQ(g.size(), 500u);
-  EXPECT_DOUBLE_EQ(largest_component_fraction(g), 1.0);
+  EXPECT_DOUBLE_EQ(oracle::largest_component_fraction(g), 1.0);
 }
 
 TEST(Cyclon, ShufflingCostsTwoMessagesEach) {
@@ -52,9 +54,15 @@ TEST(Cyclon, ShufflingCostsTwoMessagesEach) {
 TEST(Cyclon, InDegreeStaysBalanced) {
   CyclonOverlay overlay(300, {8, 4}, support::RngStream(5));
   for (int round = 0; round < 30; ++round) overlay.run_round();
-  support::RunningStats in_degrees;
+  // In-degree: how many views point at a member (nobody has left, and a
+  // view never holds its owner or a duplicate).
+  std::vector<std::size_t> in_degree(300, 0);
   for (std::uint32_t id = 0; id < 300; ++id) {
-    in_degrees.add(static_cast<double>(overlay.in_degree(id)));
+    for (const std::uint32_t peer : overlay.view_of(id)) ++in_degree[peer];
+  }
+  support::RunningStats in_degrees;
+  for (const std::size_t degree : in_degree) {
+    in_degrees.add(static_cast<double>(degree));
   }
   // Mean in-degree equals mean view fill (~view_size); CYCLON's signature
   // property is a tight spread around it.
@@ -78,7 +86,7 @@ TEST(Cyclon, HealsAfterMassDeparture) {
   for (int round = 0; round < 15; ++round) overlay.run_round();
   const Graph g = overlay.materialize();
   EXPECT_EQ(g.size(), survivors);
-  EXPECT_GT(largest_component_fraction(g), 0.99);
+  EXPECT_GT(oracle::largest_component_fraction(g), 0.99);
   // Dead pointers have been aged/flushed out of views.
   for (std::uint32_t id = 0; id < 500; ++id) {
     for (const std::uint32_t nb : overlay.view_of(id)) {
@@ -86,24 +94,6 @@ TEST(Cyclon, HealsAfterMassDeparture) {
       (void)nb;
     }
   }
-}
-
-TEST(Cyclon, JoinsIntegrateNewMembers) {
-  CyclonOverlay overlay(100, {8, 4}, support::RngStream(8));
-  for (int round = 0; round < 5; ++round) overlay.run_round();
-  std::vector<std::uint32_t> joined;
-  for (int i = 0; i < 50; ++i) joined.push_back(overlay.add_member());
-  EXPECT_EQ(overlay.size(), 150u);
-  for (int round = 0; round < 10; ++round) overlay.run_round();
-  const Graph g = overlay.materialize();
-  EXPECT_EQ(g.size(), 150u);
-  EXPECT_GT(largest_component_fraction(g), 0.99);
-  // New members got discovered: non-zero in-degree.
-  std::size_t discovered = 0;
-  for (const std::uint32_t id : joined) {
-    discovered += overlay.in_degree(id) > 0;
-  }
-  EXPECT_GT(discovered, 45u);
 }
 
 TEST(Cyclon, RemoveMemberIsIdempotent) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "p2pse/net/builders.hpp"
 
@@ -19,10 +20,10 @@ TEST(SessionMembership, AdoptsInitialPrefixInAliveOrder) {
   SessionMembership members(g);
   members.adopt_initial(10);
   EXPECT_EQ(members.active_sessions(), 10u);
-  for (SessionId s = 0; s < 10; ++s) {
-    EXPECT_EQ(members.node_of(s), g.alive_nodes()[s]);
-  }
-  EXPECT_EQ(members.node_of(10), kInvalidNode);
+  const std::vector<NodeId> prefix(g.alive_nodes().begin(),
+                                   g.alive_nodes().begin() + 10);
+  for (SessionId s = 0; s < 10; ++s) EXPECT_EQ(members.leave(s), prefix[s]);
+  EXPECT_THROW((void)members.leave(10), std::logic_error);  // never adopted
 }
 
 TEST(SessionMembership, AdoptRejectsOversizedInitialPopulation) {
@@ -39,12 +40,12 @@ TEST(SessionMembership, JoinWiresANodeAndLeaveRemovesExactlyIt) {
   EXPECT_TRUE(g.is_alive(id));
   EXPECT_GE(g.degree(id), 1u);
   EXPECT_EQ(g.size(), 31u);
-  EXPECT_EQ(members.node_of(100), id);
+  EXPECT_EQ(members.active_sessions(), 1u);
 
   EXPECT_EQ(members.leave(100), id);
   EXPECT_FALSE(g.is_alive(id));
   EXPECT_EQ(g.size(), 30u);
-  EXPECT_EQ(members.node_of(100), kInvalidNode);
+  EXPECT_EQ(members.active_sessions(), 0u);
 }
 
 TEST(SessionMembership, DoubleJoinAndUnknownLeaveAreLogicErrors) {

@@ -19,7 +19,7 @@ TEST(ScenarioCursor, StaticScriptLeavesGraphUntouched) {
   ScenarioCursor cursor(script, g, support::RngStream(2));
   cursor.advance_to(1000.0);
   EXPECT_EQ(g.size(), 1000u);
-  EXPECT_TRUE(cursor.finished());
+  EXPECT_EQ(cursor.now(), script.duration);
 }
 
 TEST(ScenarioCursor, RejectsUnsortedEvents) {

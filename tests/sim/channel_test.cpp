@@ -324,7 +324,7 @@ TEST(Channel, ChannelRngIsASubstreamThatLeavesTheRootUntouched) {
   for (int i = 0; i < 100; ++i) (void)a.send(MessageClass::kWalkStep, 0, 1);
   // Installing + exercising the channel must not perturb the root stream
   // estimators and churn derive from.
-  EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
+  EXPECT_EQ(a.rng().uniform_real(), b.rng().uniform_real());
 }
 
 // --- Pinned delivery draws ---------------------------------------------------

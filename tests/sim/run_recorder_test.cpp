@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/channel.hpp"
 #include "p2pse/sim/simulator.hpp"
@@ -13,27 +15,26 @@ namespace {
 TEST(RunRecorder, SendAndDeliveryTallyPerNode) {
   RunRecorder recorder;
   recorder.on_send(net::NodeId{3}, /*transmissions=*/2, /*wire_size=*/100);
-  recorder.on_delivered(MessageClass::kWalkStep, net::NodeId{5},
-                        /*delay=*/7.0, /*wire_size=*/100);
-  ASSERT_GE(recorder.node_loads().size(), 6u);
-  const RunRecorder::NodeLoad& sender = recorder.node_loads()[3];
-  EXPECT_EQ(sender.sent_msgs, 2u);
-  EXPECT_EQ(sender.sent_bytes, 200u);
-  EXPECT_EQ(sender.recv_msgs, 0u);
-  const RunRecorder::NodeLoad& receiver = recorder.node_loads()[5];
-  EXPECT_EQ(receiver.recv_msgs, 1u);
-  EXPECT_EQ(receiver.recv_bytes, 100u);
   EXPECT_EQ(recorder.max_node_messages(), 2u);
   EXPECT_EQ(recorder.max_node_bytes(), 200u);
+  recorder.on_delivered(MessageClass::kWalkStep, net::NodeId{5},
+                        /*delay=*/7.0, /*wire_size=*/100);
+  EXPECT_EQ(recorder.max_node_messages(), 2u);  // the receiver holds 1
   EXPECT_EQ(recorder.delay(MessageClass::kWalkStep).count(), 1u);
+  // Two more deliveries make the receiver the busiest node: 3 received
+  // messages, 300 bytes, with the sender's 2 kept apart from them.
+  recorder.on_delivered(MessageClass::kWalkStep, net::NodeId{5}, 7.0, 100);
+  recorder.on_delivered(MessageClass::kWalkStep, net::NodeId{5}, 7.0, 100);
+  EXPECT_EQ(recorder.max_node_messages(), 3u);
+  EXPECT_EQ(recorder.max_node_bytes(), 300u);
 }
 
 TEST(RunRecorder, InvalidNodeSkipsTheTallyButDelayStillObserves) {
   RunRecorder recorder;
   recorder.on_send(net::kInvalidNode, 1, 50);
   recorder.on_delivered(MessageClass::kControl, net::kInvalidNode, 0.0, 50);
-  EXPECT_TRUE(recorder.node_loads().empty());
   EXPECT_EQ(recorder.max_node_messages(), 0u);
+  EXPECT_EQ(recorder.max_node_bytes(), 0u);
   EXPECT_EQ(recorder.delay(MessageClass::kControl).count(), 1u);
 }
 
@@ -42,7 +43,8 @@ TEST(RunRecorder, ResetNodeLoadsKeepsHistograms) {
   recorder.on_send(net::NodeId{1}, 1, 10);
   recorder.on_walk(42);
   recorder.reset_node_loads();
-  EXPECT_TRUE(recorder.node_loads().empty());
+  EXPECT_EQ(recorder.max_node_messages(), 0u);
+  EXPECT_EQ(recorder.max_node_bytes(), 0u);
   EXPECT_EQ(recorder.walk_hops().count(), 1u);
 }
 
@@ -63,21 +65,21 @@ TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
                    net::NodeId{0});
   ASSERT_TRUE(control.delivered);
 
-  const std::uint64_t walk_wire =
-      meter.wire_size(MessageClass::kWalkStep);
-  ASSERT_GE(recorder.node_loads().size(), 4u);
-  EXPECT_EQ(recorder.node_loads()[1].sent_msgs, 1u);
-  EXPECT_EQ(recorder.node_loads()[1].sent_bytes, walk_wire);
-  EXPECT_EQ(recorder.node_loads()[2].recv_msgs, 1u);
-  EXPECT_EQ(recorder.node_loads()[2].recv_bytes, walk_wire);
-  EXPECT_EQ(recorder.node_loads()[3].sent_msgs, 1u);
-  EXPECT_EQ(recorder.node_loads()[0].recv_msgs, 1u);
+  // Four distinct endpoints, one message each: nobody carries two.
+  EXPECT_EQ(recorder.max_node_messages(), 1u);
+  EXPECT_EQ(recorder.max_node_bytes(),
+            std::max(meter.wire_size(MessageClass::kWalkStep),
+                     meter.wire_size(MessageClass::kControl)));
   // Each logical send observed one delay, under its own class.
   EXPECT_EQ(recorder.delay(MessageClass::kWalkStep).count(), 1u);
   EXPECT_EQ(recorder.delay(MessageClass::kControl).count(), 1u);
-  EXPECT_EQ(recorder.node_loads()[1].messages() +
-                recorder.node_loads()[2].messages(),
-            2u);
+  // Every endpoint of the 4-node overlay was tallied once.
+  net::Graph graph(4);
+  support::FixedHistogram messages(node_message_bounds());
+  support::FixedHistogram bytes(node_byte_bounds());
+  recorder.fill_load_histograms(graph, messages, bytes);
+  ASSERT_EQ(messages.count(), 4u);
+  EXPECT_EQ(messages.buckets()[0], 0u);  // no alive node left at zero load
 }
 
 TEST(RunRecorder, SimulatorEnableRecorderSurvivesSetNetwork) {
@@ -94,8 +96,7 @@ TEST(RunRecorder, SimulatorEnableRecorderSurvivesSetNetwork) {
   sim.set_network(NetworkConfig::parse("net:loss=0.01"));
   (void)sim.send(MessageClass::kWalkStep, net::NodeId{0}, net::NodeId{1});
   EXPECT_EQ(sim.recorder(), recorder);  // same heap object throughout
-  EXPECT_GE(recorder->node_loads().size(), 1u);
-  EXPECT_EQ(recorder->node_loads()[0].sent_msgs, 1u);
+  EXPECT_GE(recorder->max_node_messages(), 1u);
 }
 
 TEST(RunRecorder, FillLoadHistogramsCoversEveryAliveNode) {

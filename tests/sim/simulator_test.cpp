@@ -38,7 +38,7 @@ TEST(Simulator, RngIsSeedDeterministic) {
   Simulator a = make_sim(4, 77);
   Simulator b = make_sim(4, 77);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
+    EXPECT_EQ(a.rng().uniform_real(), b.rng().uniform_real());
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "figure_main.hpp"
 
@@ -16,19 +18,19 @@ Args make_args(std::initializer_list<const char*> argv) {
 
 TEST(Args, ParsesNameValuePairs) {
   const Args args = make_args({"prog", "--nodes", "1000", "--seed", "7"});
-  EXPECT_EQ(args.get_int("nodes", 0), 1000);
-  EXPECT_EQ(args.get_int("seed", 0), 7);
+  EXPECT_EQ(args.get_uint("nodes", 0), 1000u);
+  EXPECT_EQ(args.get_uint("seed", 0), 7u);
 }
 
 TEST(Args, ParsesEqualsSyntax) {
   const Args args = make_args({"prog", "--nodes=500"});
-  EXPECT_EQ(args.get_int("nodes", 0), 500);
+  EXPECT_EQ(args.get_uint("nodes", 0), 500u);
 }
 
 TEST(Args, BooleanFlagWithoutValue) {
   const Args args = make_args({"prog", "--verbose", "--nodes", "10"});
   EXPECT_TRUE(args.get_bool("verbose", false));
-  EXPECT_EQ(args.get_int("nodes", 0), 10);
+  EXPECT_EQ(args.get_uint("nodes", 0), 10u);
 }
 
 TEST(Args, TrailingFlagIsBoolean) {
@@ -39,7 +41,7 @@ TEST(Args, TrailingFlagIsBoolean) {
 
 TEST(Args, DefaultsWhenMissing) {
   const Args args = make_args({"prog"});
-  EXPECT_EQ(args.get_int("nodes", 123), 123);
+  EXPECT_EQ(args.get_uint("nodes", 123), 123u);
   EXPECT_EQ(args.get_string("name", "dflt"), "dflt");
   EXPECT_EQ(args.get_double("rate", 2.5), 2.5);
   EXPECT_FALSE(args.get_bool("flag", false));
@@ -61,7 +63,7 @@ TEST(Args, PositionalArguments) {
 
 TEST(Args, MalformedIntegerThrows) {
   const Args args = make_args({"prog", "--nodes", "12x"});
-  EXPECT_THROW((void)args.get_int("nodes", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("nodes", 0), std::invalid_argument);
 }
 
 TEST(Args, NegativeUintThrows) {
@@ -95,7 +97,7 @@ TEST(Args, ProgramName) {
 TEST(Args, NegativeNumberAsValue) {
   // "-5" must not be mistaken for an option.
   const Args args = make_args({"prog", "--offset", "-5"});
-  EXPECT_EQ(args.get_int("offset", 0), -5);
+  EXPECT_DOUBLE_EQ(args.get_double("offset", 0.0), -5.0);
 }
 
 TEST(Args, FigureMainFlags) {
@@ -109,6 +111,35 @@ TEST(Args, FigureMainFlags) {
   EXPECT_EQ(args.get_uint("replicas", 0), 3u);
   EXPECT_EQ(args.get_uint("agg-rounds", 0), 50u);
   EXPECT_EQ(args.get_uint("last-k", 0), 10u);
+}
+
+TEST(Args, GetUintReadsAtTheWidthOfItsDefault) {
+  const Args args =
+      make_args({"prog", "--l", "4294967297", "--m", "4294967295"});
+  // A plain literal default reads 64 bits; an unsigned default its width.
+  EXPECT_EQ(args.get_uint("l", 0), 4294967297u);
+  static_assert(
+      std::is_same_v<decltype(args.get_uint("m", std::uint32_t{0})),
+                     std::uint32_t>);
+  EXPECT_EQ(args.get_uint("m", std::uint32_t{0}), 4294967295u);
+  EXPECT_EQ(args.get_uint("absent", std::uint32_t{7}), 7u);
+}
+
+TEST(Args, GetUintRefusesAValuePastItsWidth) {
+  const Args args = make_args({"prog", "--l", "4294967297", "--n", "256"});
+  // 2^32 + 1 read as 32 bits would wrap to 1 (an example once ran
+  // Sample&Collide with l=1 this way).
+  try {
+    (void)args.get_uint("l", std::uint32_t{100});
+    ADD_FAILURE() << "--l 4294967297 was accepted as a uint32";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--l: expected integer in [0, 4294967295], got "
+                 "'4294967297'");
+  }
+  EXPECT_THROW((void)args.get_uint("n", std::uint8_t{0}),
+               std::invalid_argument);
+  EXPECT_EQ(args.get_uint("n", std::uint16_t{0}), 256u);
 }
 
 /// The message of the std::invalid_argument figure_params_from_args throws
@@ -125,8 +156,8 @@ std::string figure_params_error(std::initializer_list<const char*> argv) {
 
 TEST(Args, FigureParamsRejectUint32Overflow) {
   // --l and --agg-rounds fill uint32 fields: 2^32 + 1 must not wrap to 1.
-  EXPECT_NE(figure_params_error({"fig01", "--l", "4294967297"}).find("--l"),
-            std::string::npos);
+  EXPECT_EQ(figure_params_error({"fig01", "--l", "4294967297"}),
+            "--l: expected integer in [0, 4294967295], got '4294967297'");
   EXPECT_NE(figure_params_error({"fig01", "--agg-rounds", "4294967296"})
                 .find("--agg-rounds"),
             std::string::npos);

@@ -162,10 +162,12 @@ TEST(RngStream, SplitStreamsAreIndependentAndDeterministic) {
   RngStream a1 = root.split("alpha");
   RngStream a2 = root.split("alpha");
   RngStream b = root.split("beta");
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a1.next_u64(), a2.next_u64());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a1.uniform_real(), a2.uniform_real());
   RngStream a3 = root.split("alpha");
   int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += (a3.next_u64() == b.next_u64());
+  for (int i = 0; i < 100; ++i) {
+    equal += (a3.uniform_real() == b.uniform_real());
+  }
   EXPECT_LT(equal, 3);
 }
 
@@ -174,25 +176,16 @@ TEST(RngStream, SplitByIndexDiffers) {
   RngStream s0 = root.split("replica", 0);
   RngStream s1 = root.split("replica", 1);
   int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += (s0.next_u64() == s1.next_u64());
+  for (int i = 0; i < 100; ++i) {
+    equal += (s0.uniform_real() == s1.uniform_real());
+  }
   EXPECT_LT(equal, 3);
 }
 
 TEST(RngStream, SplitDoesNotPerturbParent) {
   RngStream a(7), b(7);
   (void)a.split("anything");
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-TEST(RngStream, ShufflePreservesMultiset) {
-  RngStream rng(31);
-  std::vector<int> v(100);
-  std::iota(v.begin(), v.end(), 0);
-  std::vector<int> shuffled = v;
-  rng.shuffle(std::span<int>(shuffled));
-  EXPECT_NE(shuffled, v);  // astronomically unlikely to be identity
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.uniform_real(), b.uniform_real());
 }
 
 TEST(RngStream, SampleWithoutReplacementBasics) {
@@ -218,7 +211,7 @@ TEST(RngStream, SampleWithoutReplacementEmpty) {
   RngStream untouched(37);
   rng.sample_without_replacement(5, {});
   rng.sample_without_replacement(0, {});
-  EXPECT_EQ(rng.next_u64(), untouched.next_u64());  // no draw consumed
+  EXPECT_EQ(rng.uniform_real(), untouched.uniform_real());  // no draw consumed
 }
 
 TEST(RngStream, SampleWithoutReplacementRejectsOverdraw) {
@@ -252,6 +245,11 @@ std::vector<std::size_t> draw_k_of_n(RngStream& rng, std::size_t n,
   return out;
 }
 
+/// The uniform_real() a stream returns when its raw 64-bit draw is `bits`.
+double unit_real(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 std::uint64_t fnv_digest(const std::vector<std::size_t>& values) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const std::size_t v : values) {
@@ -263,8 +261,9 @@ std::uint64_t fnv_digest(const std::vector<std::size_t>& values) {
 
 TEST(RngStream, SampleWithoutReplacementPinnedOutput) {
   // Both regimes (sparse k*4 <= n, dense otherwise) and their boundary
-  // (k*4 == n is sparse, k*4 == n+1 dense). `next` is the stream's
-  // next_u64() after the call, which pins the number of draws consumed.
+  // (k*4 == n is sparse, k*4 == n+1 dense). `next` is the stream's next
+  // raw 64-bit draw after the call, which pins the number of draws
+  // consumed.
   struct Case {
     std::uint64_t seed;
     std::size_t n;
@@ -310,7 +309,7 @@ TEST(RngStream, SampleWithoutReplacementPinnedOutput) {
                                     << " k=" << c.k);
     RngStream rng(c.seed);
     EXPECT_EQ(draw_k_of_n(rng, c.n, c.k), c.expected);
-    EXPECT_EQ(rng.next_u64(), c.next);
+    EXPECT_EQ(rng.uniform_real(), unit_real(c.next));
   }
 }
 
@@ -339,7 +338,7 @@ TEST(RngStream, SampleWithoutReplacementPinnedLargeK) {
     const std::vector<std::size_t> out = draw_k_of_n(rng, c.n, c.k);
     EXPECT_EQ(out.size(), c.k);
     EXPECT_EQ(fnv_digest(out), c.digest);
-    EXPECT_EQ(rng.next_u64(), c.next);
+    EXPECT_EQ(rng.uniform_real(), unit_real(c.next));
   }
 }
 
@@ -356,7 +355,7 @@ TEST(RngStream, FillUniformMatchesScalarUniformRealStream) {
     EXPECT_EQ(v, scalar.uniform_real());  // bit-exact, not just close
   }
   // Both streams must be in the same state afterwards.
-  EXPECT_EQ(batched.next_u64(), scalar.next_u64());
+  EXPECT_EQ(batched.uniform_real(), scalar.uniform_real());
 }
 
 TEST(RngStream, FillUniformRangeMatchesScalarStream) {
@@ -367,38 +366,15 @@ TEST(RngStream, FillUniformRangeMatchesScalarStream) {
   for (const double v : out) {
     EXPECT_EQ(v, scalar.uniform_real(-3.0, 17.0));
   }
-  EXPECT_EQ(batched.next_u64(), scalar.next_u64());
-}
-
-TEST(RngStream, BoundedBatchMatchesScalarUniformU64Stream) {
-  RngStream batched(93);
-  RngStream scalar(93);
-  std::vector<std::uint64_t> out(200);
-  // A non-power-of-two bound exercises Lemire rejection resampling.
-  batched.bounded_batch(out, 10007);
-  for (const std::uint64_t v : out) {
-    EXPECT_EQ(v, scalar.uniform_u64(10007));
-    EXPECT_LT(v, 10007u);
-  }
-  EXPECT_EQ(batched.next_u64(), scalar.next_u64());
-}
-
-TEST(RngStream, BoundedBatchWithZeroBoundFillsZerosWithoutDrawing) {
-  RngStream batched(94);
-  RngStream untouched(94);
-  std::vector<std::uint64_t> out(16, 77);
-  batched.bounded_batch(out, 0);
-  for (const std::uint64_t v : out) EXPECT_EQ(v, 0u);
-  // Degenerate bound consumes nothing, like the scalar uniform_u64(0).
-  EXPECT_EQ(batched.next_u64(), untouched.next_u64());
+  EXPECT_EQ(batched.uniform_real(), scalar.uniform_real());
 }
 
 TEST(RngStream, FillUniformOnEmptySpanIsANoOp) {
   RngStream batched(95);
   RngStream untouched(95);
   batched.fill_uniform(std::span<double>{});
-  batched.bounded_batch(std::span<std::uint64_t>{}, 42);
-  EXPECT_EQ(batched.next_u64(), untouched.next_u64());
+  batched.fill_uniform(std::span<double>{}, -1.0, 1.0);
+  EXPECT_EQ(batched.uniform_real(), untouched.uniform_real());
 }
 
 TEST(RngStream, PickReturnsContainedElement) {

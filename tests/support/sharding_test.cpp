@@ -82,7 +82,7 @@ TEST(ParallelSharding, PerShardSubstreamsAreWorkerCountInvariant) {
     exec.run(64, [&](std::size_t s) {
       RngStream rng = root.split("shard", s);
       std::uint64_t acc = 0;
-      for (int i = 0; i < 500; ++i) acc ^= rng.next_u64();
+      for (int i = 0; i < 500; ++i) acc ^= rng.uniform_u64(~std::uint64_t{0});
       digest[s] = acc;
     });
     return digest;

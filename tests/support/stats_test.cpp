@@ -100,12 +100,6 @@ TEST(Summarize, EmptySample) {
   EXPECT_EQ(s.mean, 0.0);
 }
 
-TEST(RelativeError, Basics) {
-  EXPECT_NEAR(relative_error(110.0, 100.0), 0.1, 1e-12);
-  EXPECT_NEAR(relative_error(90.0, 100.0), -0.1, 1e-12);
-  EXPECT_EQ(relative_error(5.0, 0.0), 0.0);
-}
-
 TEST(QualityPercent, Basics) {
   EXPECT_NEAR(quality_percent(50.0, 100.0), 50.0, 1e-12);
   EXPECT_NEAR(quality_percent(100.0, 100.0), 100.0, 1e-12);

@@ -123,7 +123,7 @@ TEST(ThreadPool, ParallelReplicasAreDeterministic) {
   const auto replica_sum = [&root](std::size_t r) {
     RngStream rng = root.split("replica", r);
     std::uint64_t acc = 0;
-    for (int i = 0; i < 1000; ++i) acc ^= rng.next_u64();
+    for (int i = 0; i < 1000; ++i) acc ^= rng.uniform_u64(~std::uint64_t{0});
     return acc;
   };
   std::vector<std::uint64_t> sequential(8);

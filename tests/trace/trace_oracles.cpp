@@ -45,6 +45,10 @@ void reference_validate(const ChurnTrace& trace) {
     bad_trace("duration must be finite, got " + exact(trace.duration));
   }
   if (trace.duration <= 0.0) bad_trace("duration must be > 0");
+  if (trace.initial_sessions > 4294967295ULL) {
+    bad_trace("initial_sessions must be <= 4294967295 (the node id range), "
+              "got " + std::to_string(trace.initial_sessions));
+  }
   double prev = -1.0;
   std::unordered_set<std::uint64_t> alive_joined;
   std::unordered_set<std::uint64_t> closed;

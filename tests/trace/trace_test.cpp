@@ -234,6 +234,32 @@ TEST(ChurnTrace, CsvRoundTripIsExact) {
   }
 }
 
+TEST(ChurnTrace, RejectsAnInitialPopulationPastTheNodeIdRange) {
+  // Every initial session becomes an overlay node at replay; a population
+  // net::NodeId cannot number is refused before anything is sized for it
+  // (a header-only CSV claiming 2^62 sessions once reached a raw
+  // vector::reserve failure).
+  ChurnTrace trace = small_trace();
+  trace.initial_sessions = 4611686018427387904ULL;
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: initial_sessions must be <= 4294967295 (the node "
+            "id range), got 4611686018427387904");
+  trace.initial_sessions = 4294967296ULL;
+  EXPECT_EQ(rejection(trace),
+            "ChurnTrace: initial_sessions must be <= 4294967295 (the node "
+            "id range), got 4294967296");
+  std::stringstream in(
+      "# p2pse-trace v1\n# name: huge\n# duration: 10\n"
+      "# initial_sessions: 4611686018427387904\ntime,event,session\n");
+  try {
+    (void)ChurnTrace::read_csv(in);
+    ADD_FAILURE() << "read_csv accepted 2^62 initial sessions";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("initial_sessions"),
+              std::string::npos);
+  }
+}
+
 TEST(ChurnTrace, ReadCsvRejectsMalformedInput) {
   const auto read = [](const std::string& text) {
     std::stringstream in(text);

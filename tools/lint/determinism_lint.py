@@ -33,6 +33,14 @@ dup-split        Two index-less rng.split("tag") calls with the same tag
                  SAME stream, silently correlating what the author believes
                  are independent substreams. Disambiguate the tags or pass
                  an index argument.
+no-caller        A function declared in a src/p2pse/ header that nothing in
+                 the linted files references beyond its declarations and
+                 definitions. Public API without a production caller is
+                 code to maintain that no run executes: delete it, make it
+                 private or file-local, or move it into tests/. Callers are
+                 searched by name across every file linted, so lint
+                 `src bench examples` together; a name shared with a
+                 called function counts as called.
 bad-suppression  A `p2pse-lint: allow(...)` comment naming an unknown rule
                  or missing a reason.
 stale-suppression A suppression whose rule no longer fires on its line.
@@ -55,6 +63,7 @@ import argparse
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 RULES = {
@@ -63,6 +72,7 @@ RULES = {
     "unordered-iter": "unordered-container iteration in a report-writing file",
     "wallclock": "monotonic wall-clock read outside the obs/ telemetry layer",
     "dup-split": "duplicate index-less rng.split(tag) in one scope",
+    "no-caller": "public function with no caller in the linted files",
     "bad-suppression": "malformed p2pse-lint suppression",
     "stale-suppression": "suppression whose rule no longer fires",
 }
@@ -77,6 +87,9 @@ RAW_ENGINE_ALLOWLIST = ("support/rng.",)
 WALLCLOCK_ALLOWLIST = ("p2pse/obs/", "bench/")
 
 SOURCE_EXTENSIONS = (".cpp", ".hpp", ".cc", ".h", ".cxx")
+
+# Headers whose function declarations the no-caller rule checks.
+NO_CALLER_SCOPE = re.compile(r"(?:^|/)p2pse/.+\.hpp$")
 
 ENTROPY_PATTERNS = [
     (re.compile(r"\bstd::random_device\b"), "std::random_device"),
@@ -233,7 +246,120 @@ def scope_ids(lines: list[str]) -> list[int]:
     return ids
 
 
-def lint_file(file: FileLint) -> list[Finding]:
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
+# A `{` opened after one of these keeps declarations visible inside it.
+SCOPE_OPENER = re.compile(r"\b(?:namespace|class|struct|union)\b|\bextern\s*\"")
+# Tokens that cannot be a return type: a name after them is a constructor,
+# a conversion operator or an expression, not a function declaration.
+NOT_A_TYPE = {
+    "explicit", "inline", "virtual", "static", "constexpr", "consteval",
+    "friend", "extern", "operator", "return", "new", "delete", "throw",
+    "case", "else", "typename", "using", "typedef", "template",
+}
+NOT_A_NAME = {
+    "operator", "if", "for", "while", "switch", "return", "sizeof", "alignas",
+    "alignof", "decltype", "noexcept", "static_assert", "requires", "catch",
+}
+
+
+def code_text(lines: list[str]) -> str:
+    """The file as one string, literals and comments blanked, preprocessor
+    lines emptied; line breaks are kept so offsets map back to lines."""
+    text = "\n".join("" if line.lstrip().startswith("#") else code_only(line)
+                     for line in lines)
+    return BLOCK_COMMENT.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+                             text)
+
+
+def without_template_heads(text: str) -> str:
+    """`text` without its `template <...>` parameter lists, whose `class`
+    and `typename` would make a function body look like a class body."""
+    while (head := re.search(r"\btemplate\s*<", text)) is not None:
+        depth, end = 1, head.end()
+        while end < len(text) and depth:
+            depth += {"<": 1, ">": -1}.get(text[end], 0)
+            end += 1
+        text = text[:head.start()] + text[end:]
+    return text
+
+
+def function_declarations(text: str) -> list[tuple[int, str]]:
+    """(line, name) of every function declared or defined at namespace or
+    class scope — never inside a function body. A declaration is a
+    statement whose text before its first `(` ends in `<type> name` or
+    `Qualifier::name`, with no `=` before it."""
+    found: list[tuple[int, str]] = []
+    scopes: list[bool] = []  # per open `{`: declarations visible inside?
+    start = 0                # where the current statement's text begins
+    pending = True           # the current statement has not hit its `(` yet
+    for pos, char in enumerate(text):
+        if char in ";{}":
+            if char == "{":
+                opener = without_template_heads(text[start:pos])
+                scopes.append(all(scopes)
+                              and bool(SCOPE_OPENER.search(opener))
+                              and not re.search(r"\benum\b", opener))
+            elif char == "}" and scopes:
+                scopes.pop()
+            start, pending = pos + 1, True
+            continue
+        if char != "(" or not pending:
+            continue
+        pending = False
+        if not all(scopes):
+            continue
+        prefix = text[start:pos]
+        name = re.search(r"([A-Za-z_]\w*)\s*$", prefix)
+        if name is None or "=" in prefix or name.group(1) in NOT_A_NAME:
+            continue
+        before = prefix[:name.start()].rstrip()
+        if not before.endswith("::"):
+            # A return type must come first: a word that is not a
+            # specifier, or the `>`, `*` or `&` that ends one.
+            if not before or not (before[-1].isalnum()
+                                  or before[-1] in "_>*&"):
+                continue
+            word = re.search(r"\w+$", before)
+            if word and word.group(0) in NOT_A_TYPE:
+                continue
+        line = text.count("\n", 0, start + name.start()) + 1
+        found.append((line, name.group(1)))
+    return found
+
+
+def no_caller_findings(files: list[FileLint]) -> dict[str, list[Finding]]:
+    """The no-caller rule over a set of files: a function declared in a
+    src/p2pse/ header is called when its name occurs in the set more often
+    than it is declared or defined there."""
+    uses: Counter[str] = Counter()
+    sites: Counter[str] = Counter()
+    checked: list[tuple[FileLint, int, str]] = []
+    for file in files:
+        text = code_text(file.lines)
+        uses.update(IDENTIFIER.findall(text))
+        in_scope = NO_CALLER_SCOPE.search(file.path.replace(os.sep, "/"))
+        for line, name in function_declarations(text):
+            sites[name] += 1
+            if in_scope:
+                checked.append((file, line, name))
+    findings: dict[str, list[Finding]] = {}
+    reported: set[tuple[str, str]] = set()
+    for file, line, name in checked:
+        # One finding per name and header: overloads and a later
+        # definition share the first declaration's finding.
+        if uses[name] > sites[name] or (file.real_path, name) in reported:
+            continue
+        reported.add((file.real_path, name))
+        findings.setdefault(file.real_path, []).append(Finding(
+            file.real_path, line, "no-caller",
+            f"'{name}' has no caller in the linted files: delete it, make "
+            "it private or file-local, or move it into tests/"))
+    return findings
+
+
+def lint_file(file: FileLint,
+              cross_file: list[Finding] | None = None) -> list[Finding]:
     findings: list[Finding] = []
     suppressions = parse_suppressions(file.lines, findings, file.real_path)
     normalized_path = file.path.replace(os.sep, "/")
@@ -248,7 +374,7 @@ def lint_file(file: FileLint) -> list[Finding]:
         for match in UNORDERED_DECL_PATTERN.finditer(code_only(line)):
             unordered_vars.add(match.group(1))
 
-    raw: list[Finding] = []
+    raw: list[Finding] = list(cross_file or [])
     scopes = scope_ids(file.lines)
     split_sites: dict[tuple[int, str], int] = {}
 
@@ -365,7 +491,8 @@ def run_selftest(fixture_dir: str) -> int:
                 target = idx + int(match.group(1) or 0)
                 for rule in re.split(r"\s*,\s*", match.group(2)):
                     expected.add((target, rule))
-        actual = {(f.line, f.rule) for f in lint_file(file)}
+        cross_file = no_caller_findings([file]).get(file.real_path, [])
+        actual = {(f.line, f.rule) for f in lint_file(file, cross_file)}
         missing = expected - actual
         surplus = actual - expected
         status = "ok" if not missing and not surplus else "FAIL"
@@ -413,8 +540,10 @@ def main(argv: list[str]) -> int:
         if args.paths else None
     findings: list[Finding] = []
     sources = collect_sources(args.paths)
-    for path in sources:
-        findings.extend(lint_file(load_file(path, root)))
+    files = [load_file(path, root) for path in sources]
+    cross_file = no_caller_findings(files)
+    for file in files:
+        findings.extend(lint_file(file, cross_file.get(file.real_path)))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for finding in findings:
