@@ -1,67 +1,134 @@
 #pragma once
-// Shared main() body for the figure-reproduction binaries. Every binary is a
-// one-line lookup into harness::figure_specs(): the FigureSpec carries the
-// paper-default FigureParams, the CLI overlays --nodes/--seed/... on top,
-// and the spec's generator family produces the report. Unknown flags are
-// hard errors (a typo'd flag silently falling back to its default would
-// corrupt a sweep).
+// The command line of the report binaries: the figure binaries (each a
+// one-line lookup into harness::figure_specs()), p2pse_matrix and
+// p2pse_trace replay. One flag table, kReportFlags, drives the flags they
+// all accept and the shared part of their --help; each binary adds only its
+// own rows. run_report is the one sequence that runs a report and writes
+// its side files. Unknown flags are hard errors (a typo'd flag silently
+// falling back to its default would corrupt a sweep).
 
-#include <cstdint>
 #include <cstdio>
-#include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <optional>
-#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
+#include "p2pse/est/registry.hpp"
 #include "p2pse/harness/figures.hpp"
 #include "p2pse/obs/rusage.hpp"
 #include "p2pse/obs/stats_writer.hpp"
 #include "p2pse/obs/telemetry.hpp"
+#include "p2pse/scenario/scenarios.hpp"
 #include "p2pse/support/args.hpp"
+#include "p2pse/topo/topology.hpp"
+#include "p2pse/trace/workloads.hpp"
 
 namespace p2pse::harness {
 
-inline constexpr std::string_view kFigureFlags[] = {
-    "nodes",      "seed",   "estimations", "replicas", "l",
-    "T",          "agg-rounds", "last-k",  "threads",  "sim-threads",
-    "csv",        "net",    "topo",        "sizes",    "stats-json",
-    "trace-json", "progress", "flight-record",
+/// The flags of every report binary. The report is byte-identical at any
+/// --threads and --sim-threads; telemetry flags only add side files.
+inline constexpr support::Flag kReportFlags[] = {
+    {"nodes", "N", "overlay size"},
+    {"seed", "S", "root seed"},
+    {"estimations", "E", "x-axis length / run count"},
+    {"replicas", "R", "independent replicas, one curve each"},
+    {"l", "L", "Sample&Collide collision target"},
+    {"T", "t", "Sample&Collide timer"},
+    {"agg-rounds", "R", "Aggregation epoch length"},
+    {"last-k", "K", "HopsSampling lastKruns window"},
+    {"threads", "N", "replica fan-out width, 0 = all hardware threads"},
+    {"sim-threads", "N", "intra-replica workers: 1 = sequential, 0 = auto"},
+    {"csv", "PATH", "also write the per-replica series as CSV to PATH"},
+    {"net", "SPEC", "delivery layer, e.g. net:loss=0.05,latency=exp:50"},
+    {"topo", "SPEC", "per-link topology, e.g. topo:clustered,regions=8"},
+    {"sizes", "SPEC", "wire sizes for the bytes columns, e.g. sizes:header=48"},
+    {"stats-json", "PATH", "versioned JSON run summary (`sim` and `host`)"},
+    {"trace-json", "PATH", "Chrome trace-event span profile"},
+    {"progress", "", "wall-clock-gated heartbeat on stderr (1 line/s max)"},
+    {"flight-record", "N", "last N sim events to p2pse-flight.json on error"},
 };
 
-/// Maps the shared CLI flags onto `params`. Shared by figure_main and the
-/// p2pse_matrix driver so every binary speaks the same dialect. An overlay
-/// needs at least two nodes and a report at least one replica; smaller
-/// values are hard errors.
+/// The flags of the two drivers of harness::run_matrix, p2pse_matrix and
+/// p2pse_trace replay, on top of kReportFlags.
+inline constexpr support::Flag kMatrixFlags[] = {
+    {"estimator", "SPEC",
+     "registry spec (default sample_collide); keys it leaves\n"
+     "out come from --l, --T, --agg-rounds and --last-k"},
+    {"rounds-per-unit", "R", "epoch-mode gossip pacing (default 10)"},
+};
+
+/// The --list flag of p2pse_matrix and p2pse_trace (print_axes).
+inline constexpr support::Flag kListFlags[] = {
+    {"list", "", "print every estimator, scenario and trace/topology model"},
+};
+
+/// Calls `f(flag, field)` for every kReportFlags row that sets a
+/// FigureParams field: the one map from flag names to fields.
+template <class Params, class F>
+void for_each_param_flag(Params& p, F&& f) {
+  f("nodes", p.nodes);
+  f("seed", p.seed);
+  f("estimations", p.estimations);
+  f("replicas", p.replicas);
+  f("l", p.sc_collisions);
+  f("T", p.sc_timer);
+  f("agg-rounds", p.agg_rounds);
+  f("last-k", p.last_k);
+  f("threads", p.threads);
+  f("sim-threads", p.sim_threads);
+  f("net", p.net);
+  f("topo", p.topo);
+  f("sizes", p.sizes);
+}
+
+/// Maps the shared CLI flags onto `defaults`. An overlay needs at least two
+/// nodes and a report at least one replica; smaller values are hard errors.
 inline FigureParams figure_params_from_args(const support::Args& args,
                                             FigureParams defaults) {
-  FigureParams params = defaults;
-  params.nodes = args.get_uint("nodes", params.nodes);
-  if (params.nodes < 2) {
+  for_each_param_flag(defaults, [&](std::string_view flag, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      field = args.get_double(flag, field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = args.get_string(flag, field);
+    } else {
+      field = args.get_uint(flag, field);
+    }
+  });
+  if (defaults.nodes < 2) {
     throw std::invalid_argument("--nodes must be >= 2, got " +
-                                std::to_string(params.nodes));
+                                std::to_string(defaults.nodes));
   }
-  params.seed = args.get_uint("seed", params.seed);
-  params.estimations = args.get_uint("estimations", params.estimations);
-  params.replicas = args.get_uint("replicas", params.replicas);
-  if (params.replicas == 0) {
+  if (defaults.replicas == 0) {
     throw std::invalid_argument("--replicas must be >= 1, got 0");
   }
-  params.sc_collisions = args.get_uint("l", params.sc_collisions);
-  params.sc_timer = args.get_double("T", params.sc_timer);
-  params.agg_rounds = args.get_uint("agg-rounds", params.agg_rounds);
-  params.last_k = args.get_uint("last-k", params.last_k);
-  params.threads = args.get_uint("threads", params.threads);
-  params.sim_threads = args.get_uint("sim-threads", params.sim_threads);
-  params.net = args.get_string("net", params.net);
-  params.topo = args.get_string("topo", params.topo);
-  params.sizes = args.get_string("sizes", params.sizes);
-  return params;
+  return defaults;
+}
+
+/// The --help default of FigureParams flag `flag` under `defaults` ("" for
+/// any other flag, or an empty spec).
+inline std::string report_default(const FigureParams& defaults,
+                                  std::string_view flag) {
+  std::ostringstream out;
+  for_each_param_flag(defaults, [&](std::string_view name, const auto& field) {
+    if (name == flag) out << field;
+  });
+  return out.str();
+}
+
+/// The defaults of the run_matrix drivers: FigureParams{} at 10000 nodes.
+inline FigureParams matrix_defaults() { return {.nodes = 10000}; }
+
+/// The --help default of a run_matrix driver's flag. --last-k has none:
+/// HopsSampling smooths only when it is given.
+inline std::string matrix_default(std::string_view flag) {
+  return flag == "last-k" ? "" : report_default(matrix_defaults(), flag);
 }
 
 /// A PATH-valued flag, or std::nullopt when the flag is absent. A bare flag
@@ -78,16 +145,21 @@ inline std::optional<std::string> path_from_args(const support::Args& args,
   return path;
 }
 
-/// The --csv PATH value, or std::nullopt when the flag is absent.
-inline std::optional<std::string> csv_path_from_args(
-    const support::Args& args) {
-  return path_from_args(args, "csv");
+/// `path` opened for writing; the error names --`flag`.
+inline std::ofstream open_for_writing(const std::string& path,
+                                      std::string_view flag) {
+  std::ofstream out(path);
+  if (!out) {
+    throw std::runtime_error("cannot open --" + std::string(flag) +
+                             " path '" + path + "' for writing");
+  }
+  return out;
 }
 
 /// The telemetry side-channel of one CLI run: --stats-json / --trace-json /
-/// --progress parsing, the RunTelemetry lifetime, and the side-file writes.
-/// Stdout reports stay byte-identical whether or not any flag is set —
-/// telemetry only ever adds side files.
+/// --progress / --flight-record parsing, the RunTelemetry lifetime, and the
+/// side-file writes. Stdout reports stay byte-identical whether or not any
+/// flag is set — telemetry only ever adds side files.
 struct TelemetryCli {
   std::optional<std::string> stats_path;
   std::optional<std::string> trace_path;
@@ -125,25 +197,17 @@ struct TelemetryCli {
   void write(const FigureReport& report, const FigureParams& params) const {
     if (!telemetry) return;
     if (stats_path) {
-      std::ofstream out(*stats_path);
-      if (!out) {
-        throw std::runtime_error("cannot open --stats-json path '" +
-                                 *stats_path + "' for writing");
-      }
       obs::HostStats host;
       host.threads_requested = static_cast<int>(params.threads);
       host.peak_rss_kb = obs::peak_rss_kb();
       host.phase_seconds = telemetry->trace().phase_totals();
+      std::ofstream out = open_for_writing(*stats_path, "stats-json");
       out << obs::run_stats_document(
           obs::sim_section(report.id, report.params, telemetry->sim()),
           obs::host_section(host));
     }
     if (trace_path) {
-      std::ofstream out(*trace_path);
-      if (!out) {
-        throw std::runtime_error("cannot open --trace-json path '" +
-                                 *trace_path + "' for writing");
-      }
+      std::ofstream out = open_for_writing(*trace_path, "trace-json");
       telemetry->trace().write(out);
     }
   }
@@ -166,101 +230,99 @@ struct TelemetryCli {
   static constexpr const char* kFlightDumpPath = "p2pse-flight.json";
 };
 
-/// Writes the report's machine-readable series to `path` (--csv PATH).
-inline void write_csv_to_path(const FigureReport& report,
-                              const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open --csv path '" + path +
-                             "' for writing");
-  }
-  write_csv_file(out, report);
-}
-
-inline int figure_main(int argc, char** argv, std::string_view figure_id) {
-  const FigureSpec* spec = find_figure(figure_id);
-  if (!spec) {
-    std::fprintf(stderr, "%s: figure '%s' is not in harness::figure_specs()\n",
-                 argc > 0 ? argv[0] : "figure_main",
-                 std::string(figure_id).c_str());
-    return 1;
-  }
+/// The one sequence of every report binary: reads --csv and the telemetry
+/// flags, runs `run` on `params` with the telemetry sink installed, writes
+/// the CSV and the side files, and prints the report. On any error it dumps
+/// the flight ring (when --flight-record armed one) and rethrows.
+inline int run_report(
+    const support::Args& args, FigureParams params,
+    const std::function<FigureReport(const FigureParams&)>& run) {
   TelemetryCli telemetry;
   try {
-    const support::Args args(argc, argv);
-    const FigureParams& d = spec->defaults;
-    if (args.help_requested()) {
-      std::printf(
-          "%s — %s\n"
-          "options:\n"
-          "  --nodes N         overlay size (default %zu)\n"
-          "  --seed S          root seed (default %llu)\n"
-          "  --estimations E   x-axis length / run count (default %zu)\n"
-          "  --replicas R      independent curves (default %zu)\n"
-          "  --l L             Sample&Collide collision target (default %u)\n"
-          "  --T t             Sample&Collide timer (default %.1f)\n"
-          "  --agg-rounds R    Aggregation epoch length (default %u)\n"
-          "  --last-k K        lastKruns window (default %zu)\n"
-          "  --threads N       replica fan-out width, 0 = all hardware "
-          "threads (default %zu);\n"
-          "                    the report is byte-identical at any value\n"
-          "  --sim-threads N   intra-replica workers (sharded topology "
-          "embedding); 1 =\n"
-          "                    sequential, 0 = auto (hardware / replica "
-          "workers); composes\n"
-          "                    with --threads without oversubscribing; "
-          "byte-identical at\n"
-          "                    any value\n"
-          "  --csv PATH        also write the per-replica "
-          "(time,truth,estimate,messages,valid)\n"
-          "                    series as plain CSV to PATH\n"
-          "  --net SPEC        delivery layer, e.g. "
-          "net:loss=0.05,latency=exp:50,timeout=100\n"
-          "                    (keys: loss, latency, jitter, timeout, "
-          "retries; default ideal)\n"
-          "  --topo SPEC       per-link topology, e.g. "
-          "topo:clustered,regions=8,mix=0:0.2:0.8\n"
-          "                    (models: flat, classes, clustered; default "
-          "flat)\n"
-          "  --sizes SPEC      wire-size table for the bytes accounting, "
-          "e.g.\n"
-          "                    sizes:header=48,walk_step=64 (keys: header + "
-          "the 7 message\n"
-          "                    classes; pure pricing — counts and draws are "
-          "unchanged)\n"
-          "  --stats-json PATH versioned JSON run summary: deterministic "
-          "`sim` counters\n"
-          "                    (byte-identical at any --threads) + `host` "
-          "wall-clock/RSS\n"
-          "  --trace-json PATH Chrome trace-event span profile "
-          "(chrome://tracing, Perfetto)\n"
-          "  --progress        wall-clock-gated heartbeat on stderr (max 1 "
-          "line/s)\n"
-          "  --flight-record N keep a ring of the last N simulator events; "
-          "dumped to\n"
-          "                    p2pse-flight.json on abnormal exit (e.g. a "
-          "checked-build\n"
-          "                    contract failure)\n",
-          argv[0], std::string(spec->what).c_str(), d.nodes,
-          static_cast<unsigned long long>(d.seed), d.estimations, d.replicas,
-          d.sc_collisions, d.sc_timer, d.agg_rounds, d.last_k, d.threads);
-      return 0;
-    }
-    args.require_known(std::span<const std::string_view>(kFigureFlags));
-    const std::optional<std::string> csv_path = csv_path_from_args(args);
+    const std::optional<std::string> csv_path = path_from_args(args, "csv");
     telemetry = TelemetryCli::from_args(args);
-    FigureParams params = figure_params_from_args(args, d);
     params.telemetry = telemetry.sink();
-    const FigureReport report = run_figure(*spec, params);
-    if (csv_path) write_csv_to_path(report, *csv_path);
+    const FigureReport report = run(params);
+    if (csv_path) {
+      std::ofstream out = open_for_writing(*csv_path, "csv");
+      write_csv_file(out, report);
+    }
     telemetry.write(report, params);
     print_report(std::cout, report);
     return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: error: %s\n", argv[0], error.what());
-    telemetry.dump_flight_on_error(argv[0]);
-    return 1;
+  } catch (...) {
+    telemetry.dump_flight_on_error(args.program().c_str());
+    throw;
   }
+}
+
+/// Runs `scenario` through run_matrix under the kMatrixFlags and
+/// kReportFlags of `args`: the body of p2pse_matrix and p2pse_trace replay.
+inline int matrix_report(const support::Args& args, std::string scenario) {
+  MatrixOptions options;
+  options.scenario = std::move(scenario);
+  options.rounds_per_unit =
+      args.get_double("rounds-per-unit", options.rounds_per_unit);
+  options.params = figure_params_from_args(args, matrix_defaults());
+  options.estimator = with_paper_params(
+      args.get_string("estimator", options.estimator), options.params,
+      /*smooth_hs=*/args.has("last-k"));
+  return run_report(args, options.params, [&](const FigureParams& params) {
+    options.params = params;
+    return run_matrix(options);
+  });
+}
+
+/// The --list text of p2pse_matrix and p2pse_trace: every estimator,
+/// scripted scenario, trace model and topology model, with its keys.
+inline void print_axes() {
+  const auto& registry = est::EstimatorRegistry::global();
+  std::printf("estimators (--estimator NAME[:key=value,...]):\n");
+  for (const auto& name : registry.names()) {
+    std::printf("  %-20s keys: %s\n", name.c_str(),
+                registry.keys_help(name).c_str());
+  }
+  std::printf("scripted scenarios (--scenario NAME, replay --workload NAME):"
+              "\n ");
+  for (const auto name : scenario::scenario_names()) {
+    std::printf(" %s", std::string(name).c_str());
+  }
+  std::printf("\ntrace models (--scenario trace:MODEL[,key=value,...], "
+              "synth MODEL[,key=value,...]):\n");
+  for (const auto& model : trace::trace_model_infos()) {
+    std::printf("  trace:%-14s keys: %s\n      %s\n",
+                std::string(model.name).c_str(),
+                std::string(model.keys).c_str(),
+                std::string(model.what).c_str());
+  }
+  std::printf("topology models (--topo topo:MODEL[,key=value,...]):\n");
+  for (const auto& model : topo::topology_model_infos()) {
+    std::printf("  topo:%-15s keys: %s\n      %s\n",
+                std::string(model.name).c_str(),
+                model.keys.empty() ? "none" : std::string(model.keys).c_str(),
+                std::string(model.what).c_str());
+  }
+}
+
+inline int figure_main(int argc, char** argv, std::string_view figure_id) {
+  return support::run_main(argc, argv, [&](const support::Args& args) {
+    const FigureSpec* spec = find_figure(figure_id);
+    if (spec == nullptr) {
+      throw std::invalid_argument("figure '" + std::string(figure_id) +
+                                  "' is not in harness::figure_specs()");
+    }
+    const FigureParams& defaults = spec->defaults;
+    if (support::handle_flags(args, spec->what, {kReportFlags},
+                              [&](std::string_view flag) {
+                                return report_default(defaults, flag);
+                              })) {
+      return 0;
+    }
+    return run_report(args, figure_params_from_args(args, defaults),
+                      [&](const FigureParams& params) {
+                        return run_figure(*spec, params);
+                      });
+  });
 }
 
 }  // namespace p2pse::harness

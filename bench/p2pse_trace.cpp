@@ -10,102 +10,34 @@
 // (harness::run_matrix), so it emits the identical report + per-replica CSV
 // and stays byte-identical at any --threads value.
 #include <cstdio>
-#include <exception>
 #include <iostream>
-#include <span>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "figure_main.hpp"
-#include "p2pse/est/registry.hpp"
-#include "p2pse/scenario/scenarios.hpp"
 #include "p2pse/support/csv.hpp"
-#include "p2pse/topo/topology.hpp"
 #include "p2pse/trace/trace.hpp"
-#include "p2pse/trace/workloads.hpp"
 
 namespace {
 
 using namespace p2pse;
 
-void print_axes() {
-  std::printf("trace models (synth MODEL[,key=value,...] / "
-              "--scenario trace:MODEL...):\n");
-  for (const auto& model : trace::trace_model_infos()) {
-    std::printf("  %-14s keys: %s\n      %s\n",
-                std::string(model.name).c_str(),
-                std::string(model.keys).c_str(),
-                std::string(model.what).c_str());
-  }
-  const auto& registry = est::EstimatorRegistry::global();
-  std::printf("estimators (replay --estimator NAME[:key=value,...]):\n");
-  for (const auto& name : registry.names()) {
-    std::printf("  %-20s keys: %s\n", name.c_str(),
-                registry.keys_help(name).c_str());
-  }
-  std::printf("scripted scenarios (p2pse_matrix --scenario NAME):\n ");
-  for (const auto name : scenario::scenario_names()) {
-    std::printf(" %s", std::string(name).c_str());
-  }
-  std::printf("\n");
-  std::printf("topology models (replay --topo topo:MODEL[,key=value,...]):\n");
-  for (const auto& model : topo::topology_model_infos()) {
-    std::printf("  topo:%-15s keys: %s\n      %s\n",
-                std::string(model.name).c_str(),
-                model.keys.empty() ? "none" : std::string(model.keys).c_str(),
-                std::string(model.what).c_str());
-  }
-}
+constexpr std::string_view kUsage =
+    "synthesize, inspect, and replay churn traces\n"
+    "usage: p2pse_trace COMMAND [options] (COMMAND --help lists them)\n"
+    "  synth MODEL[,k=v,...]  generate a churn trace as CSV\n"
+    "  info PATH              validate a trace and print its statistics\n"
+    "  replay [PATH]          run an estimator on a trace or workload";
 
-void print_usage(const char* program) {
-  std::printf(
-      "%s — synthesize, inspect, and replay churn traces\n"
-      "commands:\n"
-      "  synth MODEL[,k=v,...]  generate a trace (--nodes N initial "
-      "sessions),\n"
-      "                         write CSV to stdout or --out PATH\n"
-      "  info PATH              validate a trace file and print summary "
-      "stats\n"
-      "  replay PATH            run an estimator against the replayed trace\n"
-      "  replay --workload W    ... or against any workload spec "
-      "(trace:... or\n"
-      "                         a scripted scenario name)\n"
-      "options:\n"
-      "  --nodes N            initial sessions for synth / overlay size "
-      "(default 10000)\n"
-      "  --out PATH           synth: write the trace here instead of stdout\n"
-      "  --estimator SPEC     replay: registry spec (default "
-      "sample_collide)\n"
-      "  --estimations E      replay: point-mode samples (default 100)\n"
-      "  --rounds-per-unit R  replay: epoch-mode gossip pacing (default "
-      "10)\n"
-      "  --replicas R         replay: independent replicas (default 3)\n"
-      "  --seed S             replay: root seed (default 42)\n"
-      "  --threads N          replay: fan-out width, 0 = hardware threads\n"
-      "  --sim-threads N      replay: intra-replica workers (sharded "
-      "topology\n"
-      "                       embedding); 1 = sequential, 0 = auto; "
-      "byte-identical\n"
-      "                       at any value\n"
-      "  --csv PATH           replay: write per-replica series CSV\n"
-      "  --net SPEC           replay: delivery layer "
-      "(net:loss=...,latency=...,...)\n"
-      "  --topo SPEC          replay: per-link topology "
-      "(topo:clustered,regions=8,...)\n"
-      "  --list               print every trace model, estimator, scenario, "
-      "and topology model\n"
-      "  --stats-json PATH    replay: versioned JSON run summary "
-      "(deterministic `sim`\n"
-      "                       section + host wall-clock/RSS `host` section)\n"
-      "  --trace-json PATH    replay: Chrome trace-event span profile\n"
-      "  --progress           replay: wall-clock-gated heartbeat on stderr\n"
-      "  --sizes SPEC         replay: wire-size table for the bytes "
-      "accounting\n"
-      "                       (sizes:header=48,walk_step=64,...; pure "
-      "pricing)\n"
-      "  --flight-record N    replay: ring of the last N simulator events,\n"
-      "                       dumped to p2pse-flight.json on abnormal exit\n",
-      program);
-}
+constexpr support::Flag kSynthFlags[] = {
+    {"nodes", "N", "initial sessions (default 10000)"},
+    {"out", "PATH", "write the trace here instead of stdout"},
+};
+
+constexpr support::Flag kReplayFlags[] = {
+    {"workload", "W", "trace:MODEL[,k=v,...] or a scenario instead of a file"},
+};
 
 std::string summary_line(const trace::TraceSummary& s) {
   using support::format_double;
@@ -132,21 +64,24 @@ std::string summary_line(const trace::TraceSummary& s) {
 }
 
 int run_synth(const support::Args& args) {
+  if (support::handle_flags(
+          args, "synth MODEL[,k=v,...]: generate a churn trace as CSV",
+          {kSynthFlags})) {
+    return 0;
+  }
   if (args.positional().size() < 2) {
     throw std::invalid_argument("synth requires a model spec, e.g. "
-                                "'synth weibull,shape=0.5' (see --list)");
+                                "'synth weibull,shape=0.5' (see p2pse_trace "
+                                "--list)");
   }
+  const std::optional<std::string> out = harness::path_from_args(args, "out");
   const std::size_t nodes = args.get_uint("nodes", 10000);
   const trace::ChurnTrace trace =
       trace::build_trace(args.positional()[1], nodes);
-  if (args.has("out")) {
-    const std::string path = args.get_string("out", "");
-    if (path.empty() || path == "true") {
-      throw std::invalid_argument("--out requires a PATH value");
-    }
-    trace.save_file(path);
+  if (out) {
+    trace.save_file(*out);
     std::printf("wrote %zu events to %s\n", trace.events.size(),
-                path.c_str());
+                out->c_str());
   } else {
     trace.write_csv(std::cout);
   }
@@ -154,6 +89,11 @@ int run_synth(const support::Args& args) {
 }
 
 int run_info(const support::Args& args) {
+  if (support::handle_flags(
+          args, "info PATH: validate a trace file and print summary stats",
+          {})) {
+    return 0;
+  }
   if (args.positional().size() < 2) {
     throw std::invalid_argument("info requires a trace file path");
   }
@@ -165,92 +105,48 @@ int run_info(const support::Args& args) {
   return 0;
 }
 
-int run_replay(const support::Args& args,
-               harness::TelemetryCli& telemetry) {
-  harness::MatrixOptions options;
-  if (args.has("workload")) {
-    if (args.positional().size() >= 2) {
-      throw std::invalid_argument(
-          "replay got both a trace file ('" + args.positional()[1] +
-          "') and --workload; pass exactly one");
-    }
-    options.scenario = args.get_string("workload", "");
-    if (options.scenario.empty() || options.scenario == "true") {
-      throw std::invalid_argument("--workload requires a spec value");
-    }
-  } else if (args.positional().size() >= 2) {
-    options.scenario = "trace:file=" + args.positional()[1];
-  } else {
+int run_replay(const support::Args& args) {
+  if (support::handle_flags(
+          args,
+          "replay PATH | --workload W: run an estimator on a workload",
+          {kReplayFlags, harness::kMatrixFlags, harness::kReportFlags},
+          harness::matrix_default)) {
+    return 0;
+  }
+  const bool file = args.positional().size() >= 2;
+  if (file == args.has("workload")) {
     throw std::invalid_argument(
-        "replay requires a trace file path or --workload SPEC");
+        "replay takes a trace file path or --workload SPEC, not both");
   }
-  options.estimator = args.get_string("estimator", "sample_collide");
-  options.rounds_per_unit = args.get_double("rounds-per-unit", 10.0);
-  harness::FigureParams defaults;
-  defaults.nodes = 10000;
-  options.params = harness::figure_params_from_args(args, defaults);
-
-  // The paper-parameter shorthands (--l/--T/--agg-rounds/--last-k) flow
-  // into the spec exactly as in p2pse_matrix; an explicit key in
-  // --estimator wins.
-  est::EstimatorSpec spec = est::EstimatorSpec::parse(options.estimator);
-  if (spec.name == "sample_collide") {
-    spec.set_default("l", std::to_string(options.params.sc_collisions));
-    spec.set_default("T", support::format_double(options.params.sc_timer));
-  } else if (spec.name == "aggregation" ||
-             spec.name == "aggregation_suite") {
-    spec.set_default("rounds", std::to_string(options.params.agg_rounds));
-  } else if (spec.name == "hops_sampling" && args.has("last-k")) {
-    spec.set_default("last_k", std::to_string(options.params.last_k));
+  std::string scenario = file ? "trace:file=" + args.positional()[1]
+                              : args.get_string("workload", "");
+  if (scenario.empty() || scenario == "true") {
+    throw std::invalid_argument("--workload requires a spec value");
   }
-  options.estimator = spec.canonical();
+  return harness::matrix_report(args, std::move(scenario));
+}
 
-  const auto csv_path = harness::csv_path_from_args(args);
-  telemetry = harness::TelemetryCli::from_args(args);
-  options.params.telemetry = telemetry.sink();
-  const harness::FigureReport report = harness::run_matrix(options);
-  if (csv_path) harness::write_csv_to_path(report, *csv_path);
-  telemetry.write(report, options.params);
-  harness::print_report(std::cout, report);
+int run(const support::Args& args) {
+  const std::string command =
+      args.positional().empty() ? "" : args.positional().front();
+  if (command == "synth") return run_synth(args);
+  if (command == "info") return run_info(args);
+  if (command == "replay") return run_replay(args);
+  if (!command.empty()) {
+    throw std::invalid_argument("unknown command '" + command +
+                                "' (expected synth, info, or replay)");
+  }
+  if (support::handle_flags(args, kUsage, {harness::kListFlags})) return 0;
+  if (!args.get_bool("list", false)) {
+    throw std::invalid_argument(
+        "expected a command: synth, info, or replay (see --help)");
+  }
+  harness::print_axes();
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::TelemetryCli telemetry;
-  try {
-    const support::Args args(argc, argv);
-    if (args.help_requested()) {
-      print_usage(argv[0]);
-      return 0;
-    }
-    static constexpr std::string_view kFlags[] = {
-        "nodes",       "out",      "estimator", "estimations",
-        "rounds-per-unit", "replicas", "seed",  "threads",
-        "sim-threads", "csv",      "list",      "workload",
-        "l",           "T",        "agg-rounds", "last-k",
-        "net",         "topo",     "sizes",     "stats-json",
-        "trace-json",  "progress", "flight-record",
-    };
-    args.require_known(std::span<const std::string_view>(kFlags));
-    if (args.get_bool("list", false)) {
-      print_axes();
-      return 0;
-    }
-    if (args.positional().empty()) {
-      print_usage(argv[0]);
-      return 1;
-    }
-    const std::string& command = args.positional().front();
-    if (command == "synth") return run_synth(args);
-    if (command == "info") return run_info(args);
-    if (command == "replay") return run_replay(args, telemetry);
-    throw std::invalid_argument("unknown command '" + command +
-                                "' (expected synth, info, or replay)");
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: error: %s\n", argv[0], error.what());
-    telemetry.dump_flight_on_error(argv[0]);
-    return 1;
-  }
+  return support::run_main(argc, argv, run);
 }

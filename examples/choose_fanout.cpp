@@ -61,12 +61,15 @@ double broadcast_coverage(sim::Simulator& sim, net::NodeId source,
   return static_cast<double>(reached) / static_cast<double>(graph.size());
 }
 
-}  // namespace
+constexpr support::Flag kFlags[] = {
+    {"nodes", "N", "overlay size (default 20000)"},
+    {"seed", "S", "root seed (default 3)"},
+    {"slack", "C", "fanout = ceil(ln(N-hat) + C) (default 1)"},
+};
 
-int main(int argc, char** argv) {
-  const support::Args args(argc, argv);
-  if (args.help_requested()) {
-    std::printf("usage: %s [--nodes N] [--seed S] [--slack C]\n", argv[0]);
+int run(const support::Args& args) {
+  if (support::handle_flags(
+          args, "size a gossip fanout from an estimate of N", {kFlags})) {
     return 0;
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
@@ -117,4 +120,10 @@ int main(int argc, char** argv) {
               "estimate did its job.\n",
               coverage > 0.99 ? "essentially all of" : "most of");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return support::run_main(argc, argv, run);
 }

@@ -4,8 +4,7 @@
 // application developers to choose the best strategy for a given
 // setting/cost/accuracy").
 //
-//   ./compare_algorithms [--nodes 20000] [--runs 10] [--seed 5]
-//                        [--scenario static|growing|shrinking|catastrophic]
+//   ./compare_algorithms --scenario shrinking --runs 20   (--help: flags)
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -19,14 +18,20 @@
 #include "p2pse/support/args.hpp"
 #include "p2pse/support/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr p2pse::support::Flag kFlags[] = {
+    {"nodes", "N", "initial overlay size (default 20000)"},
+    {"runs", "R", "estimations per algorithm (default 10)"},
+    {"seed", "S", "root seed (default 5)"},
+    {"scenario", "NAME",
+     "static|growing|shrinking|catastrophic (default static)"},
+};
+
+int run(const p2pse::support::Args& args) {
   using namespace p2pse;
-  const support::Args args(argc, argv);
-  if (args.help_requested()) {
-    std::printf(
-        "usage: %s [--nodes N] [--runs R] [--seed S]\n"
-        "          [--scenario static|growing|shrinking|catastrophic]\n",
-        argv[0]);
+  if (support::handle_flags(
+          args, "the three algorithms head to head", {kFlags})) {
     return 0;
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
@@ -80,4 +85,10 @@ int main(int argc, char** argv) {
       "behaviour under churn; HopsSampling when per-estimate cheapness\n"
       "matters more than bias.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return p2pse::support::run_main(argc, argv, run);
 }

@@ -3,8 +3,7 @@
 // Sample&Collide estimations while nodes join and leave, and prints how the
 // estimate tracks the true size.
 //
-//   ./monitor_churn [--nodes 20000] [--scenario shrinking|growing|catastrophic]
-//                   [--estimations 40] [--l 100] [--seed 7]
+//   ./monitor_churn --scenario growing --l 50   (--help: flags)
 #include <cstdio>
 #include <string>
 
@@ -15,14 +14,20 @@
 #include "p2pse/support/args.hpp"
 #include "p2pse/support/ascii_plot.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr p2pse::support::Flag kFlags[] = {
+    {"nodes", "N", "initial overlay size (default 20000)"},
+    {"scenario", "NAME", "a scripted scenario (default shrinking)"},
+    {"estimations", "E", "estimations over the run (default 40)"},
+    {"l", "L", "Sample&Collide collision target (default 100)"},
+    {"seed", "S", "root seed (default 7)"},
+};
+
+int run(const p2pse::support::Args& args) {
   using namespace p2pse;
-  const support::Args args(argc, argv);
-  if (args.help_requested()) {
-    std::printf(
-        "usage: %s [--nodes N] [--scenario growing|shrinking|catastrophic]\n"
-        "          [--estimations E] [--l L] [--seed S]\n",
-        argv[0]);
+  if (support::handle_flags(
+          args, "track a churning overlay with Sample&Collide", {kFlags})) {
     return 0;
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
@@ -31,14 +36,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.get_uint("seed", 7);
   const std::string kind = args.get_string("scenario", "shrinking");
 
-  scenario::ScenarioScript script;
-  if (kind == "growing") {
-    script = scenario::growing_script(nodes);
-  } else if (kind == "catastrophic") {
-    script = scenario::catastrophic_script(nodes);
-  } else {
-    script = scenario::shrinking_script(nodes);
-  }
+  const scenario::ScenarioScript script = scenario::script_by_name(kind, nodes);
 
   const scenario::ScenarioRunner runner(
       script,
@@ -72,4 +70,10 @@ int main(int argc, char** argv) {
   plot.y_label = "size";
   std::printf("%s", support::render_plot({truth, estimate}, plot).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return p2pse::support::run_main(argc, argv, run);
 }

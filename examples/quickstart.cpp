@@ -11,11 +11,17 @@
 #include "p2pse/sim/simulator.hpp"
 #include "p2pse/support/args.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr p2pse::support::Flag kFlags[] = {
+    {"nodes", "N", "overlay size (default 10000)"},
+    {"seed", "S", "root seed (default 1)"},
+};
+
+int run(const p2pse::support::Args& args) {
   using namespace p2pse;
-  const support::Args args(argc, argv);
-  if (args.help_requested()) {
-    std::printf("usage: %s [--nodes N] [--seed S]\n", argv[0]);
+  if (support::handle_flags(
+          args, "one estimate by each algorithm, compared", {kFlags})) {
     return 0;
   }
   const std::size_t nodes = args.get_uint("nodes", 10000);
@@ -66,4 +72,10 @@ int main(int argc, char** argv) {
       "Sample&Collide trades accuracy for cost via l; HopsSampling is the\n"
       "cheapest but under-estimates.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return p2pse::support::run_main(argc, argv, run);
 }

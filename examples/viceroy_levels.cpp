@@ -23,12 +23,19 @@
 #include "p2pse/support/args.hpp"
 #include "p2pse/support/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr p2pse::support::Flag kFlags[] = {
+    {"nodes", "N", "initial overlay size (default 20000)"},
+    {"joins", "J", "peers to join (default 500)"},
+    {"l", "L", "Sample&Collide collision target (default 50)"},
+    {"seed", "S", "root seed (default 11)"},
+};
+
+int run(const p2pse::support::Args& args) {
   using namespace p2pse;
-  const support::Args args(argc, argv);
-  if (args.help_requested()) {
-    std::printf("usage: %s [--nodes N] [--joins J] [--l L] [--seed S]\n",
-                argv[0]);
+  if (support::handle_flags(
+          args, "choose Viceroy levels from size estimates", {kFlags})) {
     return 0;
   }
   const std::size_t nodes = args.get_uint("nodes", 20000);
@@ -92,4 +99,10 @@ int main(int argc, char** argv) {
       "whenever the estimate is within a few percent — exactly what the\n"
       "estimators deliver. Viceroy can be parameterized decentralizedly.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return p2pse::support::run_main(argc, argv, run);
 }

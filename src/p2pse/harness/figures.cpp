@@ -24,6 +24,7 @@
 #include "p2pse/net/builders.hpp"
 #include "p2pse/net/cyclon.hpp"
 #include "p2pse/obs/size_model.hpp"
+#include "p2pse/obs/stats_writer.hpp"
 #include "p2pse/obs/telemetry.hpp"
 #include "p2pse/scenario/runner.hpp"
 #include "p2pse/scenario/scenarios.hpp"
@@ -180,26 +181,16 @@ scenario::RunOptions unrouted_options(const FigureParams& params,
   return options;
 }
 
-/// Builds a candidate from its registry spec text, layering the CLI-tunable
-/// paper parameters (FigureParams) underneath any overrides the text
-/// already carries. Every figure names its candidates this way
-/// ("sample_collide:l=10", "hops_sampling:oracle=true", ...). `smooth_hs`
-/// injects the lastKruns window for dynamic HopsSampling figures; static
-/// figures score the lastK view themselves.
+/// Builds a candidate from its registry spec text under the CLI-tunable
+/// paper parameters (with_paper_params). Every figure names its candidates
+/// this way ("sample_collide:l=10", "hops_sampling:oracle=true", ...).
+/// `smooth_hs` injects the lastKruns window for dynamic HopsSampling
+/// figures; static figures score the lastK view themselves.
 std::unique_ptr<est::Estimator> candidate(std::string_view text,
                                           const FigureParams& params,
                                           bool smooth_hs = false) {
-  est::EstimatorSpec spec = est::EstimatorSpec::parse(text);
-  if (spec.name == "sample_collide") {
-    spec.set_default("l", std::to_string(params.sc_collisions));
-    // Round-trip precision: the walk runs the exact --T the user gave.
-    spec.set_default("T", format_double(params.sc_timer, 17));
-  } else if (spec.name == "aggregation" || spec.name == "aggregation_suite") {
-    spec.set_default("rounds", std::to_string(params.agg_rounds));
-  } else if (spec.name == "hops_sampling" && smooth_hs) {
-    spec.set_default("last_k", std::to_string(params.last_k));
-  }
-  return est::EstimatorRegistry::global().build(spec);
+  return est::EstimatorRegistry::global().build(
+      with_paper_params(text, params, smooth_hs));
 }
 
 /// One estimation from `initiator`, whatever the candidate's mode: a point
@@ -1916,6 +1907,20 @@ FigureReport run_figure(std::string_view id, const FigureParams& params) {
                                 "' (known: " + known + ")");
   }
   return run_figure(*spec, params);
+}
+
+std::string with_paper_params(std::string_view text,
+                              const FigureParams& params, bool smooth_hs) {
+  est::EstimatorSpec spec = est::EstimatorSpec::parse(text);
+  if (spec.name == "sample_collide") {
+    spec.set_default("l", std::to_string(params.sc_collisions));
+    spec.set_default("T", obs::json_number(params.sc_timer));
+  } else if (spec.name == "aggregation" || spec.name == "aggregation_suite") {
+    spec.set_default("rounds", std::to_string(params.agg_rounds));
+  } else if (spec.name == "hops_sampling" && smooth_hs) {
+    spec.set_default("last_k", std::to_string(params.last_k));
+  }
+  return spec.canonical();
 }
 
 FigureReport run_matrix(const MatrixOptions& options) {

@@ -98,9 +98,19 @@ struct FigureSpec {
 [[nodiscard]] FigureReport run_figure(std::string_view id,
                                       const FigureParams& params);
 
+/// The paper-parameter overlay: registry spec `text` with §IV's parameters
+/// from `params` layered underneath its own keys (an explicit key wins):
+/// Sample&Collide's l and T, Aggregation's rounds and, when `smooth_hs`,
+/// HopsSampling's lastK window. T is written in shortest round-trip form,
+/// so the walk runs the exact value given.
+[[nodiscard]] std::string with_paper_params(std::string_view text,
+                                            const FigureParams& params,
+                                            bool smooth_hs);
+
 /// Free-form estimator × scenario × size combination (the `p2pse_matrix`
 /// driver). Any registered estimator spec crossed with any named scenario,
-/// fanned over params.replicas deterministic replicas.
+/// fanned over params.replicas deterministic replicas. `estimator` runs as
+/// given: no paper parameters are layered under it.
 struct MatrixOptions {
   std::string estimator = "sample_collide";  ///< registry spec text
   std::string scenario = "static";           ///< scenario name

@@ -1,5 +1,8 @@
 #include "p2pse/support/args.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 namespace p2pse::support {
@@ -61,8 +64,10 @@ void Args::require_known(std::span<const std::string_view> known) const {
     if (!valid.empty()) valid += ", ";
     valid += "--" + std::string(candidate);
   }
-  throw std::invalid_argument("unknown option(s) " + unknown +
-                              " (valid: " + valid + ")");
+  throw std::invalid_argument(
+      "unknown option(s) " + unknown +
+      (valid.empty() ? std::string(" (this command takes none)")
+                     : " (valid: " + valid + ")"));
 }
 
 void Args::require_known(std::initializer_list<std::string_view> known) const {
@@ -107,6 +112,60 @@ bool Args::get_bool(std::string_view name, bool default_value) const {
   }
   throw std::invalid_argument("--" + std::string(name) +
                               ": expected boolean, got '" + *value + "'");
+}
+
+bool handle_flags(
+    const Args& args, std::string_view what,
+    std::initializer_list<std::span<const Flag>> tables,
+    const std::function<std::string(std::string_view)>& default_of) {
+  std::vector<Flag> flags;
+  for (const std::span<const Flag> table : tables) {
+    flags.insert(flags.end(), table.begin(), table.end());
+  }
+  if (!args.help_requested()) {
+    std::vector<std::string_view> names;
+    for (const Flag& flag : flags) names.push_back(flag.name);
+    args.require_known(names);
+    return false;
+  }
+  std::printf("%s — %.*s\n", args.program().c_str(),
+              static_cast<int>(what.size()), what.data());
+  if (!flags.empty()) std::printf("options:\n");
+  // "--name VALUE" labels in one aligned column, help lines in the next.
+  std::vector<std::string> labels;
+  std::size_t width = 0;
+  for (const Flag& flag : flags) {
+    std::string label = "--";
+    label.append(flag.name);
+    if (!flag.value.empty()) label.append(" ").append(flag.value);
+    width = std::max(width, label.size());
+    labels.push_back(std::move(label));
+  }
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    std::string help(flags[i].help);
+    const std::string fallback = default_of ? default_of(flags[i].name) : "";
+    if (!fallback.empty()) {
+      help.append(" (default ").append(fallback).append(")");
+    }
+    for (std::size_t at = help.find('\n'); at != std::string::npos;
+         at = help.find('\n', at + 1)) {
+      help.insert(at + 1, width + 4, ' ');
+    }
+    std::printf("  %-*s  %s\n", static_cast<int>(width), labels[i].c_str(),
+                help.c_str());
+  }
+  return true;
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Args&)>& body) {
+  const char* program = argc > 0 ? argv[0] : "p2pse";
+  try {
+    return body(Args(argc, argv));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s: error: %s\n", program, error.what());
+    return 1;
+  }
 }
 
 }  // namespace p2pse::support

@@ -1,8 +1,12 @@
 #pragma once
 // Minimal command-line parsing for bench/example binaries.
 // Supported syntax: --name value, --name=value, --flag (boolean true), --help.
+// Every binary describes its flags in one table of Flag rows, which drives
+// both its --help and the flags it accepts (handle_flags), and runs its body
+// inside run_main, the one error exit.
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <map>
@@ -68,6 +72,28 @@ class Args {
   std::vector<std::string> positional_;
   bool help_ = false;
 };
+
+/// One row of a binary's flag table: `--name VALUE` and its --help text.
+struct Flag {
+  std::string_view name;
+  std::string_view value;  ///< placeholder ("N", "PATH"); "" = a switch
+  std::string_view help;   ///< '\n' starts a continuation line
+};
+
+/// The front of a binary's body, over the rows of `tables` in order. On
+/// --help it prints "PROGRAM — WHAT" and the rows, each followed by
+/// " (default X)" when `default_of(name)` returns a non-empty X, and
+/// returns true (the caller exits 0). Otherwise it refuses every flag that
+/// no row names and returns false.
+bool handle_flags(
+    const Args& args, std::string_view what,
+    std::initializer_list<std::span<const Flag>> tables,
+    const std::function<std::string(std::string_view)>& default_of = {});
+
+/// The one error exit of every binary: parses argv, runs `body`, and turns
+/// any exception into "PROGRAM: error: WHAT" on stderr and exit status 1.
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Args&)>& body);
 
 template <class T>
 auto Args::get_uint(std::string_view name, T default_value) const {

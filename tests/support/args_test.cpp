@@ -100,19 +100,6 @@ TEST(Args, NegativeNumberAsValue) {
   EXPECT_DOUBLE_EQ(args.get_double("offset", 0.0), -5.0);
 }
 
-TEST(Args, FigureMainFlags) {
-  // The exact flag set bench/figure_main.hpp maps onto FigureParams.
-  const Args args = make_args({"fig01", "--l", "200", "--T", "10.5",
-                               "--threads", "8", "--replicas=3",
-                               "--agg-rounds", "50", "--last-k=10"});
-  EXPECT_EQ(args.get_uint("l", 0), 200u);
-  EXPECT_DOUBLE_EQ(args.get_double("T", 0.0), 10.5);
-  EXPECT_EQ(args.get_uint("threads", 0), 8u);
-  EXPECT_EQ(args.get_uint("replicas", 0), 3u);
-  EXPECT_EQ(args.get_uint("agg-rounds", 0), 50u);
-  EXPECT_EQ(args.get_uint("last-k", 0), 10u);
-}
-
 TEST(Args, GetUintReadsAtTheWidthOfItsDefault) {
   const Args args =
       make_args({"prog", "--l", "4294967297", "--m", "4294967295"});
@@ -165,6 +152,28 @@ TEST(Args, FigureParamsRejectUint32Overflow) {
       make_args({"fig01", "--l", "4294967295", "--agg-rounds", "7"}), {});
   EXPECT_EQ(params.sc_collisions, 4294967295u);
   EXPECT_EQ(params.agg_rounds, 7u);
+}
+
+TEST(Args, PaperParamsOverlayWritesTExactly) {
+  // The one overlay behind the figures, p2pse_matrix and p2pse_trace
+  // replay: --T reaches the spec in shortest round-trip form, not rounded
+  // to 6 digits (2.4999999 once ran as T=2.5 in the matrix).
+  const harness::FigureParams exact = harness::figure_params_from_args(
+      make_args({"p2pse_matrix", "--T", "2.4999999"}), {});
+  EXPECT_EQ(harness::with_paper_params("sample_collide:l=20", exact, false),
+            "sample_collide:l=20,T=2.4999999");
+  const harness::FigureParams defaults;
+  EXPECT_EQ(harness::with_paper_params("sample_collide", defaults, false),
+            "sample_collide:l=200,T=10");
+  // An explicit key wins; HopsSampling smooths only when asked.
+  EXPECT_EQ(harness::with_paper_params("sample_collide:T=4", defaults, false),
+            "sample_collide:T=4,l=200");
+  EXPECT_EQ(harness::with_paper_params("aggregation", defaults, false),
+            "aggregation:rounds=50");
+  EXPECT_EQ(harness::with_paper_params("hops_sampling", defaults, false),
+            "hops_sampling");
+  EXPECT_EQ(harness::with_paper_params("hops_sampling", defaults, true),
+            "hops_sampling:last_k=10");
 }
 
 TEST(Args, FigureParamsRejectZeroReplicas) {
