@@ -80,9 +80,9 @@ void BM_SampleCollideEstimate(benchmark::State& state) {
   sim::Simulator sim(net::build_heterogeneous_random({20000, 1, 10}, build_rng),
                      43);
   support::RngStream rng(44);
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 50});
+  est::SampleCollide sc({.timer = 10.0, .collisions = 50});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sc.estimate_once(sim, 0, rng).value);
+    benchmark::DoNotOptimize(sc.estimate_point(sim, 0, rng).value);
   }
 }
 BENCHMARK(BM_SampleCollideEstimate);

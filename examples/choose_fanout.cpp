@@ -86,7 +86,7 @@ int run(const support::Args& args) {
   // Step 1: estimate N in a fully decentralized way.
   est::Aggregation agg({.rounds_per_epoch = 50});
   support::RngStream agg_rng = root.split("agg");
-  const est::Estimate estimate = agg.run_epoch(sim, initiator, agg_rng);
+  const est::Estimate estimate = agg.estimate(sim, initiator, agg_rng);
   if (!estimate.valid) {
     std::printf("estimation failed (disconnected initiator?)\n");
     return 1;

@@ -51,9 +51,9 @@ int run(const p2pse::support::Args& args) {
 
   // 2. Sample&Collide: random-walk sampling + inverted birthday paradox.
   {
-    const est::SampleCollide sc({.timer = 10.0, .collisions = 200});
+    est::SampleCollide sc({.timer = 10.0, .collisions = 200});
     support::RngStream rng = root.split("sc");
-    show("Sample&Collide (T=10,l=200)", sc.estimate_once(sim, initiator, rng));
+    show("Sample&Collide (T=10,l=200)", sc.estimate(sim, initiator, rng));
   }
   // 3. HopsSampling: gossip poll + distance-weighted probabilistic replies.
   {
@@ -65,7 +65,7 @@ int run(const p2pse::support::Args& args) {
   {
     est::Aggregation agg({.rounds_per_epoch = 50});
     support::RngStream rng = root.split("agg");
-    show("Aggregation (50 rounds)", agg.run_epoch(sim, initiator, rng));
+    show("Aggregation (50 rounds)", agg.estimate(sim, initiator, rng));
   }
   std::printf(
       "\nAs in the paper: Aggregation is near-exact but costs ~2*N*rounds;\n"

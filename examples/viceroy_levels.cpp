@@ -47,7 +47,7 @@ int run(const p2pse::support::Args& args) {
   support::RngStream graph_rng = root.split("graph");
   sim::Simulator sim(net::build_heterogeneous_random({nodes, 1, 10}, graph_rng),
                      seed);
-  const est::SampleCollide sc({.timer = 10.0, .collisions = l});
+  est::SampleCollide sc({.timer = 10.0, .collisions = l});
   support::RngStream est_rng = root.split("estimator");
   support::RngStream join_rng = root.split("join");
   support::RngStream level_rng = root.split("level");
@@ -60,7 +60,7 @@ int run(const p2pse::support::Args& args) {
   for (std::size_t j = 0; j < joins; ++j) {
     // The joining peer enters the overlay, then estimates N from inside.
     const net::NodeId joiner = net::join_node(sim.graph(), {1, 10}, join_rng);
-    const est::Estimate e = sc.estimate_once(sim, joiner, est_rng);
+    const est::Estimate e = sc.estimate_point(sim, joiner, est_rng);
     if (!e.valid) continue;
     const double truth = static_cast<double>(sim.graph().size());
     estimate_error.add(100.0 * std::abs(e.value - truth) / truth);

@@ -62,19 +62,6 @@ void Aggregation::run_round(sim::Simulator& sim, support::RngStream& rng) {
 #endif
 }
 
-Estimate Aggregation::run_epoch(sim::Simulator& sim, net::NodeId initiator,
-                                support::RngStream& rng, net::NodeId reader) {
-  const std::uint64_t baseline = sim.meter().total();
-  start_epoch(sim, initiator);
-  for (std::uint32_t r = 0; r < config_.rounds_per_epoch; ++r) {
-    run_round(sim, rng);
-  }
-  if (reader == net::kInvalidNode) reader = initiator;
-  Estimate estimate = estimate_at(sim, reader);
-  estimate.messages = sim.meter().since(baseline);
-  return estimate;
-}
-
 double Aggregation::value_at(net::NodeId id) const noexcept {
   return id < values_.size() ? values_[id] : 0.0;
 }

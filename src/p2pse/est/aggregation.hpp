@@ -64,12 +64,6 @@ class Aggregation final : public Estimator {
   /// delivered exchange, accumulated into the epoch's measured delay.
   void run_round(sim::Simulator& sim, support::RngStream& rng) override;
 
-  /// Convenience: start_epoch + rounds_per_epoch rounds; returns the
-  /// estimate read at the initiator (or at `reader` if supplied and alive).
-  [[nodiscard]] Estimate run_epoch(sim::Simulator& sim, net::NodeId initiator,
-                                   support::RngStream& rng,
-                                   net::NodeId reader = net::kInvalidNode);
-
   /// Local value held by a node (0 if never touched this epoch).
   [[nodiscard]] double value_at(net::NodeId id) const noexcept;
 

@@ -124,16 +124,4 @@ Estimate MultiAggregation::estimate_at(const sim::Simulator& sim,
   return estimate;
 }
 
-Estimate MultiAggregation::run_epoch(sim::Simulator& sim,
-                                     support::RngStream& rng) {
-  const std::uint64_t baseline = sim.meter().total();
-  start_epoch(sim, rng);
-  for (std::uint32_t r = 0; r < config_.rounds_per_epoch; ++r) {
-    run_round(sim, rng);
-  }
-  Estimate estimate = estimate_at(sim, sim.graph().random_alive(rng));
-  estimate.messages = sim.meter().since(baseline);
-  return estimate;
-}
-
 }  // namespace p2pse::est

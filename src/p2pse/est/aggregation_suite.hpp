@@ -59,10 +59,6 @@ class MultiAggregation final : public Estimator {
   [[nodiscard]] Estimate estimate_at(const sim::Simulator& sim,
                                      net::NodeId id) const;
 
-  /// Convenience: full epoch, estimate read at a random alive node.
-  [[nodiscard]] Estimate run_epoch(sim::Simulator& sim,
-                                   support::RngStream& rng);
-
   /// Per-instance estimates at a node (invalid entries skipped by
   /// estimate_at's combiner).
   [[nodiscard]] std::vector<double> instance_estimates(net::NodeId id) const;

@@ -12,6 +12,17 @@ void Estimator::wrong_mode(std::string_view method) const {
                          std::string("-mode estimator"));
 }
 
+Estimate Estimator::estimate(sim::Simulator& sim, net::NodeId initiator,
+                             support::RngStream& rng) {
+  if (mode() == Mode::kPoint) return estimate_point(sim, initiator, rng);
+  const std::uint64_t before = sim.meter().total();
+  start_epoch(sim, initiator, rng);
+  for (std::uint32_t r = 0; r < rounds_per_epoch(); ++r) run_round(sim, rng);
+  Estimate e = epoch_estimate(sim, initiator);
+  e.messages = sim.meter().since(before);
+  return e;
+}
+
 Estimate Estimator::estimate_point(sim::Simulator&, net::NodeId,
                                    support::RngStream&) {
   wrong_mode("estimate_point");

@@ -10,6 +10,13 @@
 //    *rounds* with membership churn and expose one estimate per completed
 //    epoch — `start_epoch` / `run_round` / `epoch_estimate`.
 //
+// `estimate` is the one call that runs a single estimation of either kind:
+// a point estimator polls once; an epoch estimator runs one full epoch from
+// the initiator, is read there, and is charged every message the epoch
+// sent. The returned Estimate's `delay` is what the simulator's channel
+// measured. Drivers that interleave rounds with churn (scenario::
+// ScenarioRunner) call the mode methods themselves.
+//
 // Estimator instances may hold per-run state (smoothing windows, gossip
 // values, identifier rings); drivers that fan replicas out in parallel must
 // `clone()` the prototype once per replica so replicas stay independent and
@@ -72,6 +79,10 @@ class Estimator {
   /// "key=value key=value" fragment describing the active configuration
   /// (used verbatim in report parameter lines).
   [[nodiscard]] virtual std::string describe() const = 0;
+
+  /// One estimation from `initiator`, whatever the mode (see the header).
+  [[nodiscard]] Estimate estimate(sim::Simulator& sim, net::NodeId initiator,
+                                  support::RngStream& rng);
 
   // --- point mode -----------------------------------------------------------
   /// One atomic estimation from `initiator`. Non-const: estimators may keep

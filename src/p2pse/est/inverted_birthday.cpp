@@ -21,9 +21,9 @@ std::string InvertedBirthday::describe() const {
          " l=" + std::to_string(config_.collisions);
 }
 
-Estimate InvertedBirthday::estimate_once(sim::Simulator& sim,
-                                         net::NodeId initiator,
-                                         support::RngStream& rng) const {
+Estimate InvertedBirthday::estimate_point(sim::Simulator& sim,
+                                          net::NodeId initiator,
+                                          support::RngStream& rng) {
   if (!sim.graph().is_alive(initiator)) {
     return Estimate::invalid_at(sim.now());
   }

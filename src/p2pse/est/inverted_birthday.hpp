@@ -37,21 +37,15 @@ class InvertedBirthday final : public Estimator {
     return std::make_unique<InvertedBirthday>(*this);
   }
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
-                                        net::NodeId initiator,
-                                        support::RngStream& rng) override {
-    return estimate_once(sim, initiator, rng);
-  }
-
   /// Samples until `collisions` repeats and returns N-hat = C^2 / (2 l).
   /// Each sample is the endpoint of a fixed-length walk, degree-biased.
   /// Fixed-length walks carry no timer state, so loss handling matches the
   /// walk-class convention: hop-reliable forwarding, bounded-ARQ reply. A
   /// permanently lost reply means the initiator never learns the sample (it
   /// times out and launches the next walk, as in Sample&Collide).
-  [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
-                                       net::NodeId initiator,
-                                       support::RngStream& rng) const;
+  [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) override;
 
   [[nodiscard]] const InvertedBirthdayConfig& config() const noexcept {
     return config_;

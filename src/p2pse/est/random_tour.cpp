@@ -8,8 +8,8 @@ std::string RandomTour::describe() const {
   return "max_steps=" + std::to_string(config_.max_steps);
 }
 
-Estimate RandomTour::estimate_once(sim::Simulator& sim, net::NodeId initiator,
-                                   support::RngStream& rng) const {
+Estimate RandomTour::estimate_point(sim::Simulator& sim, net::NodeId initiator,
+                                    support::RngStream& rng) {
   const std::uint64_t baseline = sim.meter().total();
   const net::Graph& graph = sim.graph();
   const std::size_t init_degree = graph.degree(initiator);

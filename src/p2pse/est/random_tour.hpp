@@ -37,16 +37,10 @@ class RandomTour final : public Estimator {
     return std::make_unique<RandomTour>(*this);
   }
   [[nodiscard]] std::string describe() const override;
+  /// Runs one tour from `initiator`. Each hop counts one kWalkStep message.
   [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
                                         net::NodeId initiator,
-                                        support::RngStream& rng) override {
-    return estimate_once(sim, initiator, rng);
-  }
-
-  /// Runs one tour from `initiator`. Each hop counts one kWalkStep message.
-  [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
-                                       net::NodeId initiator,
-                                       support::RngStream& rng) const;
+                                        support::RngStream& rng) override;
 
   [[nodiscard]] const RandomTourConfig& config() const noexcept {
     return config_;

@@ -40,9 +40,9 @@ WalkSample SampleCollide::sample(sim::Simulator& sim, net::NodeId initiator,
       });
 }
 
-Estimate SampleCollide::estimate_once(sim::Simulator& sim,
-                                      net::NodeId initiator,
-                                      support::RngStream& rng) const {
+Estimate SampleCollide::estimate_point(sim::Simulator& sim,
+                                       net::NodeId initiator,
+                                       support::RngStream& rng) {
   if (!sim.graph().is_alive(initiator)) {
     return Estimate::invalid_at(sim.now());
   }

@@ -51,11 +51,11 @@ class SampleCollide final : public Estimator {
     return std::make_unique<SampleCollide>(*this);
   }
   [[nodiscard]] std::string describe() const override;
+  /// Runs one full estimation from `initiator` (samples until `l` collisions).
+  /// Estimate.messages covers the walks and sample replies of this run.
   [[nodiscard]] Estimate estimate_point(sim::Simulator& sim,
                                         net::NodeId initiator,
-                                        support::RngStream& rng) override {
-    return estimate_once(sim, initiator, rng);
-  }
+                                        support::RngStream& rng) override;
 
   /// Draws one (asymptotically) uniform sample starting from `initiator`.
   /// Counts one kWalkStep message per hop and one kSampleReply for the
@@ -67,17 +67,6 @@ class SampleCollide final : public Estimator {
   [[nodiscard]] WalkSample sample(sim::Simulator& sim, net::NodeId initiator,
                                   support::RngStream& rng) const;
 
-  /// Runs one full estimation from `initiator` (samples until `l` collisions).
-  /// Estimate.messages covers the walks and sample replies of this run.
-  [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
-                                       net::NodeId initiator,
-                                       support::RngStream& rng) const;
-
-  /// Values a collision run of this estimator's samples: invalid when the
-  /// sample bound stopped it before `l` collisions.
-  [[nodiscard]] Estimate estimate_from(const CollisionRun& run,
-                                       sim::Time now) const;
-
   [[nodiscard]] const SampleCollideConfig& config() const noexcept {
     return config_;
   }
@@ -88,6 +77,11 @@ class SampleCollide final : public Estimator {
                                         std::uint64_t collisions);
 
  private:
+  /// Values a collision run of this estimator's samples: invalid when the
+  /// sample bound stopped it before `l` collisions.
+  [[nodiscard]] Estimate estimate_from(const CollisionRun& run,
+                                       sim::Time now) const;
+
   SampleCollideConfig config_;
 };
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "p2pse/est/aggregation.hpp"
-#include "p2pse/est/delay.hpp"
 #include "p2pse/est/estimator.hpp"
 #include "p2pse/est/flat_polling.hpp"
 #include "p2pse/est/hops_sampling.hpp"
@@ -164,17 +163,20 @@ std::size_t figure_sim_budget(const FigureParams& params,
 /// The replica setup of a generator whose machinery does not route
 /// traffic through a configurable channel. A non-ideal --net or a non-flat
 /// --topo is a hard error, never a silent ideal-channel or flat-topology
-/// run (the same no-silent-fallback rule as unknown flags).
-scenario::RunOptions unrouted_options(const FigureParams& params,
-                                      std::string_view id) {
+/// run (the same no-silent-fallback rule as unknown flags). `channel` says
+/// what the figure runs instead of --net.
+scenario::RunOptions unrouted_options(
+    const FigureParams& params, std::string_view id,
+    std::string_view channel = "always runs the ideal channel") {
   scenario::RunOptions options = replica_options(params);
   for (const auto& [flag, set, fallback] :
-       {std::tuple{"--net", !options.network.ideal(), "ideal channel"},
-        std::tuple{"--topo", !options.topology.flat(), "flat topology"}}) {
+       {std::tuple{"--net", !options.network.ideal(), channel},
+        std::tuple{"--topo", !options.topology.flat(),
+                   std::string_view("always runs the flat topology")}}) {
     if (set) {
       throw std::invalid_argument(
           std::string(id) + ": " + flag +
-          " is not supported by this figure; it always runs the " + fallback +
+          " is not supported by this figure; it " + std::string(fallback) +
           " (drop the flag)");
     }
   }
@@ -191,24 +193,6 @@ std::unique_ptr<est::Estimator> candidate(std::string_view text,
                                           bool smooth_hs = false) {
   return est::EstimatorRegistry::global().build(
       with_paper_params(text, params, smooth_hs));
-}
-
-/// One estimation from `initiator`, whatever the candidate's mode: a point
-/// estimator polls once; an epoch estimator runs one full epoch, is read at
-/// the initiator and is charged every message the epoch sent.
-est::Estimate estimate_once(est::Estimator& estimator, sim::Simulator& sim,
-                            net::NodeId initiator, RngStream& rng) {
-  if (estimator.mode() == est::Estimator::Mode::kPoint) {
-    return estimator.estimate_point(sim, initiator, rng);
-  }
-  const std::uint64_t before = sim.meter().total();
-  estimator.start_epoch(sim, initiator, rng);
-  for (std::uint32_t r = 0; r < estimator.rounds_per_epoch(); ++r) {
-    estimator.run_round(sim, rng);
-  }
-  est::Estimate e = estimator.epoch_estimate(sim, initiator);
-  e.messages = sim.meter().since(before);
-  return e;
 }
 
 /// The paper's score of a run of estimates against a fixed truth (§IV):
@@ -293,7 +277,7 @@ struct FixedOverlay {
                Scores scores = {}) {
     for (std::size_t i = 1; i <= runs; ++i) {
       const std::uint64_t byte_base = sim.meter().total_bytes();
-      const est::Estimate e = estimate_once(estimator, sim, initiator, rng);
+      const est::Estimate e = estimator.estimate(sim, initiator, rng);
       scores.add(e, truth, sim.meter().total_bytes() - byte_base);
       const double coverage = estimator.last_coverage();
       if (!std::isnan(coverage)) scores.coverage.add(coverage);
@@ -1273,8 +1257,9 @@ FigureReport ablation_cyclon_healing(const FigureSpec&,
 }
 
 FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
-  const scenario::RunOptions options =
-      unrouted_options(params, "ablation_delay");
+  scenario::RunOptions options = unrouted_options(
+      params, "ablation_delay", "fixes its own unit-latency channel");
+  options.network.latency = sim::LatencyModel::constant(1.0);
   const RngStream root(params.seed);
   FixedOverlay at(options, hetero_factory(params.nodes), root);
 
@@ -1283,36 +1268,21 @@ FigureReport ablation_delay(const FigureSpec&, const FigureParams& params) {
       "Estimation delay under a unit per-hop latency (paper §V conjecture)",
       params, " hop_latency=1 agg_period=2 hops",
       {"algorithm", "delay (hop units)", "messages", "estimate quality %"});
-  const est::DelayConfig config{
-      .hop_latency = sim::LatencyModel::constant(1.0),
-      .aggregation_period_hops = 2.0};
-
-  // The concrete estimators: the delay breakdowns are not on est::Estimator.
-  const auto add = [&](std::string name, const char* stream, auto&& delay) {
-    RngStream rng = root.split(stream);
-    const est::DelayBreakdown d = delay(rng);
+  // One estimation each; the channel measures its delay.
+  const auto add = [&](std::string name, std::string_view spec,
+                       std::string_view stream) {
+    const scenario::SeriesPoint p =
+        at.score(*candidate(spec, params), root.split(stream), 1).points[0];
     report.table_rows.push_back(
-        {std::move(name), format_double(d.total, 4),
-         human_count(static_cast<double>(d.messages)),
-         format_double(support::quality_percent(d.estimate, at.truth), 4)});
+        {std::move(name), format_double(p.delay, 4),
+         human_count(static_cast<double>(p.messages)),
+         format_double(support::quality_percent(p.estimate, at.truth), 4)});
   };
-  add("HopsSampling", "hs", [&](RngStream& rng) {
-    return est::hops_sampling_delay(at.sim, est::HopsSampling({}),
-                                    at.initiator, config, rng);
-  });
-  add("Aggregation (" + std::to_string(params.agg_rounds) + " rounds)", "agg",
-      [&](RngStream& rng) {
-        est::Aggregation agg({.rounds_per_epoch = params.agg_rounds});
-        return est::aggregation_delay(at.sim, agg, at.initiator, config, rng);
-      });
-  add("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")", "sc",
-      [&](RngStream& rng) {
-        return est::sample_collide_delay(
-            at.sim,
-            est::SampleCollide({.timer = params.sc_timer,
-                                .collisions = params.sc_collisions}),
-            at.initiator, config, rng);
-      });
+  add("HopsSampling", "hops_sampling", "hs");
+  add("Aggregation (" + std::to_string(params.agg_rounds) + " rounds)",
+      "aggregation", "agg");
+  add("Sample&Collide (l=" + std::to_string(params.sc_collisions) + ")",
+      "sample_collide", "sc");
   report.notes = {
       "paper §V: 'HopsSampling probably outperforms the other algorithms in "
       "terms of delay' — a parallel spread beats 50 synchronized rounds and, "

@@ -83,12 +83,4 @@ std::string LatencyModel::describe() const {
   return "constant:" + format_double(a_);
 }
 
-double LatencyModel::sequential(std::uint64_t hops,
-                                support::RngStream& rng) const {
-  if (kind_ == Kind::kConstant) return a_ * static_cast<double>(hops);
-  double total = 0.0;
-  for (std::uint64_t i = 0; i < hops; ++i) total += sample(rng);
-  return total;
-}
-
 }  // namespace p2pse::sim

@@ -7,18 +7,17 @@
 // rounds of Aggregation or the wait for 200 equivalent samples of
 // Sample&Collide".
 //
-// The estimation protocols differ in how hop latencies compose:
-//  * Sample&Collide: walks are SEQUENTIAL — each sample's delay is the sum
-//    of its hop latencies plus the reply, and samples run one after another
-//    (the initiator needs the previous sample to decide whether to stop);
-//  * HopsSampling: the spread advances in PARALLEL — the poll's depth d
-//    costs ~d hop latencies, plus one reply hop;
-//  * Aggregation: synchronized rounds — each round lasts at least one
-//    round-trip (the gossip period), so an epoch costs rounds * period.
-// est/delay.hpp turns protocol run statistics into wall-clock delay
-// estimates under one of these models.
+// sim::Channel draws one of these per delivered transmission, and each
+// protocol composes the draws into its Estimate::delay as it runs:
+//  * walks are SEQUENTIAL — est::collide sums every hop and reply of a
+//    Sample&Collide sample, and samples run one after another (the
+//    initiator needs the previous sample to decide whether to stop);
+//  * the HopsSampling spread advances in PARALLEL — each round costs its
+//    slowest delivered message, and the poll adds its reply window (the
+//    slowest reply, or the full timeout when the channel can lose one);
+//  * Aggregation rounds are synchronized — detail::run_exchange_round
+//    charges each round its slowest push-pull exchange.
 
-#include <cstdint>
 #include <string>
 
 #include "p2pse/support/rng.hpp"
@@ -52,10 +51,6 @@ class LatencyModel {
   /// "lognormal:3:0.8", "pareto:2:2.5" (the `latency=` value accepted by
   /// sim::NetworkConfig::parse).
   [[nodiscard]] std::string describe() const;
-
-  /// Sum of `hops` independent hop latencies (sequential composition).
-  [[nodiscard]] double sequential(std::uint64_t hops,
-                                  support::RngStream& rng) const;
 
  private:
   enum class Kind { kConstant, kUniform, kExponential, kLognormal, kPareto };

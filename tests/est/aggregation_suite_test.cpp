@@ -33,7 +33,7 @@ TEST(MultiAggregation, ConvergesToTheCount) {
   sim::Simulator sim = hetero_sim(3000, 3);
   support::RngStream rng(4);
   MultiAggregation agg({.rounds_per_epoch = 50, .instances = 8});
-  const Estimate e = agg.run_epoch(sim, rng);
+  const Estimate e = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, 3000.0), 100.0, 3.0);
 }
@@ -44,8 +44,8 @@ TEST(MultiAggregation, PiggybackedInstancesCostNoExtraMessages) {
   support::RngStream rng_a(6), rng_b(6);
   MultiAggregation multi({.rounds_per_epoch = 30, .instances = 16});
   Aggregation single({.rounds_per_epoch = 30});
-  const Estimate em = multi.run_epoch(sim_multi, rng_a);
-  const Estimate es = single.run_epoch(sim_single, 0, rng_b);
+  const Estimate em = multi.estimate(sim_multi, 0, rng_a);
+  const Estimate es = single.estimate(sim_single, 0, rng_b);
   EXPECT_EQ(em.messages, es.messages);  // same exchange count
 }
 
@@ -59,7 +59,7 @@ TEST(MultiAggregation, MedianBeatsSingleInstanceAtFewRounds) {
     sim::Simulator sim = hetero_sim(2000, 100 + seed);
     support::RngStream rng(200 + seed);
     Aggregation single({.rounds_per_epoch = kShortEpoch});
-    const Estimate es = single.run_epoch(sim, 0, rng);
+    const Estimate es = single.estimate(sim, 0, rng);
     if (es.valid) {
       single_err.add(
           std::abs(support::quality_percent(es.value, 2000.0) - 100.0));
@@ -68,7 +68,7 @@ TEST(MultiAggregation, MedianBeatsSingleInstanceAtFewRounds) {
     }
     MultiAggregation multi(
         {.rounds_per_epoch = kShortEpoch, .instances = 16});
-    const Estimate em = multi.run_epoch(sim, rng);
+    const Estimate em = multi.estimate(sim, 0, rng);
     if (em.valid) {
       multi_err.add(
           std::abs(support::quality_percent(em.value, 2000.0) - 100.0));
@@ -85,7 +85,7 @@ TEST(MultiAggregation, MeanCombinerWorksToo) {
   MultiAggregation agg({.rounds_per_epoch = 50,
                         .instances = 8,
                         .combine = MultiAggregationConfig::Combine::kMean});
-  const Estimate e = agg.run_epoch(sim, rng);
+  const Estimate e = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, 2000.0), 100.0, 5.0);
 }

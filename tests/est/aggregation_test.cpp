@@ -56,7 +56,7 @@ TEST(Aggregation, ConvergesToExactCountOnStaticGraph) {
   sim::Simulator sim = hetero_sim(5000, 5);
   support::RngStream rng(6);
   Aggregation agg({.rounds_per_epoch = 60});
-  const Estimate e = agg.run_epoch(sim, 0, rng);
+  const Estimate e = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, 5000.0), 100.0, 2.0);
 }
@@ -94,7 +94,7 @@ TEST(Aggregation, MessageCostIsTwoPerNodePerRound) {
   sim::Simulator sim = hetero_sim(3000, 11);
   support::RngStream rng(12);
   Aggregation agg({.rounds_per_epoch = 10});
-  const Estimate e = agg.run_epoch(sim, 0, rng);
+  const Estimate e = agg.estimate(sim, 0, rng);
   // Overhead = nodes * rounds * 2 (§IV-E), minus isolated nodes that skip.
   EXPECT_NEAR(static_cast<double>(e.messages), 3000.0 * 10.0 * 2.0,
               3000.0 * 10.0 * 0.02);
@@ -104,7 +104,7 @@ TEST(Aggregation, EpochRestartResetsStaleValues) {
   sim::Simulator sim = hetero_sim(500, 13);
   support::RngStream rng(14);
   Aggregation agg({.rounds_per_epoch = 40});
-  (void)agg.run_epoch(sim, 0, rng);
+  (void)agg.estimate(sim, 0, rng);
   agg.start_epoch(sim, 7);
   EXPECT_DOUBLE_EQ(agg.value_at(7), 1.0);
   EXPECT_NEAR(agg.total_mass(sim), 1.0, 1e-12);
@@ -142,9 +142,9 @@ TEST(Aggregation, GrowthIsTrackedAcrossEpochs) {
   support::RngStream rng(22);
   support::RngStream churn_rng(23);
   Aggregation agg({.rounds_per_epoch = 60});
-  (void)agg.run_epoch(sim, 0, rng);
+  (void)agg.estimate(sim, 0, rng);
   net::add_nodes(sim.graph(), 1000, {1, 10}, churn_rng);
-  const Estimate e = agg.run_epoch(sim, 0, rng);
+  const Estimate e = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, 2000.0), 100.0, 5.0);
 }

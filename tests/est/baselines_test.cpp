@@ -34,8 +34,8 @@ TEST(RandomTour, ExactOnTwoNodeGraph) {
   g.add_edge(0, 1);
   sim::Simulator sim(std::move(g), 1);
   support::RngStream rng(2);
-  const RandomTour tour;
-  const Estimate e = tour.estimate_once(sim, 0, rng);
+  RandomTour tour;
+  const Estimate e = tour.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   // Tour: 0 -> 1 -> 0. Phi = 1/1 + 1/1 = 2, deg(0)=1 -> N-hat = 2. Exact.
   EXPECT_DOUBLE_EQ(e.value, 2.0);
@@ -46,10 +46,10 @@ TEST(RandomTour, UnbiasedOnRing) {
   // On a ring all degrees are 2; E[N-hat] = N. Average many tours.
   sim::Simulator sim(ring(50), 3);
   support::RngStream rng(4);
-  const RandomTour tour;
+  RandomTour tour;
   support::RunningStats estimates;
   for (int i = 0; i < 3000; ++i) {
-    const Estimate e = tour.estimate_once(sim, 0, rng);
+    const Estimate e = tour.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     estimates.add(e.value);
   }
@@ -59,10 +59,10 @@ TEST(RandomTour, UnbiasedOnRing) {
 TEST(RandomTour, UnbiasedOnHeterogeneousGraph) {
   sim::Simulator sim = hetero_sim(500, 5);
   support::RngStream rng(6);
-  const RandomTour tour;
+  RandomTour tour;
   support::RunningStats estimates;
   for (int i = 0; i < 4000; ++i) {
-    const Estimate e = tour.estimate_once(sim, 0, rng);
+    const Estimate e = tour.estimate_point(sim, 0, rng);
     if (e.valid) estimates.add(e.value);
   }
   EXPECT_NEAR(estimates.mean(), 500.0, 60.0);
@@ -72,11 +72,11 @@ TEST(RandomTour, CostScalesWithEdgesOverDegree) {
   // E[tour length] = 2|E|/deg(initiator).
   sim::Simulator sim = hetero_sim(2000, 7);
   support::RngStream rng(8);
-  const RandomTour tour;
+  RandomTour tour;
   support::RunningStats steps;
   const net::NodeId initiator = 0;
   for (int i = 0; i < 2000; ++i) {
-    const Estimate e = tour.estimate_once(sim, initiator, rng);
+    const Estimate e = tour.estimate_point(sim, initiator, rng);
     if (e.valid) steps.add(static_cast<double>(e.messages));
   }
   const double expected = 2.0 * static_cast<double>(sim.graph().edge_count()) /
@@ -87,20 +87,20 @@ TEST(RandomTour, CostScalesWithEdgesOverDegree) {
 TEST(RandomTour, InvalidForDeadOrIsolatedInitiator) {
   sim::Simulator sim = hetero_sim(100, 9);
   support::RngStream rng(10);
-  const RandomTour tour;
+  RandomTour tour;
   sim.graph().remove_node(5);
-  EXPECT_FALSE(tour.estimate_once(sim, 5, rng).valid);
+  EXPECT_FALSE(tour.estimate_point(sim, 5, rng).valid);
   net::Graph lonely(1);
   sim::Simulator sim2(std::move(lonely), 11);
-  EXPECT_FALSE(tour.estimate_once(sim2, 0, rng).valid);
+  EXPECT_FALSE(tour.estimate_point(sim2, 0, rng).valid);
 }
 
 TEST(RandomTour, MaxStepsBoundProducesInvalid) {
   sim::Simulator sim = hetero_sim(5000, 12);
   support::RngStream rng(13);
-  const RandomTour tour({.max_steps = 3});  // absurdly small
+  RandomTour tour({.max_steps = 3});  // absurdly small
   int valid = 0;
-  for (int i = 0; i < 50; ++i) valid += tour.estimate_once(sim, 0, rng).valid;
+  for (int i = 0; i < 50; ++i) valid += tour.estimate_point(sim, 0, rng).valid;
   EXPECT_LT(valid, 50);  // most tours cannot return within 3 hops
 }
 
@@ -120,13 +120,13 @@ TEST(RandomTour, CostGrowsLinearlyWhileSampleCollideGrowsAsSqrt) {
     }
     return cost.mean();
   };
-  const RandomTour tour;
+  RandomTour tour;
   const auto run_tour = [&tour](sim::Simulator& s, support::RngStream& r) {
-    return tour.estimate_once(s, 0, r);
+    return tour.estimate_point(s, 0, r);
   };
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   const auto run_sc = [&sc](sim::Simulator& s, support::RngStream& r) {
-    return sc.estimate_once(s, 0, r);
+    return sc.estimate_point(s, 0, r);
   };
   const double tour_ratio =
       mean_cost(8000, run_tour, 14) / mean_cost(2000, run_tour, 14);
@@ -167,8 +167,8 @@ TEST(InvertedBirthday, FirstCollisionFormula) {
   net::Graph g(1);
   sim::Simulator sim(std::move(g), 16);
   support::RngStream rng(17);
-  const InvertedBirthday ibp({.walk_length = 5, .collisions = 1});
-  const Estimate e = ibp.estimate_once(sim, 0, rng);
+  InvertedBirthday ibp({.walk_length = 5, .collisions = 1});
+  const Estimate e = ibp.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_DOUBLE_EQ(e.value, 2.0);
 }
@@ -179,10 +179,10 @@ TEST(InvertedBirthday, ReasonableOnNearHomogeneousGraph) {
   support::RngStream build(18);
   sim::Simulator sim(net::build_homogeneous_random({3000, 7}, build), 19);
   support::RngStream rng(20);
-  const InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
+  InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
   support::RunningStats quality;
   for (int i = 0; i < 10; ++i) {
-    const Estimate e = ibp.estimate_once(sim, 0, rng);
+    const Estimate e = ibp.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, 3000.0));
   }
@@ -195,10 +195,10 @@ TEST(InvertedBirthday, UnderEstimatesOnScaleFreeGraph) {
   support::RngStream build(21);
   sim::Simulator sim(net::build_barabasi_albert({3000, 3}, build), 22);
   support::RngStream rng(23);
-  const InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
+  InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
   support::RunningStats quality;
   for (int i = 0; i < 10; ++i) {
-    const Estimate e = ibp.estimate_once(sim, 0, rng);
+    const Estimate e = ibp.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, 3000.0));
   }
@@ -209,15 +209,15 @@ TEST(InvertedBirthday, SampleCollideBeatsItOnScaleFree) {
   support::RngStream build(24);
   sim::Simulator sim(net::build_barabasi_albert({3000, 3}, build), 25);
   support::RngStream rng_a(26), rng_b(26);
-  const InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
-  const SampleCollide sc({.timer = 10.0, .collisions = 20});
+  InvertedBirthday ibp({.walk_length = 50, .collisions = 20});
+  SampleCollide sc({.timer = 10.0, .collisions = 20});
   support::RunningStats ibp_err, sc_err;
   for (int i = 0; i < 10; ++i) {
     ibp_err.add(std::abs(support::quality_percent(
-                    ibp.estimate_once(sim, 0, rng_a).value, 3000.0) -
+                    ibp.estimate_point(sim, 0, rng_a).value, 3000.0) -
                 100.0));
     sc_err.add(std::abs(support::quality_percent(
-                   sc.estimate_once(sim, 0, rng_b).value, 3000.0) -
+                   sc.estimate_point(sim, 0, rng_b).value, 3000.0) -
                100.0));
   }
   EXPECT_LT(sc_err.mean(), ibp_err.mean());
@@ -227,8 +227,8 @@ TEST(InvertedBirthday, DeadInitiatorInvalid) {
   sim::Simulator sim = hetero_sim(100, 27);
   sim.graph().remove_node(9);
   support::RngStream rng(28);
-  const InvertedBirthday ibp({});
-  EXPECT_FALSE(ibp.estimate_once(sim, 9, rng).valid);
+  InvertedBirthday ibp({});
+  EXPECT_FALSE(ibp.estimate_point(sim, 9, rng).valid);
 }
 
 }  // namespace

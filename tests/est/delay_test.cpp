@@ -1,9 +1,13 @@
-// Latency models + the §V delay conjecture implemented in est/delay.*.
-#include "p2pse/est/delay.hpp"
-
+// Latency models, and the §V delay conjecture measured through the channel:
+// on a lossless unit-latency network each estimator's Estimate::delay is
+// its critical path counted in hops.
 #include <gtest/gtest.h>
 
+#include "p2pse/est/aggregation.hpp"
+#include "p2pse/est/hops_sampling.hpp"
+#include "p2pse/est/sample_collide.hpp"
 #include "p2pse/net/builders.hpp"
+#include "p2pse/sim/latency.hpp"
 #include "p2pse/support/stats.hpp"
 
 namespace p2pse::est {
@@ -17,12 +21,18 @@ sim::Simulator hetero_sim(std::size_t n, std::uint64_t seed) {
                         seed ^ 0xabcdef);
 }
 
+/// Every message takes exactly one unit and none is lost.
+sim::Simulator unit_latency_sim(std::size_t n, std::uint64_t seed) {
+  sim::Simulator sim = hetero_sim(n, seed);
+  sim.set_network(sim::NetworkConfig::parse("net:latency=constant:1"));
+  return sim;
+}
+
 TEST(LatencyModel, ConstantIsExact) {
   support::RngStream rng(1);
   const LatencyModel m = LatencyModel::constant(5.0);
   EXPECT_DOUBLE_EQ(m.sample(rng), 5.0);
   EXPECT_DOUBLE_EQ(m.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(m.sequential(10, rng), 50.0);
 }
 
 TEST(LatencyModel, UniformStaysInRange) {
@@ -45,14 +55,6 @@ TEST(LatencyModel, ExponentialHasRequestedMean) {
   EXPECT_DOUBLE_EQ(m.mean(), 40.0);
 }
 
-TEST(LatencyModel, SequentialSumsIndependentHops) {
-  support::RngStream rng(4);
-  const LatencyModel m = LatencyModel::uniform(1.0, 3.0);
-  support::RunningStats stats;
-  for (int i = 0; i < 2000; ++i) stats.add(m.sequential(100, rng));
-  EXPECT_NEAR(stats.mean(), 200.0, 5.0);
-}
-
 TEST(LatencyModel, Validation) {
   EXPECT_THROW((void)LatencyModel::constant(-1.0), std::invalid_argument);
   EXPECT_THROW((void)LatencyModel::uniform(5.0, 2.0), std::invalid_argument);
@@ -61,86 +63,82 @@ TEST(LatencyModel, Validation) {
 }
 
 TEST(DelayAnalysis, SampleCollideDelayMatchesItsMessageCount) {
-  // With constant hop latency 1, a fully sequential protocol's delay equals
-  // its total message count (every message is on the critical path).
-  sim::Simulator sim = hetero_sim(3000, 5);
+  // Walk hops and sample replies run one after another, so every message
+  // is on the critical path: at one unit per hop the delay is the count.
+  sim::Simulator sim = unit_latency_sim(3000, 5);
   support::RngStream rng(6);
-  const SampleCollide sc({.timer = 10.0, .collisions = 20});
-  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0)};
-  const DelayBreakdown d = sample_collide_delay(sim, sc, 0, config, rng);
-  EXPECT_DOUBLE_EQ(d.total, static_cast<double>(d.messages));
-  EXPECT_GT(d.estimate, 0.0);
+  SampleCollide sc({.timer = 10.0, .collisions = 20});
+  const Estimate e = sc.estimate(sim, 0, rng);
+  ASSERT_TRUE(e.valid);
+  EXPECT_GT(e.value, 0.0);
+  EXPECT_DOUBLE_EQ(e.delay, static_cast<double>(e.messages));
 }
 
-TEST(DelayAnalysis, SampleCollideDelayRunsTheEstimatorsCollisionLoop) {
-  // Under loss a walk or its reply can be lost. A lost walk is no sample:
-  // it must neither enter the collision set nor count toward C, and the
-  // attempt bound applies. With constant hop latency the delay analysis
-  // draws nothing from the estimator's stream, so it must agree with
-  // estimate_once from the same seed.
-  const SampleCollide sc({.timer = 10.0, .collisions = 20});
-  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0)};
-  const auto lossy_sim = [] {
-    sim::Simulator sim = hetero_sim(2000, 13);
-    sim.set_network(sim::NetworkConfig::parse("net:loss=0.3"));
-    return sim;
+TEST(DelayAnalysis, UnitLatencyLeavesTheEstimateAlone) {
+  // The channel draws from its own stream, never the estimator's: a
+  // lossless unit-latency run reports the ideal channel's value and
+  // message count, and only its measured delay differs.
+  const auto both = [](Estimator& prototype) {
+    sim::Simulator ideal = hetero_sim(2000, 13);
+    sim::Simulator unit = unit_latency_sim(2000, 13);
+    support::RngStream ideal_rng(14);
+    support::RngStream unit_rng(14);
+    const Estimate a = prototype.clone()->estimate(ideal, 0, ideal_rng);
+    const Estimate b = prototype.clone()->estimate(unit, 0, unit_rng);
+    SCOPED_TRACE(std::string(prototype.name()));
+    ASSERT_TRUE(a.valid);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.delay, 0.0);
+    EXPECT_GT(b.delay, 0.0);
   };
-  sim::Simulator delay_sim = lossy_sim();
-  support::RngStream delay_rng(14);
-  const DelayBreakdown d =
-      sample_collide_delay(delay_sim, sc, 0, config, delay_rng);
-  sim::Simulator estimate_sim = lossy_sim();
-  support::RngStream estimate_rng(14);
-  const Estimate e = sc.estimate_once(estimate_sim, 0, estimate_rng);
-  ASSERT_TRUE(e.valid);
-  EXPECT_GT(delay_sim.channel().counters().arq_timeouts, 0u);
-  EXPECT_DOUBLE_EQ(d.estimate, e.value);
-  EXPECT_EQ(d.messages, e.messages);
+  SampleCollide sc({.timer = 10.0, .collisions = 20});
+  HopsSampling hs({});
+  Aggregation agg({.rounds_per_epoch = 20});
+  both(sc);
+  both(hs);
+  both(agg);
 }
 
 TEST(DelayAnalysis, HopsSamplingDelayIsSpreadDepth) {
-  sim::Simulator sim = hetero_sim(3000, 7);
+  // The spread advances one hop per round in parallel, and the replies
+  // come straight back: one unit per round plus one.
+  sim::Simulator sim = unit_latency_sim(3000, 7);
   support::RngStream rng(8);
   const HopsSampling hs({});
-  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0)};
-  const DelayBreakdown d = hops_sampling_delay(sim, hs, 0, config, rng);
-  // The spread dies within tens of rounds; delay must be FAR below the
-  // message count (parallelism).
-  EXPECT_LT(d.total, 100.0);
-  EXPECT_GT(static_cast<double>(d.messages), 1000.0);
+  const HopsSamplingResult r = hs.run_once(sim, 0, rng);
+  EXPECT_DOUBLE_EQ(r.estimate.delay,
+                   static_cast<double>(r.spread_rounds) + 1.0);
+  // Far below the message count: the poll runs in parallel.
+  EXPECT_LT(r.estimate.delay, 100.0);
+  EXPECT_GT(static_cast<double>(r.estimate.messages), 1000.0);
 }
 
 TEST(DelayAnalysis, AggregationDelayIsRoundsTimesPeriod) {
-  sim::Simulator sim = hetero_sim(3000, 9);
+  // Each synchronized round lasts one push and one pull.
+  sim::Simulator sim = unit_latency_sim(3000, 9);
   support::RngStream rng(10);
   Aggregation agg({.rounds_per_epoch = 50});
-  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0),
-                           .aggregation_period_hops = 2.0};
-  const DelayBreakdown d = aggregation_delay(sim, agg, 0, config, rng);
-  EXPECT_DOUBLE_EQ(d.total, 100.0);  // 50 rounds * 2 hops * 1 unit
+  const Estimate e = agg.estimate(sim, 0, rng);
+  EXPECT_DOUBLE_EQ(e.delay, 100.0);  // 50 rounds * 2 hops * 1 unit
 }
 
 TEST(DelayAnalysis, PaperSectionVConjectureHolds) {
   // "HopsSampling probably outperforms the other algorithms in terms of
-  // delay": under any sensible hop latency, HS's parallel spread finishes
-  // orders of magnitude before S&C's sequential sampling, and before
-  // Aggregation's 50 synchronized rounds at realistic periods.
-  sim::Simulator sim = hetero_sim(10000, 11);
+  // delay": its parallel spread finishes before Aggregation's 50
+  // synchronized rounds, which finish orders of magnitude before S&C's
+  // sequential sampling.
+  sim::Simulator sim = unit_latency_sim(10000, 11);
   support::RngStream rng(12);
-  const DelayConfig config{.hop_latency = LatencyModel::constant(1.0),
-                           .aggregation_period_hops = 2.0};
-  const HopsSampling hs({});
-  const DelayBreakdown hs_delay = hops_sampling_delay(sim, hs, 0, config, rng);
-  const SampleCollide sc({.timer = 10.0, .collisions = 200});
-  const DelayBreakdown sc_delay =
-      sample_collide_delay(sim, sc, 0, config, rng);
+  HopsSampling hs({});
+  SampleCollide sc({.timer = 10.0, .collisions = 200});
   Aggregation agg({.rounds_per_epoch = 50});
-  const DelayBreakdown agg_delay =
-      aggregation_delay(sim, agg, 0, config, rng);
+  const double hs_delay = hs.estimate(sim, 0, rng).delay;
+  const double sc_delay = sc.estimate(sim, 0, rng).delay;
+  const double agg_delay = agg.estimate(sim, 0, rng).delay;
 
-  EXPECT_LT(hs_delay.total, agg_delay.total);
-  EXPECT_LT(hs_delay.total, sc_delay.total / 100.0);
-  EXPECT_LT(agg_delay.total, sc_delay.total);  // 200 sequential samples lose
+  EXPECT_LT(hs_delay, agg_delay);
+  EXPECT_LT(agg_delay, sc_delay / 100.0);
 }
 
 }  // namespace

@@ -35,9 +35,9 @@ sim::Simulator make_sim(std::size_t nodes, std::uint64_t seed,
 
 TEST(LossBehavior, SampleCollideTerminatesAndEstimatesUnderHeavyLoss) {
   sim::Simulator sim = make_sim(300, 11, /*loss=*/0.2);
-  const SampleCollide sc({.timer = 4.0, .collisions = 20});
+  SampleCollide sc({.timer = 4.0, .collisions = 20});
   RngStream rng(5);
-  const Estimate e = sc.estimate_once(sim, 0, rng);
+  const Estimate e = sc.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_GT(e.value, 0.0);
   // Lost walks and replies were retried/relaunched: some timeout waits must
@@ -48,10 +48,10 @@ TEST(LossBehavior, SampleCollideTerminatesAndEstimatesUnderHeavyLoss) {
 TEST(LossBehavior, SampleCollideExplicitIdealChannelIsBitIdentical) {
   sim::Simulator reliable = make_sim(300, 11);
   sim::Simulator routed = make_sim(300, 11, /*loss=*/0.0, /*latency=*/0.0);
-  const SampleCollide sc({.timer = 4.0, .collisions = 20});
+  SampleCollide sc({.timer = 4.0, .collisions = 20});
   RngStream rng_a(5), rng_b(5);
-  const Estimate a = sc.estimate_once(reliable, 0, rng_a);
-  const Estimate b = sc.estimate_once(routed, 0, rng_b);
+  const Estimate a = sc.estimate_point(reliable, 0, rng_a);
+  const Estimate b = sc.estimate_point(routed, 0, rng_b);
   EXPECT_DOUBLE_EQ(a.value, b.value);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_DOUBLE_EQ(b.delay, 0.0);
@@ -61,11 +61,11 @@ TEST(LossBehavior, SampleCollideLossInflatesMessageCost) {
   const SampleCollideConfig config{.timer = 4.0, .collisions = 20};
   sim::Simulator reliable = make_sim(300, 11);
   sim::Simulator lossy = make_sim(300, 11, /*loss=*/0.2);
-  const SampleCollide sc(config);
+  SampleCollide sc(config);
   RngStream rng_a(5), rng_b(5);
   const std::uint64_t msgs_reliable =
-      sc.estimate_once(reliable, 0, rng_a).messages;
-  const std::uint64_t msgs_lossy = sc.estimate_once(lossy, 0, rng_b).messages;
+      sc.estimate_point(reliable, 0, rng_a).messages;
+  const std::uint64_t msgs_lossy = sc.estimate_point(lossy, 0, rng_b).messages;
   EXPECT_GT(msgs_lossy, msgs_reliable);
 }
 
@@ -117,12 +117,12 @@ TEST(LossBehavior, FlatPollingRepliesShrinkWithLoss) {
 }
 
 TEST(LossBehavior, RandomTourEstimateSurvivesLossViaReliableHops) {
-  const RandomTour tour;
+  RandomTour tour;
   sim::Simulator reliable = make_sim(500, 19);
   sim::Simulator lossy = make_sim(500, 19, /*loss=*/0.3);
   RngStream rng_a(5), rng_b(5);
-  const Estimate a = tour.estimate_once(reliable, 0, rng_a);
-  const Estimate b = tour.estimate_once(lossy, 0, rng_b);
+  const Estimate a = tour.estimate_point(reliable, 0, rng_a);
+  const Estimate b = tour.estimate_point(lossy, 0, rng_b);
   ASSERT_TRUE(a.valid);
   ASSERT_TRUE(b.valid);
   // Hop-reliable forwarding: the identical tour and estimate, at a higher
@@ -138,10 +138,10 @@ TEST(LossBehavior, InvertedBirthdaySkipsSamplesWithLostReplies) {
   // bound trips and the estimate reports invalid instead of hallucinating
   // samples it never received.
   sim::Simulator sim = make_sim(100, 37, /*loss=*/1.0);
-  const InvertedBirthday ibp({.walk_length = 5, .collisions = 2,
+  InvertedBirthday ibp({.walk_length = 5, .collisions = 2,
                               .max_samples = 64});
   RngStream rng(5);
-  const Estimate e = ibp.estimate_once(sim, 0, rng);
+  const Estimate e = ibp.estimate_point(sim, 0, rng);
   EXPECT_FALSE(e.valid);
   // Each of the 64 attempts cost the initiator one timeout.
   EXPECT_DOUBLE_EQ(e.delay, 64 * sim.channel().config().timeout);

@@ -29,10 +29,10 @@ TEST_P(SampleCollideGrid, EstimateSaneAndCostMonotoneInT) {
   const auto& [timer, l] = GetParam();
   sim::Simulator sim = hetero_sim(4000, 17);
   support::RngStream rng(18);
-  const SampleCollide sc({.timer = timer, .collisions = l});
+  SampleCollide sc({.timer = timer, .collisions = l});
   support::RunningStats quality, msgs;
   for (int i = 0; i < 3; ++i) {
-    const Estimate e = sc.estimate_once(sim, 0, rng);
+    const Estimate e = sc.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, 4000.0));
     msgs.add(static_cast<double>(e.messages));

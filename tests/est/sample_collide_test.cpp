@@ -76,7 +76,7 @@ TEST(SampleCollideWalk, IsolatedInitiatorSendsNoMessages) {
   // overhead counts must stay at zero in this degenerate case.
   sim::Simulator sim(net::Graph(1), 9);
   support::RngStream rng(3);
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   const std::uint64_t before = sim.meter().total();
   const WalkSample ws = sc.sample(sim, 0, rng);
   EXPECT_EQ(ws.node, 0u);
@@ -87,7 +87,7 @@ TEST(SampleCollideWalk, IsolatedInitiatorSendsNoMessages) {
 TEST(SampleCollideWalk, TerminatesAndCountsMessages) {
   sim::Simulator sim = hetero_sim(1000, 1);
   support::RngStream rng(2);
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   const std::uint64_t before = sim.meter().total();
   const WalkSample ws = sc.sample(sim, 0, rng);
   EXPECT_TRUE(sim.graph().is_alive(ws.node));
@@ -100,7 +100,7 @@ TEST(SampleCollideWalk, LengthScalesWithTimer) {
   sim::Simulator sim = hetero_sim(2000, 3);
   support::RngStream rng(4);
   const auto mean_steps = [&](double timer) {
-    const SampleCollide sc({.timer = timer, .collisions = 1});
+    SampleCollide sc({.timer = timer, .collisions = 1});
     support::RunningStats steps;
     for (int i = 0; i < 300; ++i) {
       steps.add(static_cast<double>(sc.sample(sim, 0, rng).steps));
@@ -119,7 +119,7 @@ TEST(SampleCollideWalk, IsolatedInitiatorSamplesItself) {
   net::Graph g(3);  // no edges at all
   sim::Simulator sim(std::move(g), 5);
   support::RngStream rng(6);
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   const WalkSample ws = sc.sample(sim, 1, rng);
   EXPECT_EQ(ws.node, 1u);
   EXPECT_EQ(ws.steps, 0u);
@@ -129,7 +129,7 @@ TEST(SampleCollideWalk, UniformOnCliqueChiSquare) {
   // On a clique every node has equal degree; the sampler must be uniform.
   sim::Simulator sim(clique(50), 7);
   support::RngStream rng(8);
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   std::vector<std::uint64_t> counts(50, 0);
   constexpr int kSamples = 50000;
   for (int i = 0; i < kSamples; ++i) ++counts[sc.sample(sim, 0, rng).node];
@@ -142,7 +142,7 @@ TEST(SampleCollideWalk, NearUniformOnHeterogeneousGraphWithLargeT) {
   // distribution over a 300-node heterogeneous graph is close to uniform.
   sim::Simulator sim = hetero_sim(300, 9);
   support::RngStream rng(10);
-  const SampleCollide sc({.timer = 10.0, .collisions = 1});
+  SampleCollide sc({.timer = 10.0, .collisions = 1});
   std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
   constexpr int kSamples = 150000;
   for (int i = 0; i < kSamples; ++i) ++counts[sc.sample(sim, 0, rng).node];
@@ -157,7 +157,7 @@ TEST(SampleCollideWalk, SmallTIsBiasedTowardHighDegree) {
   // moves, so the distribution must be visibly non-uniform.
   sim::Simulator sim = hetero_sim(300, 11);
   support::RngStream rng(12);
-  const SampleCollide sc({.timer = 0.2, .collisions = 1});
+  SampleCollide sc({.timer = 0.2, .collisions = 1});
   std::vector<std::uint64_t> counts(sim.graph().slot_count(), 0);
   constexpr int kSamples = 150000;
   for (int i = 0; i < kSamples; ++i) ++counts[sc.sample(sim, 0, rng).node];
@@ -173,8 +173,8 @@ TEST(SampleCollideEstimate, QuadraticFormula) {
   net::Graph g(1);
   sim::Simulator sim(std::move(g), 13);
   support::RngStream rng(14);
-  const SampleCollide sc({.timer = 10.0, .collisions = 4});
-  const Estimate e = sc.estimate_once(sim, 0, rng);
+  SampleCollide sc({.timer = 10.0, .collisions = 4});
+  const Estimate e = sc.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   // 5 samples, 4 collisions: 25 / 8.
   EXPECT_DOUBLE_EQ(e.value, 25.0 / 8.0);
@@ -183,10 +183,10 @@ TEST(SampleCollideEstimate, QuadraticFormula) {
 TEST(SampleCollideEstimate, AccurateOnMidSizeGraph) {
   sim::Simulator sim = hetero_sim(20000, 15);
   support::RngStream rng(16);
-  const SampleCollide sc({.timer = 10.0, .collisions = 200});
+  SampleCollide sc({.timer = 10.0, .collisions = 200});
   support::RunningStats quality;
   for (int i = 0; i < 5; ++i) {
-    const Estimate e = sc.estimate_once(sim, 0, rng);
+    const Estimate e = sc.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, 20000.0));
   }
@@ -198,8 +198,8 @@ TEST(SampleCollideEstimate, CostMatchesSqrtLaw) {
   // C ~ sqrt(2 l N) samples, each costing ~T*avg_degree+1 messages.
   sim::Simulator sim = hetero_sim(10000, 17);
   support::RngStream rng(18);
-  const SampleCollide sc({.timer = 10.0, .collisions = 50});
-  const Estimate e = sc.estimate_once(sim, 0, rng);
+  SampleCollide sc({.timer = 10.0, .collisions = 50});
+  const Estimate e = sc.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   const double expected_samples = std::sqrt(2.0 * 50 * 10000.0);
   const double expected_msgs = expected_samples * (10.0 * 7.2 + 1.0);
@@ -211,8 +211,8 @@ TEST(SampleCollideEstimate, DeadInitiatorIsInvalid) {
   sim::Simulator sim = hetero_sim(100, 19);
   sim.graph().remove_node(7);
   support::RngStream rng(20);
-  const SampleCollide sc({.timer = 10.0, .collisions = 5});
-  const Estimate e = sc.estimate_once(sim, 7, rng);
+  SampleCollide sc({.timer = 10.0, .collisions = 5});
+  const Estimate e = sc.estimate_point(sim, 7, rng);
   EXPECT_FALSE(e.valid);
 }
 
@@ -221,8 +221,8 @@ TEST(SampleCollideEstimate, SafetyBoundProducesInvalid) {
   support::RngStream rng(22);
   SampleCollideConfig config{.timer = 10.0, .collisions = 200};
   config.max_samples = 10;  // far too few to reach 200 collisions
-  const SampleCollide sc(config);
-  const Estimate e = sc.estimate_once(sim, 0, rng);
+  SampleCollide sc(config);
+  const Estimate e = sc.estimate_point(sim, 0, rng);
   EXPECT_FALSE(e.valid);
 }
 
@@ -259,10 +259,10 @@ TEST(SampleCollideMle, AgreesWithQuadraticInTypicalRegime) {
 TEST(SampleCollideEstimate, MleVariantRunsEndToEnd) {
   sim::Simulator sim = hetero_sim(5000, 23);
   support::RngStream rng(24);
-  const SampleCollide sc({.timer = 10.0,
+  SampleCollide sc({.timer = 10.0,
                           .collisions = 50,
                           .estimator = CollisionEstimator::kMaximumLikelihood});
-  const Estimate e = sc.estimate_once(sim, 0, rng);
+  const Estimate e = sc.estimate_point(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, 5000.0), 100.0, 35.0);
 }
@@ -276,10 +276,10 @@ TEST_P(SampleCollideAccuracy, WithinEnvelope) {
   const auto& [nodes, l, seed] = GetParam();
   sim::Simulator sim = hetero_sim(nodes, seed);
   support::RngStream rng(seed ^ 0x5555);
-  const SampleCollide sc({.timer = 10.0, .collisions = l});
+  SampleCollide sc({.timer = 10.0, .collisions = l});
   support::RunningStats quality;
   for (int i = 0; i < 3; ++i) {
-    const Estimate e = sc.estimate_once(sim, 0, rng);
+    const Estimate e = sc.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, static_cast<double>(nodes)));
   }

@@ -1,9 +1,8 @@
 // Exact-output lock for the random-walk estimators: the value, message
 // count and delay of one estimate per (estimator, channel) pair on one
-// fixed 2000-node overlay, plus the channel counters the run leaves behind,
-// and Sample&Collide's delay analysis under the ideal channel. Any change
-// to a walk's draw order, its delivery discipline or its collision
-// bookkeeping moves a row here; a failure prints the actual row.
+// fixed 2000-node overlay, plus the channel counters the run leaves behind.
+// Any change to a walk's draw order, its delivery discipline or its
+// collision bookkeeping moves a row here; a failure prints the actual row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "p2pse/est/delay.hpp"
 #include "p2pse/est/inverted_birthday.hpp"
 #include "p2pse/est/random_tour.hpp"
 #include "p2pse/est/sample_collide.hpp"
@@ -72,17 +70,17 @@ struct Case {
 };
 
 std::vector<Case> cases() {
-  const SampleCollide quadratic({.timer = 10.0, .collisions = 20});
-  const SampleCollide mle(
+  SampleCollide quadratic({.timer = 10.0, .collisions = 20});
+  SampleCollide mle(
       {.timer = 10.0,
        .collisions = 20,
        .estimator = CollisionEstimator::kMaximumLikelihood});
-  const InvertedBirthday ibp({.walk_length = 30, .collisions = 5});
-  const RandomTour tour;
+  InvertedBirthday ibp({.walk_length = 30, .collisions = 5});
+  RandomTour tour;
   return {
       {"sample_collide",
-       [=](sim::Simulator& sim, support::RngStream& rng) {
-         return quadratic.estimate_once(sim, 0, rng);
+       [=](sim::Simulator& sim, support::RngStream& rng) mutable {
+         return quadratic.estimate_point(sim, 0, rng);
        },
        "0x1.3c03333333333p+11 24142 0x0p+0 1 | 24142 0 0 0 0",
        "0x1.341cccccccccdp+11 40575 0x1.6e578ec429a62p+19 1 | "
@@ -90,8 +88,8 @@ std::vector<Case> cases() {
        "0x1.0c47333333333p+11 45735 0x1.e3915366daf7ep+20 1 | "
        "0 45735 10434 9983 451"},
       {"sample_collide_mle",
-       [=](sim::Simulator& sim, support::RngStream& rng) {
-         return mle.estimate_once(sim, 0, rng);
+       [=](sim::Simulator& sim, support::RngStream& rng) mutable {
+         return mle.estimate_point(sim, 0, rng);
        },
        "0x1.2da54f654p+11 24142 0x0p+0 1 | 24142 0 0 0 0",
        "0x1.25ecc74ad999ap+11 40575 0x1.6e578ec429a62p+19 1 | "
@@ -99,16 +97,16 @@ std::vector<Case> cases() {
        "0x1.fe0fc92a33332p+10 45735 0x1.e3915366daf7ep+20 1 | "
        "0 45735 10434 9983 451"},
       {"inverted_birthday",
-       [=](sim::Simulator& sim, support::RngStream& rng) {
-         return ibp.estimate_once(sim, 0, rng);
+       [=](sim::Simulator& sim, support::RngStream& rng) mutable {
+         return ibp.estimate_point(sim, 0, rng);
        },
        "0x1.c7ap+10 4185 0x0p+0 1 | 4185 0 0 0 0",
        "0x1.c7ap+10 5238 0x1.088abbcca5fbep+17 1 | 5238 0 1053 1053 0",
        "0x1.c0e6666666666p+10 5371 0x1.7a2a4edc4c855p+18 1 | "
        "0 5371 1187 1186 1"},
       {"random_tour",
-       [=](sim::Simulator& sim, support::RngStream& rng) {
-         return tour.estimate_once(sim, 0, rng);
+       [=](sim::Simulator& sim, support::RngStream& rng) mutable {
+         return tour.estimate_point(sim, 0, rng);
        },
        "0x1.bc00000000002p+9 642 0x0p+0 1 | 642 0 0 0 0",
        "0x1.bc00000000002p+9 806 0x1.46050cd47e697p+14 1 | 806 0 164 164 0",
@@ -136,20 +134,6 @@ TEST(WalkPins, LossyClusteredChannel) {
     EXPECT_EQ(pinned_row(c.run, kLossy, "topo:clustered,regions=4"),
               c.clustered);
   }
-}
-
-TEST(WalkPins, SampleCollideDelayOnTheIdealChannel) {
-  sim::Simulator sim = make_sim(nullptr, nullptr);
-  support::RngStream rng(99);
-  const SampleCollide sc({.timer = 10.0, .collisions = 20});
-  const DelayConfig config{.hop_latency =
-                               sim::LatencyModel::exponential(20.0)};
-  const DelayBreakdown d = sample_collide_delay(sim, sc, 0, config, rng);
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%a %llu %a", d.total,
-                static_cast<unsigned long long>(d.messages), d.estimate);
-  EXPECT_EQ(std::string(buf),
-            "0x1.3568e56516ed8p+18 15887 0x1.0e66666666666p+10");
 }
 
 }  // namespace

@@ -258,6 +258,19 @@ TEST(Figures, AblationDelayRanksHopsSamplingFirst) {
   EXPECT_LT(agg, sc);
 }
 
+TEST(Figures, AblationDelayRefusesNetNamingItsOwnChannel) {
+  FigureParams p = small_params();
+  p.net = "net:loss=0.1";
+  try {
+    (void)run_figure("ablation_delay", p);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ablation_delay: --net is not supported by this figure; it "
+                 "fixes its own unit-latency channel (drop the flag)");
+  }
+}
+
 TEST(Figures, AblationStructuredIsCheapest) {
   FigureParams p = small_params();
   p.estimations = 6;

@@ -64,7 +64,7 @@ TEST(Comparative, TableOneOverheadOrdering) {
   sim::Simulator agg_sim = make_sim();
   est::Aggregation agg({.rounds_per_epoch = 50});
   support::RngStream agg_rng(kSeed ^ 33);
-  const est::Estimate agg_est = agg.run_epoch(agg_sim, 0, agg_rng);
+  const est::Estimate agg_est = agg.estimate(agg_sim, 0, agg_rng);
 
   const double sc_one_shot = sc_stats.mean_msgs;
   const double sc_last10 = sc_stats.mean_msgs * 10.0;
@@ -88,7 +88,7 @@ TEST(Comparative, AccuracyOrderingMatchesPaper) {
   sim::Simulator agg_sim = make_sim();
   est::Aggregation agg({.rounds_per_epoch = 50});
   support::RngStream agg_rng(kSeed ^ 66);
-  const est::Estimate agg_est = agg.run_epoch(agg_sim, 0, agg_rng);
+  const est::Estimate agg_est = agg.estimate(agg_sim, 0, agg_rng);
   const double agg_err = std::abs(
       support::quality_percent(agg_est.value, static_cast<double>(kNodes)) -
       100.0);
@@ -110,7 +110,7 @@ TEST(Comparative, ScReactsFasterThanSmoothedHsAfterCatastrophe) {
   const scenario::ScenarioRunner runner(scenario::catastrophic_script(kNodes),
                                         factory, kSeed);
 
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 100});
+  est::SampleCollide sc({.timer = 10.0, .collisions = 100});
   const scenario::Series sc_series = runner.run(sc, {.estimations = 50}, 0);
 
   const est::HopsSampling hs({.last_k = 10});

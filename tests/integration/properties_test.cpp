@@ -40,10 +40,10 @@ TEST_P(EstimatorsAcrossTopologies, SampleCollideWithinEnvelope) {
   support::RngStream build_rng(seed);
   sim::Simulator sim(build(kind, kNodes, build_rng), seed ^ 0xf00d);
   support::RngStream rng(seed ^ 0xbeef);
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 100});
+  est::SampleCollide sc({.timer = 10.0, .collisions = 100});
   support::RunningStats quality;
   for (int i = 0; i < 3; ++i) {
-    const est::Estimate e = sc.estimate_once(sim, 0, rng);
+    const est::Estimate e = sc.estimate_point(sim, 0, rng);
     ASSERT_TRUE(e.valid);
     quality.add(support::quality_percent(e.value, kNodes));
   }
@@ -56,7 +56,7 @@ TEST_P(EstimatorsAcrossTopologies, AggregationConvergesEverywhere) {
   sim::Simulator sim(build(kind, kNodes, build_rng), seed ^ 0xf00d);
   support::RngStream rng(seed ^ 0xcafe);
   est::Aggregation agg({.rounds_per_epoch = 60});
-  const est::Estimate e = agg.run_epoch(sim, 0, rng);
+  const est::Estimate e = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(support::quality_percent(e.value, kNodes), 100.0, 5.0);
 }
@@ -92,7 +92,7 @@ TEST(PipelineDeterminism, DynamicRunIsBitStable) {
   const auto factory = [](support::RngStream& rng) {
     return net::build_heterogeneous_random({2000, 1, 10}, rng);
   };
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 20});
+  est::SampleCollide sc({.timer = 10.0, .collisions = 20});
   const scenario::ScenarioRunner a(scenario::catastrophic_script(2000), factory,
                                    99);
   const scenario::ScenarioRunner b(scenario::catastrophic_script(2000), factory,
@@ -112,7 +112,7 @@ TEST(PipelineDeterminism, SeedsChangeOutcomesSanely) {
   const auto factory = [](support::RngStream& rng) {
     return net::build_heterogeneous_random({2000, 1, 10}, rng);
   };
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 20});
+  est::SampleCollide sc({.timer = 10.0, .collisions = 20});
   const scenario::ScenarioRunner a(scenario::static_script(), factory, 1);
   const scenario::ScenarioRunner b(scenario::static_script(), factory, 2);
   const scenario::Series sa = a.run(sc, {.estimations = 5}, 0);
@@ -138,8 +138,8 @@ TEST(FailureInjection, EstimatorsSurviveFragmentedOverlay) {
   const net::NodeId initiator = sim.graph().random_alive(rng);
   ASSERT_NE(initiator, net::kInvalidNode);
 
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 10});
-  const est::Estimate sc_est = sc.estimate_once(sim, initiator, rng);
+  est::SampleCollide sc({.timer = 10.0, .collisions = 10});
+  const est::Estimate sc_est = sc.estimate_point(sim, initiator, rng);
   EXPECT_TRUE(sc_est.valid);  // walks stay inside the initiator's component
   EXPECT_GT(sc_est.value, 0.0);
 
@@ -150,7 +150,7 @@ TEST(FailureInjection, EstimatorsSurviveFragmentedOverlay) {
             static_cast<double>(sim.graph().size()));
 
   est::Aggregation agg({.rounds_per_epoch = 30});
-  const est::Estimate agg_est = agg.run_epoch(sim, initiator, rng);
+  const est::Estimate agg_est = agg.estimate(sim, initiator, rng);
   // The initiator's component is counted; the estimate is the component
   // size, not the overlay size — well-defined, even if "wrong".
   EXPECT_TRUE(agg_est.valid);
@@ -160,8 +160,8 @@ TEST(FailureInjection, EstimatorsSurviveFragmentedOverlay) {
 TEST(FailureInjection, SingleNodeOverlayEverywhere) {
   sim::Simulator sim(net::Graph(1), 11);
   support::RngStream rng(12);
-  const est::SampleCollide sc({.timer = 10.0, .collisions = 2});
-  const est::Estimate e = sc.estimate_once(sim, 0, rng);
+  est::SampleCollide sc({.timer = 10.0, .collisions = 2});
+  const est::Estimate e = sc.estimate_point(sim, 0, rng);
   EXPECT_TRUE(e.valid);
   EXPECT_NEAR(e.value, 2.25, 2.0);  // (l+1)^2/(2l); tiny-N bias is expected
 
@@ -169,7 +169,7 @@ TEST(FailureInjection, SingleNodeOverlayEverywhere) {
   EXPECT_DOUBLE_EQ(hs.run_once(sim, 0, rng).estimate.value, 1.0);
 
   est::Aggregation agg({.rounds_per_epoch = 5});
-  const est::Estimate agg_est = agg.run_epoch(sim, 0, rng);
+  const est::Estimate agg_est = agg.estimate(sim, 0, rng);
   ASSERT_TRUE(agg_est.valid);
   EXPECT_DOUBLE_EQ(agg_est.value, 1.0);
 }

@@ -78,7 +78,7 @@ TEST(SimCounters, CollectMatchesMessageMeterPerProtocol) {
                      99);
   est::SampleCollide sc({.timer = 10.0, .collisions = 20});
   support::RngStream rng(22);
-  const auto estimate = sc.estimate_once(sim, net::NodeId{0}, rng);
+  const auto estimate = sc.estimate_point(sim, net::NodeId{0}, rng);
   ASSERT_GT(estimate.value, 0.0);
   ASSERT_GT(sim.meter().total(), 0u);
 
@@ -109,7 +109,7 @@ TEST(SimCounters, CollectFillsDistributionsFromTheRecorder) {
   sim.enable_recorder();
   est::SampleCollide sc({.timer = 10.0, .collisions = 20});
   support::RngStream rng(42);
-  const auto estimate = sc.estimate_once(sim, net::NodeId{0}, rng);
+  const auto estimate = sc.estimate_point(sim, net::NodeId{0}, rng);
   ASSERT_GT(estimate.value, 0.0);
 
   const SimCounters counters = collect(sim);
