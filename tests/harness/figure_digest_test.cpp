@@ -88,7 +88,7 @@ constexpr FigureDigest kDigests[] = {
      0x1f2f8a1e2271970f},
     {"ablation_cyclon", 0x5fcafab272880d28, 0x6e23d8044a35217a,
      0x4484924cc0cb4334},
-    {"ablation_delay", 0x3ccbc04dea4b31bf, 0x2aac26bebd69c688,
+    {"ablation_delay", 0x3ccbc04dea4b31bf, 0x1c90f4fa7df4a438,
      0x48138e35b7dc01f6},
     {"ablation_structured", 0x4f5afcd6dd0b0924, 0xe919ccb01f4e717e,
      0x8016e0f1e10a2fe7},
