@@ -104,19 +104,37 @@ const std::vector<std::string_view>& scenario_names() {
   return names;
 }
 
+namespace {
+
+const NamedScenario* find_script(std::string_view name) {
+  for (const NamedScenario& scenario : kNamedScenarios) {
+    if (scenario.name == name) return &scenario;
+  }
+  return nullptr;
+}
+
+/// "unknown scenario 'NAME' (valid: static, ..." then `more` and ")".
+std::invalid_argument unknown_scenario(std::string_view name,
+                                       std::string_view more) {
+  std::string message = "unknown scenario '";
+  message.append(name).append("' (valid: ");
+  std::string_view separator;
+  for (const std::string_view candidate : scenario_names()) {
+    message.append(separator).append(candidate);
+    separator = ", ";
+  }
+  message.append(more).append(")");
+  return std::invalid_argument(message);
+}
+
+}  // namespace
+
 ScenarioScript script_by_name(std::string_view name,
                               std::size_t initial_nodes) {
-  for (const NamedScenario& scenario : kNamedScenarios) {
-    if (scenario.name == name) return scenario.build(initial_nodes);
+  if (const NamedScenario* scenario = find_script(name)) {
+    return scenario->build(initial_nodes);
   }
-  std::string known;
-  for (const std::string_view candidate : scenario_names()) {
-    if (!known.empty()) known += ", ";
-    known += candidate;
-  }
-  throw std::invalid_argument("unknown scenario '" + std::string(name) +
-                              "' (valid: " + known +
-                              ", or a trace workload 'trace:MODEL,...')");
+  throw unknown_scenario(name, "");
 }
 
 std::shared_ptr<const Dynamics> workload_by_name(std::string_view name,
@@ -125,7 +143,10 @@ std::shared_ptr<const Dynamics> workload_by_name(std::string_view name,
     return trace::workload_from_spec(
         name.substr(kTraceWorkloadPrefix.size()), initial_nodes);
   }
-  return std::make_shared<ScriptDynamics>(script_by_name(name, initial_nodes));
+  if (const NamedScenario* scenario = find_script(name)) {
+    return std::make_shared<ScriptDynamics>(scenario->build(initial_nodes));
+  }
+  throw unknown_scenario(name, ", or a trace workload 'trace:MODEL,...'");
 }
 
 }  // namespace p2pse::scenario

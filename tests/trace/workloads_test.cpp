@@ -98,6 +98,26 @@ TEST(Workloads, WorkloadByNameResolvesScriptsAndTraces) {
                std::invalid_argument);
 }
 
+TEST(Workloads, UnknownScenarioHintsOnlyWhatItsResolverAccepts) {
+  // script_by_name takes script names alone, so its error must not offer a
+  // trace spec; workload_by_name takes both and says so.
+  const auto message = [](auto&& resolve) -> std::string {
+    try {
+      resolve();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(
+      message([] { (void)scenario::script_by_name("trace:weibull", 10); }),
+            "unknown scenario 'trace:weibull' (valid: static, catastrophic, "
+            "growing, shrinking, oscillating)");
+  EXPECT_EQ(message([] { (void)scenario::workload_by_name("nope", 10); }),
+            "unknown scenario 'nope' (valid: static, catastrophic, growing, "
+            "shrinking, oscillating, or a trace workload 'trace:MODEL,...')");
+}
+
 harness::MatrixOptions trace_matrix(const std::string& estimator,
                                     const std::string& workload) {
   harness::MatrixOptions options;
