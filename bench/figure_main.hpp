@@ -214,15 +214,17 @@ struct TelemetryCli {
 
   /// Best-effort crash dump of the flight ring (the abnormal-exit path:
   /// contract failures in checked builds, or any uncaught error). No-op
-  /// unless --flight-record armed a ring. Returns true when the dump file
-  /// was written.
+  /// unless --flight-record armed a ring and the run recorded into it (a
+  /// configuration error fails before any event). Returns true when the
+  /// dump file was written.
   bool dump_flight_on_error(const char* argv0) const noexcept {
-    if (!telemetry || telemetry->flight() == nullptr) return false;
-    if (!telemetry->flight()->dump(kFlightDumpPath)) return false;
-    std::fprintf(stderr,
-                 "%s: flight recorder dumped %llu event(s) to %s\n", argv0,
-                 static_cast<unsigned long long>(
-                     telemetry->flight()->recorded()),
+    const obs::FlightRecorder* flight =
+        telemetry ? telemetry->flight() : nullptr;
+    if (flight == nullptr) return false;
+    const std::uint64_t recorded = flight->recorded();
+    if (recorded == 0 || !flight->dump(kFlightDumpPath)) return false;
+    std::fprintf(stderr, "%s: flight recorder dumped %llu event(s) to %s\n",
+                 argv0, static_cast<unsigned long long>(recorded),
                  kFlightDumpPath);
     return true;
   }

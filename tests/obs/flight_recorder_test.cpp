@@ -209,6 +209,17 @@ TEST(FlightRecorder, UnarmedTelemetryHasNoRingAndWritesNoDump) {
   EXPECT_FALSE(cli.dump_flight_on_error("p2pse_matrix"));
 }
 
+TEST(FlightRecorder, EmptyRingWritesNoDump) {
+  // A configuration error fails before the run records anything; an empty
+  // dump would only say that nothing ran.
+  const char* argv[] = {"p2pse_matrix", "--flight-record", "5"};
+  const harness::TelemetryCli cli =
+      harness::TelemetryCli::from_args(support::Args(3, argv));
+  ASSERT_NE(cli.sink()->flight(), nullptr);
+  EXPECT_EQ(cli.sink()->flight()->recorded(), 0u);
+  EXPECT_FALSE(cli.dump_flight_on_error("p2pse_matrix"));
+}
+
 TEST(FlightRecorder, WellFormednessCheckRejectsTruncatedJson) {
   EXPECT_TRUE(is_json_document("{\"a\":[1,-2.5e3,null,\"x\"],\"b\":{}}\n"));
   EXPECT_FALSE(is_json_document("{\"a\":[1,2}"));
