@@ -14,8 +14,8 @@
 // a point estimator polls once; an epoch estimator runs one full epoch from
 // the initiator, is read there, and is charged every message the epoch
 // sent. The returned Estimate's `delay` is what the simulator's channel
-// measured. Drivers that interleave rounds with churn (scenario::
-// ScenarioRunner) call the mode methods themselves.
+// measured. Drivers that interleave rounds with churn (the scenario
+// runner) call the mode methods themselves.
 //
 // Estimator instances may hold per-run state (smoothing windows, gossip
 // values, identifier rings); drivers that fan replicas out in parallel must
