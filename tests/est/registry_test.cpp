@@ -75,18 +75,11 @@ TEST(EstimatorRegistry, EveryNameBuildsAndProducesOneEstimate) {
     support::RngStream rng(42);
     support::RngStream pick(43);
     const net::NodeId initiator = sim.graph().random_alive(pick);
-    if (estimator->mode() == Estimator::Mode::kPoint) {
-      const Estimate e = copy->estimate_point(sim, initiator, rng);
-      EXPECT_TRUE(e.valid);
-      EXPECT_GT(e.value, 0.0);
-    } else {
+    const Estimate e = copy->estimate(sim, initiator, rng);
+    EXPECT_TRUE(e.valid);
+    EXPECT_GT(e.value, 0.0);
+    if (estimator->mode() == Estimator::Mode::kEpoch) {
       ASSERT_GT(copy->rounds_per_epoch(), 0u);
-      copy->start_epoch(sim, initiator, rng);
-      for (std::uint32_t r = 0; r < copy->rounds_per_epoch(); ++r) {
-        copy->run_round(sim, rng);
-      }
-      const Estimate e = copy->epoch_estimate(sim, initiator);
-      EXPECT_TRUE(e.valid);
       // A full epoch on a static 300-node overlay converges tightly.
       EXPECT_NEAR(e.value, 300.0, 60.0);
     }

@@ -70,18 +70,10 @@ Outcome run_static(std::string_view spec, double loss,
     sq += rel * rel;
     sum += rel;
   };
-  if (estimator->mode() == Estimator::Mode::kPoint) {
-    for (std::size_t i = 0; i < kPointRuns; ++i) {
-      record(estimator->estimate_point(sim, initiator, est_rng));
-    }
-  } else {
-    for (std::size_t i = 0; i < kEpochRuns; ++i) {
-      estimator->start_epoch(sim, initiator, est_rng);
-      for (std::uint32_t r = 0; r < estimator->rounds_per_epoch(); ++r) {
-        estimator->run_round(sim, est_rng);
-      }
-      record(estimator->epoch_estimate(sim, initiator));
-    }
+  const std::size_t runs =
+      estimator->mode() == Estimator::Mode::kPoint ? kPointRuns : kEpochRuns;
+  for (std::size_t i = 0; i < runs; ++i) {
+    record(estimator->estimate(sim, initiator, est_rng));
   }
   if (out.valid > 0) {
     out.rmse = std::sqrt(sq / static_cast<double>(out.valid));
