@@ -122,7 +122,7 @@ void HopsSampling::spread(sim::Simulator& sim, net::NodeId initiator,
       const std::size_t end = std::min(begin + kSpreadBlock, frontier.size());
       const std::size_t ahead = std::min(end + kSpreadBlock, frontier.size());
       for (std::size_t i = end; i < ahead; ++i) {
-        graph.prefetch_neighbors(frontier[i].node);
+        graph.prefetch_node(frontier[i].node);
       }
       targets.clear();
       for (std::size_t i = begin; i < end; ++i) {

@@ -21,7 +21,9 @@ void validate_degree_bounds(std::size_t nodes, std::size_t min_degree,
 Graph build_capped_random(std::size_t nodes, std::size_t min_degree,
                           std::size_t max_degree, support::RngStream& rng) {
   validate_degree_bounds(nodes, min_degree, max_degree);
-  Graph graph(nodes);
+  // No degree passes max_degree and no node leaves, so the arena's worst
+  // case is known up front: reserving it keeps the build from reallocating.
+  Graph graph(nodes, Graph::arena_bound(nodes, max_degree));
   if (nodes < 2) return graph;
 
   // Wiring pass, §IV-A: nodes taken one by one; links from earlier nodes
@@ -69,6 +71,7 @@ Graph build_barabasi_albert(const BarabasiAlbertConfig& config,
     throw std::invalid_argument(
         "barabasi_albert: nodes must be >= attach + 1 (seed clique)");
   }
+  // Hub degrees have no useful bound, so the arena grows as it fills.
   Graph graph(config.nodes);
   // Endpoint multiset: each edge contributes both ends, so uniform draws from
   // it realize degree-proportional (preferential) attachment.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/support/log_bins.hpp"
@@ -78,6 +79,44 @@ TEST(HomogeneousBuilder, Connected) {
   support::RngStream rng(7);
   const Graph g = build_homogeneous_random({10000, 7}, rng);
   EXPECT_GT(oracle::largest_component_fraction(g), 0.999);
+}
+
+// A capped build reserves Graph::arena_bound up front. If it outgrew that
+// bound, the arena would reallocate (its capacity would move off the
+// bound) and the build's peak, two arena buffers at once, would come back.
+TEST(CappedBuilderArena, BuildStaysInsideTheBoundItReserved) {
+  constexpr std::size_t kNodes = 100000;
+  const auto expect_inside = [](const Graph& g, std::size_t max_degree) {
+    EXPECT_EQ(g.arena_capacity(), Graph::arena_bound(kNodes, max_degree));
+    EXPECT_LE(g.arena_size(), g.arena_capacity());
+  };
+  for (const auto& [min_degree, max_degree] :
+       {std::pair<std::size_t, std::size_t>{1, 10}, {1, 1}, {10, 10}}) {
+    SCOPED_TRACE(testing::Message() << "{" << min_degree << "," << max_degree
+                                    << "}");
+    support::RngStream rng(42);
+    expect_inside(build_heterogeneous_random({kNodes, min_degree, max_degree},
+                                             rng),
+                  max_degree);
+  }
+  support::RngStream rng(42);
+  expect_inside(build_homogeneous_random({kNodes, 7}, rng), 7);
+}
+
+// The bound is a worst case that wiring can reach: when every node takes
+// its first chunk before any node grows, no freed chunk is ever reused.
+TEST(CappedBuilderArena, BoundIsReachedWhenNoChunkIsRecycled) {
+  constexpr NodeId kNodes = 1000;
+  Graph g(kNodes);
+  for (NodeId step = 1; step <= 5; ++step) {
+    for (NodeId u = 0; u < kNodes; ++u) {
+      ASSERT_TRUE(g.add_edge(u, (u + step) % kNodes));
+    }
+  }
+  EXPECT_EQ(g.counters().chunk_recycles, 0u);
+  EXPECT_EQ(g.arena_size(), Graph::arena_bound(kNodes, 10));
+  EXPECT_EQ(Graph::arena_bound(std::size_t{1} << 40, 10),
+            Graph::kMaxArenaSlots);
 }
 
 TEST(BarabasiAlbertBuilder, BasicShape) {
