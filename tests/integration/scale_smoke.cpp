@@ -1,9 +1,9 @@
 // Opt-in scale smoke: drives the real p2pse_matrix binary at N = 10M nodes
-// and asserts the run completes with a sane peak RSS. This is the "figures
-// are tractable at ten million nodes" claim as an executable check — the
-// SoA graph arena keeps a 10M static run near 1.2 GB (≈ 128 bytes/node
-// all-in), where per-node heap vectors used to blow past that on the
-// overlay alone.
+// with the paper's Sample&Collide setting and asserts the run completes,
+// estimates N and keeps a sane peak RSS. This is the "figures are tractable
+// at ten million nodes" claim as an executable check — the graph arena
+// keeps a 10M static run near 1.2 GB (≈ 128 bytes/node all-in), where
+// per-node heap vectors used to blow past that on the overlay alone.
 //
 // Deliberately heavy (tens of seconds), so it is NOT in the default suite:
 // configure with -DP2PSE_SCALE_TESTS=ON and run `ctest -L scale` (or invoke
@@ -13,10 +13,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "p2pse/support/number.hpp"
 
 #ifndef P2PSE_MATRIX_BINARY
 #error "build defines P2PSE_MATRIX_BINARY as the path to p2pse_matrix"
@@ -58,20 +63,61 @@ ChildResult run_and_measure(const std::vector<std::string>& argv) {
   return result;
 }
 
+struct CsvEstimate {
+  double truth = 0.0;
+  double estimate = 0.0;
+  bool valid = false;
+};
+
+/// The rows of p2pse_matrix's --csv file (header
+/// "replica,time,truth,estimate,messages,valid").
+std::vector<CsvEstimate> read_estimates(const std::string& path) {
+  std::vector<CsvEstimate> rows;
+  std::ifstream in(path);
+  std::string line;
+  if (!std::getline(in, line)) return rows;  // header
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string> cells;
+    for (std::string cell; std::getline(fields, cell, ',');) {
+      cells.push_back(cell);
+    }
+    if (cells.size() != 6) continue;
+    rows.push_back({p2pse::support::parse_number<double>(cells[2]).value_or(0.0),
+                    p2pse::support::parse_number<double>(cells[3]).value_or(0.0),
+                    cells[5] == "1"});
+  }
+  return rows;
+}
+
 TEST(ScaleSmoke, TenMillionNodeStaticFigureCompletesWithSaneRss) {
-  // √N walk length, two collisions, one replica: the cheapest configuration
-  // that still exercises graph build + identifier space + walks at 10M.
+  // The paper's Sample&Collide setting: l = 200 collisions to collect, walk
+  // timer T = 10. One replica, two estimations: the cheapest run that still
+  // exercises graph build + walks at 10M with an estimate worth checking.
+  const std::string csv = testing::TempDir() + "p2pse_scale_smoke.csv";
   const ChildResult result = run_and_measure({
       P2PSE_MATRIX_BINARY,
-      "--estimator", "sample_collide:l=3162,T=2",
+      "--estimator", "sample_collide:l=200,T=10",
       "--scenario", "static",
       "--nodes", "10000000",
       "--estimations", "2",
       "--replicas", "1",
       "--threads", "1",
       "--seed", "42",
+      "--csv", csv,
   });
-  EXPECT_EQ(result.exit_code, 0) << "p2pse_matrix did not complete at N=10M";
+  ASSERT_EQ(result.exit_code, 0) << "p2pse_matrix did not complete at N=10M";
+  // Each estimate within 25% of N: l = 200 puts one estimate's spread near
+  // 1/sqrt(200) ≈ 7%, and a broken setting (too few collisions, too short a
+  // walk) misses by far more.
+  const std::vector<CsvEstimate> rows = read_estimates(csv);
+  std::remove(csv.c_str());
+  ASSERT_EQ(rows.size(), 2u) << "expected one CSV row per estimation";
+  for (const CsvEstimate& row : rows) {
+    EXPECT_TRUE(row.valid);
+    EXPECT_LT(std::abs(row.estimate - row.truth), 0.25 * row.truth)
+        << "estimate " << row.estimate << " for N = " << row.truth;
+  }
   // Measured ≈1.2 GB (see README "Performance"); 4 GB flags a layout
   // regression (e.g. per-node allocations creeping back in) with plenty of
   // headroom over allocator/libc variance.
