@@ -26,8 +26,7 @@ std::size_t Graph::arena_bound(std::size_t nodes,
   const std::size_t top =
       std::bit_ceil(std::clamp<std::size_t>(max_degree, kMinCap, kMaxDegree));
   const std::size_t per_node = 2 * top - kMinCap;
-  if (nodes > kMaxArenaSlots / per_node) return kMaxArenaSlots;
-  return std::min(nodes * per_node, kMaxArenaSlots);
+  return nodes > kMaxArenaSlots / per_node ? kMaxArenaSlots : nodes * per_node;
 }
 
 std::uint32_t Graph::allocate_chunk(std::uint32_t cap_log2) {

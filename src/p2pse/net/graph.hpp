@@ -10,17 +10,18 @@
 // Memory layout (struct-of-arrays): adjacency lists live in one shared
 // arena of u32 slots. Each node owns one packed 8-byte record: the 32-bit
 // slot offset of its chunk, its length (the degree), log2 of the chunk's
-// capacity and its liveness. The only other per-node state is the u32
-// back-pointer into the dense alive list. A degree probe, a liveness check
-// or a walk's hop reads one record and then the arena, and a walk over
-// neighbors streams through contiguous arena memory. Chunks are power-of-two
-// sized (>= 8) and recycled through per-size free-lists, so steady-state
-// churn allocates nothing; a builder that knows its degree cap reserves the
-// arena's worst case up front (arena_bound), so the build never reallocates
-// it. Iteration ORDER within an adjacency list is identical to the
-// historical per-node-vector layout (append at the back, swap-with-back on
-// removal) — random_neighbor draws index by position, so this is what keeps
-// figure outputs byte-identical across layout changes.
+// capacity and its liveness. Besides the record, a node costs only its u32
+// entry in the dense alive list and the back-pointer to that entry. A
+// degree probe, a liveness check or a walk's hop reads one record and then
+// the arena, and a walk over neighbors streams through contiguous arena
+// memory. Chunks are power-of-two sized (>= 8) and recycled through
+// per-size free-lists, so steady-state churn allocates nothing; a builder
+// that knows its degree cap reserves the arena's worst case up front
+// (arena_bound), so the build never reallocates it. Iteration ORDER within
+// an adjacency list is identical to the historical per-node-vector layout
+// (append at the back, swap-with-back on removal) — random_neighbor draws
+// index by position, so this is what keeps figure outputs byte-identical
+// across layout changes.
 
 #include <cstddef>
 #include <cstdint>
